@@ -93,7 +93,7 @@ class LpOutcome:
 class _Tableau:
     """Simplex state: rows of [A | b] in basis-canonical form."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, verbose: bool) -> None:
+    def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
         m, n = a.shape
         # flip rows to make rhs nonnegative before adding artificials
         flip = b < 0
@@ -105,7 +105,6 @@ class _Tableau:
         self.art = list(range(n, n + m))
         self.tab = np.hstack([a, np.eye(m), b[:, None]])
         self.basis = list(self.art)
-        self.verbose = verbose
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         cb = cost[self.basis]
@@ -117,8 +116,6 @@ class _Tableau:
             if i != row and self.tab[i, col] != 0.0:
                 self.tab[i] -= self.tab[i, col] * self.tab[row]
         self.basis[row] = col
-        if self.verbose:
-            print(f"pivot row={row} col={col}\n{self.tab}")
 
     def _choose_row(self, col: int) -> int:
         rhs = self.tab[:, -1]
@@ -210,7 +207,7 @@ def _recover_x(x_std: np.ndarray, n: int, free: list[int]) -> np.ndarray:
     return x
 
 
-def solve(lp: LinearProgram, pivot_rule: str = "bland", verbose: bool = False) -> LpOutcome:
+def solve(lp: LinearProgram, pivot_rule: str = "bland") -> LpOutcome:
     """Two-phase simplex solve of ``lp``.
 
     Raises :class:`NumericalBreakdown` when no numerically safe pivot
@@ -228,7 +225,7 @@ def solve(lp: LinearProgram, pivot_rule: str = "bland", verbose: bool = False) -
             return LpOutcome(status="unbounded", x=None, value=None)
         return LpOutcome(status="optimal", x=np.zeros(n), value=0.0)
 
-    t = _Tableau(a_std, b_std, verbose)
+    t = _Tableau(a_std, b_std)
     width = a_std.shape[1]
     total = width + t.n_rows
 

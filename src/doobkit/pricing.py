@@ -16,6 +16,16 @@ extremes are martingale measures for a price process and the generators
 are the normalized price slices, the optimal dominator is itself a
 tradable martingale, and a self-financed strategy superhedging the claim
 falls out of a per-node linear solve.
+
+Each program is posed in its small form, rows x columns, for n atoms, k
+extremes, M terminal cells (M' of them holding more than one atom), D
+non-terminal cells and G generators:
+
+- free price: ``(k + k * M') x (n + 1)``; the domination of a one-atom
+  terminal cell is a lower bound on that atom, taken in by a shift;
+- generator price: the dual, ``G x (k * M)``, whose duals are the weights;
+- martingale measure: ``(1 + D) x (n + 1)``; the floor on every atom is
+  taken in by a shift.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lp import LinearProgram, solve
+from .lp import LinearProgram, NumericalBreakdown, solve
 from .regularity import A0Element, NotInA0, make_a0_element
 from .space import (
     DEFAULT_TOL,
@@ -236,17 +246,16 @@ def _claim_cells(space: FilteredSpace, claim: np.ndarray) -> np.ndarray:
         raise NotMeasurable(str(exc)) from exc
 
 
-def _domination_rows(space: FilteredSpace, family: MeasureFamily) -> np.ndarray:
+def _domination_rows(
+    space: FilteredSpace, family: MeasureFamily, cells: Sequence[tuple[int, ...]]
+) -> np.ndarray:
     """Rows mapping an atom vector h to E{h | F_N}(cell), per extreme per cell."""
-    n = space.n_atoms
-    rows = []
-    for p in family:
-        for cell in space.cells(space.horizon):
-            row = np.zeros(n)
+    rows = np.zeros((len(family) * len(cells), space.n_atoms))
+    for j, p in enumerate(family):
+        for c, cell in enumerate(cells):
             idx = list(cell)
-            row[idx] = p.probs[idx] / p.probs[idx].sum()
-            rows.append(row)
-    return np.vstack(rows)
+            rows[j * len(cells) + c, idx] = p.probs[idx] / p.probs[idx].sum()
+    return rows
 
 
 def fair_price_a0(
@@ -254,34 +263,50 @@ def fair_price_a0(
 ) -> PricingResult:
     """Smallest capital whose scaled density conditional dominates the claim.
 
-    Solved as: minimize t over nonnegative h with expectation t under every
-    extreme and terminal conditional expectation at least the claim under
-    every extreme.  Always feasible (a large constant works).  The optimal
-    h/t is the realizing density when the price is positive.
+    Minimizes t over nonnegative h with expectation t under every extreme
+    and terminal conditional expectation at least the claim under every
+    extreme.  On a terminal cell holding one atom that domination reads
+    ``h_i >= claim_i`` under every extreme alike, so it is a lower bound
+    and enters by the shift ``h = shift + g``, ``g >= 0``, with ``shift``
+    the claim on such atoms and 0 elsewhere.  The program posed is then
+    ``(k + k * M') x (n + 1)`` for k extremes, n atoms and M' terminal cells
+    of more than one atom: ``2 x 244`` for two extremes on 243 atoms with an
+    atom-fine terminal partition.  Always feasible (a large constant
+    works).  The optimal h/t is the realizing density when the price is
+    positive.
     """
     space = family.space
     claim_cells = _claim_cells(space, claim)
     n = space.n_atoms
     k = len(family)
-    # variables (h_1..h_n, t)
-    a_eq = np.hstack([np.vstack([p.probs for p in family]), -np.ones((k, 1))])
-    b_eq = np.zeros(k)
-    dom = _domination_rows(space, family)
-    a_ge = np.hstack([dom, np.zeros((dom.shape[0], 1))])
-    b_ge = np.tile(claim_cells, k)
+    terminal = space.cells(space.horizon)
+    single = [c for c, cell in enumerate(terminal) if len(cell) == 1]
+    multi = [c for c, cell in enumerate(terminal) if len(cell) > 1]
+    shift = np.zeros(n)
+    shift[[terminal[c][0] for c in single]] = np.maximum(claim_cells[single], 0.0)
+    # variables (g_1..g_n, t)
+    probs = np.vstack([p.probs for p in family])
+    a_eq = np.hstack([probs, -np.ones((k, 1))])
+    b_eq = -probs @ shift
+    a_ge = b_ge = None
+    if multi:
+        dom = _domination_rows(space, family, [terminal[c] for c in multi])
+        a_ge = np.hstack([dom, np.zeros((dom.shape[0], 1))])
+        # shift vanishes on multi-atom cells, so their bounds stay the claim
+        b_ge = np.tile(claim_cells[multi], k)
     c = np.zeros(n + 1)
     c[-1] = 1.0
     out = solve(LinearProgram(c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge))
-    if out.status != "optimal":  # pragma: no cover - always feasible and bounded
-        raise RuntimeError(f"free-mode pricing LP came back {out.status}")
-    h = out.x[:n]
+    if out.status != "optimal":  # always feasible and bounded, so only round-off gets here
+        raise NumericalBreakdown(f"free-mode pricing LP came back {out.status}")
+    h = shift + out.x[:n]
     price = float(out.x[-1])
     dominator = space.expand(
         space.horizon, cond_exp_cells(space, h, family.extremes[0], space.horizon)
     )
     lower = max(p.expect(np.asarray(claim, dtype=float)) for p in family)
-    if price < lower - 1e-8:  # pragma: no cover - would contradict the LP constraints
-        raise RuntimeError(f"price {price} fell below the expectation bound {lower}")
+    if price < lower - 1e-8:  # would contradict the LP constraints
+        raise NumericalBreakdown(f"price {price} fell below the expectation bound {lower}")
     density = h / price if price > tol else None
     return PricingResult(
         fair_price=price,
@@ -304,9 +329,14 @@ def fair_price_generators(
 
     Minimizes the total weight of a nonnegative combination of the
     generators whose terminal conditional expectation dominates the claim
-    under every extreme.  Since the simplex sits inside the full density
-    set, the price can only exceed the free-mode price; that ordering is
-    verified unless ``check_ordering`` is disabled.
+    under every extreme.  That program has ``k * M`` rows for G columns (k
+    extremes, M terminal cells, G generators), so it is solved through its
+    dual, ``G x (k * M)``: maximize ``b . y`` over ``y >= 0`` with
+    ``C^T y <= 1``, where C maps weights to conditional expectations and b
+    is the claim per extreme and cell.  The weights are the dual's duals
+    and the price is its optimal value.  Since the simplex sits inside the
+    full density set, the price can only exceed the free-mode price; that
+    ordering is verified unless ``check_ordering`` is disabled.
     """
     space = family.space
     claim_cells = _claim_cells(space, claim)
@@ -319,24 +349,26 @@ def fair_price_generators(
             raise GeneratorNotInA0(str(exc)) from exc
     if not elems:
         raise ValueError("need at least one generator")
-    dom = _domination_rows(space, family)
+    dom = _domination_rows(space, family, space.cells(space.horizon))
     cols = np.column_stack([dom @ e.xi for e in elems])
     b_ge = np.tile(claim_cells, len(family))
-    out = solve(LinearProgram(np.ones(len(elems)), a_ge=cols, b_ge=b_ge))
-    if out.status != "optimal":
+    dual = solve(LinearProgram(-b_ge, a_ge=-cols.T, b_ge=-np.ones(len(elems))))
+    if dual.status == "unbounded":
         raise PricingInfeasible(
             "no nonnegative combination of the generators dominates the claim"
         )
-    weights = out.x
-    price = float(weights.sum())
+    if dual.status != "optimal":  # y = 0 is feasible, so only round-off gets here
+        raise NumericalBreakdown(f"generator pricing dual came back {dual.status}")
+    weights = np.maximum(dual.y_ge, 0.0)
+    price = -dual.value
     n_cells = space.n_cells(space.horizon)
     dominator = space.expand(space.horizon, (cols @ weights)[:n_cells])
     lower = max(p.expect(np.asarray(claim, dtype=float)) for p in family)
-    gamma = weights / price if price > tol else None
+    gamma = weights / weights.sum() if price > tol else None
     if check_ordering:
         free = fair_price_a0(claim, family, tol=tol)
-        if price < free.fair_price - 1e-9:  # pragma: no cover - simplex is a subset
-            raise RuntimeError(
+        if price < free.fair_price - 1e-9:  # the simplex is a subset
+            raise NumericalBreakdown(
                 f"generator price {price} undercuts the free price {free.fair_price}"
             )
     return PricingResult(
@@ -375,36 +407,38 @@ def closed_form_put(strike: float, terminal_low: float) -> float:
 def find_emm(market: MarketModel, space: Optional[FilteredSpace] = None) -> EmmResult:
     """Strictly positive martingale measure with maximal smallest atom.
 
-    Maximizes the floor of the probability vector subject to the cellwise
-    zero-drift equalities.  Returns no measure when the floor cannot be
-    pushed above 1e-10.
+    Maximizes the floor ``eps`` of the probability vector subject to unit
+    mass and the cellwise zero-drift equalities.  The floor enters by the
+    shift ``q = r + eps``, ``r >= 0``, so the program posed is
+    ``(1 + D) x (n + 1)`` for n atoms and D non-terminal cells (one drift
+    row per cell of times 0..N-1): ``256 x 257`` on the 256-atom binary
+    tree.  Returns no measure when the floor cannot be pushed above 1e-10.
     """
     space = space or market.space
     n = space.n_atoms
-    # variables (q_1..q_n, eps)
-    rows = [np.concatenate([np.ones(n), [0.0]])]
-    rhs = [1.0]
+    # variables (r_1..r_n, eps), q = r + eps
+    rows = [np.concatenate([np.ones(n), [float(n)]])]
     for m in range(1, space.horizon + 1):
-        s_now = market.S.at_atoms(m)
-        s_prev = market.S.at_atoms(m - 1)
+        ds = market.S.at_atoms(m) - market.S.at_atoms(m - 1)
         for cell in space.cells(m - 1):
             row = np.zeros(n + 1)
             idx = list(cell)
-            row[idx] = s_now[idx] - s_prev[idx]
+            row[idx] = ds[idx]
+            row[-1] = ds[idx].sum()
             rows.append(row)
-            rhs.append(0.0)
-    a_ge = np.hstack([np.eye(n), -np.ones((n, 1))])
+    a_eq = np.vstack(rows)
+    b_eq = np.zeros(a_eq.shape[0])
+    b_eq[0] = 1.0
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    out = solve(
-        LinearProgram(c, a_eq=np.vstack(rows), b_eq=np.array(rhs), a_ge=a_ge, b_ge=np.zeros(n))
-    )
+    out = solve(LinearProgram(c, a_eq=a_eq, b_eq=b_eq))
     if out.status != "optimal":
         return EmmResult(measure=None, min_slack=0.0)
     slack = float(out.x[-1])
     if slack <= 1e-10:
         return EmmResult(measure=None, min_slack=max(slack, 0.0))
-    return EmmResult(measure=Measure(out.x[:n] / out.x[:n].sum()), min_slack=slack)
+    q = out.x[:n] + slack
+    return EmmResult(measure=Measure(q / q.sum()), min_slack=slack)
 
 
 def verify_emm(

@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .lp import LinearProgram, solve
+from .lp import LinearProgram, NumericalBreakdown, solve
 from .space import (
     DEFAULT_TOL,
     STRICT_TOL,
@@ -314,16 +314,14 @@ def find_a0_element(
         a_eq_ext = np.hstack([a_eq, np.zeros((len(family), 1))])
         a_ge = np.hstack([np.eye(n), -np.ones((n, 1))])
         out = solve(LinearProgram(c, a_eq=a_eq_ext, b_eq=b_eq, a_ge=a_ge, b_ge=np.zeros(n)))
-        xi = out.x[:n]
     else:
         obj = np.asarray(objective, dtype=float)
         if obj.shape != (n,):
             raise ShapeMismatch("objective must have one entry per atom")
         out = solve(LinearProgram(-obj, a_eq=a_eq, b_eq=b_eq))
-        xi = out.x
-    if out.status != "optimal":  # pragma: no cover - xi == 1 is always feasible
-        raise RuntimeError(f"density search unexpectedly {out.status}")
-    xi = np.maximum(xi, 0.0)
+    if out.status != "optimal":  # xi == 1 is feasible, so only round-off gets here
+        raise NumericalBreakdown(f"density search unexpectedly {out.status}")
+    xi = np.maximum(out.x[:n], 0.0)
     resid = a_eq @ xi - b_eq
     if np.abs(resid).max() > 1e-13:
         # one least-squares polish step keeps the unit-expectation identity tight

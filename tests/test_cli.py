@@ -5,7 +5,9 @@ import json
 import jsonschema
 import pytest
 
+from doobkit import pricing, regularity
 from doobkit.cli import main
+from doobkit.lp import LpOutcome
 
 NUMBER = {"type": "number"}
 NUMBERS = {"type": "array", "items": NUMBER}
@@ -253,6 +255,24 @@ class TestHedge:
         code, report, _ = jrun(capsys, "hedge", str(path), "--claim", "c")
         assert code == 2
         assert report["status"] == "infeasible"
+
+
+class TestNumericalBreakdown:
+    @pytest.mark.parametrize("argv", [
+        ["price", "--claim", "call90"],
+        ["price", "--claim", "call90", "--mode", "generators", "--generators", "S"],
+        ["hedge", "--claim", "call90"],
+        ["a0"],
+    ])
+    def test_exits_three_with_one_line(self, capsys, fixture_paths, monkeypatch, argv):
+        # a kernel that cannot certify its LP trips the typed guards
+        for module in (pricing, regularity):
+            monkeypatch.setattr(module, "solve", lambda lp: LpOutcome("infeasible", None, None))
+        code, out, err = run(capsys, argv[0], str(fixture_paths["a"]), *argv[1:])
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("doobkit: ")
 
 
 class TestTolerance:

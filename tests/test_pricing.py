@@ -6,6 +6,7 @@ import pytest
 from doobkit import (
     AdaptedProcess,
     BadBounds,
+    LinearProgram,
     FamilyNotEmm,
     GeneratorNotInA0,
     MarketModel,
@@ -18,15 +19,18 @@ from doobkit import (
     closed_form_put,
     fair_price_a0,
     fair_price_generators,
+    find_a0_element,
     find_emm,
     martingale_representation,
     price_slice_generators,
+    solve,
     superhedge_strategy,
     verify_emm,
 )
 from doobkit.generators import random_family, random_space, random_supermartingale
 
 from .oracles import dual_mixture_price
+from .trees import tree_market
 
 
 def _terminal_claim(rng, space):
@@ -342,3 +346,109 @@ class TestMarketModel:
             MarketModel(S=s, bounds=((100.0, 100.0), (75.0, 120.0)))  # price leaves band
         with pytest.raises(BadBounds):
             MarketModel(S=s, bounds=((60.0, 100.0), (70.0, 120.0)))  # floor rises
+
+
+def _full_form_rows(space, family):
+    """E_p{h | F_N}(cell) as rows over atoms, every extreme, every terminal cell."""
+    rows = []
+    for p in family:
+        for cell in space.cells(space.horizon):
+            row = np.zeros(space.n_atoms)
+            idx = list(cell)
+            row[idx] = p.probs[idx] / p.probs[idx].sum()
+            rows.append(row)
+    return np.vstack(rows)
+
+
+class TestSmallFormAgainstFullForm:
+    """The shifted free LP and the dual generator LP against the programs
+    written out in full (every extreme, every terminal cell) and posed
+    straight to the kernel."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(2024)
+        coarse = 0
+        for _ in range(200):
+            space = random_space(rng, max_atoms=10, max_periods=3)
+            family = random_family(rng, space)
+            claim = _terminal_claim(rng, space)
+            n, k = space.n_atoms, len(family)
+            coarse += any(len(c) > 1 for c in space.cells(space.horizon))
+            dom = _full_form_rows(space, family)
+            bound = np.tile(space.restrict(space.horizon, claim), k)
+
+            probs = np.vstack([p.probs for p in family])
+            c = np.zeros(n + 1)
+            c[-1] = 1.0
+            full = solve(LinearProgram(
+                c, a_eq=np.hstack([probs, -np.ones((k, 1))]), b_eq=np.zeros(k),
+                a_ge=np.hstack([dom, np.zeros((dom.shape[0], 1))]), b_ge=bound,
+            ))
+            free = fair_price_a0(claim, family)
+            assert full.status == "optimal"
+            assert free.fair_price == pytest.approx(full.value, abs=1e-9)
+
+            gens = [np.ones(n)] + [
+                find_a0_element(family, objective=rng.normal(size=n)).xi for _ in range(2)
+            ]
+            cols = np.column_stack([dom @ g for g in gens])
+            full = solve(LinearProgram(np.ones(len(gens)), a_ge=cols, b_ge=bound))
+            result = fair_price_generators(claim, gens, family)
+            assert full.status == "optimal"
+            assert result.fair_price == pytest.approx(full.value, abs=1e-9)
+            if result.fair_price > 1e-9:
+                assert np.all(result.gamma >= 0.0)
+                mix = result.fair_price * sum(w * g for w, g in zip(result.gamma, gens))
+                assert np.all(dom @ mix >= bound - 1e-9)
+        assert coarse >= 20  # terminal cells of several atoms were exercised
+
+
+class TestTreeRegressions:
+    """Trees past desk scale, where the full-form programs went wrong."""
+
+    def test_prices_and_hedge_at_243_atoms(self):
+        family, market, claim = tree_market(3, 5, 2, 0)
+        lower = max(p.expect(claim) for p in family)
+        free = fair_price_a0(claim, family)
+        gen = fair_price_generators(claim, price_slice_generators(market), family)
+        for result in (free, gen):
+            assert result.fair_price >= lower - 1e-9
+            assert np.all(result.dominator >= claim - 1e-9)
+        assert gen.fair_price >= free.fair_price - 1e-9
+        strat = superhedge_strategy(claim, market, family)
+        assert strat.initial_capital() == pytest.approx(gen.fair_price, abs=0)
+        assert np.all(strat.capital.terminal() >= claim - 1e-9)
+
+    def test_prices_at_243_atoms_match_highs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        family, market, claim = tree_market(3, 5, 2, 0)
+        space = family.space
+        n, k = space.n_atoms, len(family)
+        dom = _full_form_rows(space, family)
+        bound = np.tile(claim, k)
+        probs = np.vstack([p.probs for p in family])
+        c = np.zeros(n + 1)
+        c[-1] = 1.0
+        highs = linprog(
+            c, A_ub=-np.hstack([dom, np.zeros((dom.shape[0], 1))]), b_ub=-bound,
+            A_eq=np.hstack([probs, -np.ones((k, 1))]), b_eq=np.zeros(k), method="highs",
+        )
+        assert highs.status == 0
+        assert fair_price_a0(claim, family).fair_price == pytest.approx(highs.fun, rel=1e-7)
+        gens = price_slice_generators(market)
+        cols = np.column_stack([dom @ g.xi for g in gens])
+        highs = linprog(np.ones(len(gens)), A_ub=-cols, b_ub=-bound, method="highs")
+        assert highs.status == 0
+        got = fair_price_generators(claim, gens, family).fair_price
+        assert got == pytest.approx(highs.fun, rel=1e-7)
+
+    @pytest.mark.parametrize(
+        "depth,seed", [(3, s) for s in range(11)] + [(4, 0)],
+        ids=[f"27-atoms-seed{s}" for s in range(11)] + ["81-atoms-seed0"],
+    )
+    def test_find_emm_on_two_extreme_trees(self, depth, seed):
+        _, market, _ = tree_market(3, depth, 2, seed)
+        result = find_emm(market)
+        assert result.measure is not None
+        assert result.measure.probs.min() > 0.0
+        assert verify_emm(result.measure, market).max_residual <= 1e-9
