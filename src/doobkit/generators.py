@@ -84,14 +84,13 @@ def product_family(
     """
     from itertools import product as iter_product
 
-    nodes: list[tuple[int, np.ndarray, list[np.ndarray]]] = []
+    nodes: list[tuple[int, int, np.ndarray, list[np.ndarray]]] = []
     total = 1
     for m in range(1, space.horizon + 1):
-        parent = space.parent_cell(m)
         for b in range(space.n_cells(m - 1)):
-            children = np.where(parent == b)[0]
+            children = space.children(m, b)
             if children.shape[0] == 1:
-                nodes.append((m, children, [np.ones(1)]))
+                nodes.append((m, b, children, [np.ones(1)]))
                 continue
             n_choices = 2 if total * 2 <= max_extremes and rng.random() < 0.8 else 1
             laws = []
@@ -100,7 +99,7 @@ def product_family(
                 v = 0.9 * v + 0.1 / children.shape[0]
                 laws.append(v / v.sum())
             total *= n_choices
-            nodes.append((m, children, laws))
+            nodes.append((m, b, children, laws))
     terminal_laws = []
     for cell in space.cells(space.horizon):
         v = rng.dirichlet(np.full(len(cell), 2.0))
@@ -108,12 +107,11 @@ def product_family(
         terminal_laws.append(v / v.sum())
 
     extremes = []
-    for picks in iter_product(*[range(len(laws)) for _, _, laws in nodes]):
+    for picks in iter_product(*[range(len(laws)) for *_, laws in nodes]):
         cell_prob = {0: np.ones(1)}
-        for (m, children, laws), pick in zip(nodes, picks):
+        for (m, b, children, laws), pick in zip(nodes, picks):
             probs = cell_prob.setdefault(m, np.zeros(space.n_cells(m)))
-            parent = space.parent_cell(m)
-            probs[children] = cell_prob[m - 1][parent[children[0]]] * laws[pick]
+            probs[children] = cell_prob[m - 1][b] * laws[pick]
         atom_probs = np.zeros(space.n_atoms)
         for c, cell in enumerate(space.cells(space.horizon)):
             atom_probs[list(cell)] = cell_prob[space.horizon][c] * terminal_laws[c]
@@ -141,15 +139,12 @@ def random_martingale(
     levels = [np.array([float(start)])]
     for m in range(1, space.horizon + 1):
         prev = levels[-1]
-        parent = space.parent_cell(m)
+        masses = np.vstack([p.cell_prob(space, m) for p in family])
         vals = np.empty(space.n_cells(m))
         for b in range(space.n_cells(m - 1)):
-            children = np.where(parent == b)[0]
-            rows = []
-            for p in family:
-                mass = np.array([p.probs[list(space.cells(m)[c])].sum() for c in children])
-                rows.append(mass / mass.sum())
-            rmat = np.vstack(rows)
+            children = space.children(m, b)
+            # row by row: a 2-D sum would add in another order and move the draw
+            rmat = np.vstack([mass / mass.sum() for mass in masses[:, children]])
             x = np.full(children.shape[0], prev[b])
             # nullspace of the conditional-probability rows
             _, s, vt = np.linalg.svd(rmat, full_matrices=True)

@@ -1,10 +1,9 @@
 """Dense two-phase simplex kernel.
 
 Minimizes a linear objective over equality and >= constraints with
-variables bounded below by 0 (selected variables may be free).  Bland's
-smallest-index rule is the default pivot rule, so the method terminates on
-degenerate desk-scale problems; a Dantzig most-negative rule is available
-as a fast path and falls back to Bland if it fails to make progress.
+variables bounded below by 0 (selected variables may be free).  Pivots
+follow Bland's smallest-index rule, so the method terminates on degenerate
+desk-scale problems.
 
 The tableau keeps the artificial columns through both phases, which makes
 the dual vector readable off the final tableau: the artificial block holds
@@ -16,11 +15,11 @@ slackness checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["LinearProgram", "LpOutcome", "NumericalBreakdown", "solve", "feasible_point"]
+__all__ = ["LinearProgram", "LpOutcome", "NumericalBreakdown", "solve"]
 
 PIVOT_TOL = 1e-12
 FEAS_TOL = 1e-9
@@ -133,25 +132,19 @@ class _Tableau:
         # Bland tie-break: leave the smallest basis index
         return int(min(ties, key=lambda i: self.basis[i]))
 
-    def run(self, cost: np.ndarray, eligible: np.ndarray, pivot_rule: str) -> str:
+    def run(self, cost: np.ndarray, eligible: np.ndarray) -> str:
         """Iterate to optimality of ``cost``; returns "optimal" or "unbounded"."""
-        rule = pivot_rule
         for _ in range(_MAX_ITERS):
             red = self._reduced_costs(cost)
             red[~eligible] = 0.0
             neg = np.where(red < -PIVOT_TOL)[0]
             if neg.size == 0:
                 return "optimal"
-            if rule == "dantzig":
-                col = int(neg[np.argmin(red[neg])])
-            else:
-                col = int(neg[0])
+            col = int(neg[0])
             row = self._choose_row(col)
             if row < 0:
                 return "unbounded"
             self._pivot(row, col)
-        if rule == "dantzig":
-            return self.run(cost, eligible, "bland")
         raise NumericalBreakdown("simplex failed to terminate")
 
     def solution(self) -> np.ndarray:
@@ -207,14 +200,12 @@ def _recover_x(x_std: np.ndarray, n: int, free: list[int]) -> np.ndarray:
     return x
 
 
-def solve(lp: LinearProgram, pivot_rule: str = "bland") -> LpOutcome:
+def solve(lp: LinearProgram) -> LpOutcome:
     """Two-phase simplex solve of ``lp``.
 
     Raises :class:`NumericalBreakdown` when no numerically safe pivot
     exists; all other failure modes come back in the outcome status.
     """
-    if pivot_rule not in ("bland", "dantzig"):
-        raise ValueError(f"unknown pivot rule {pivot_rule!r}")
     a_std, b_std, c_std, free, n_ge, n_eq = _standardize(lp)
     n = lp.n_vars
 
@@ -232,7 +223,7 @@ def solve(lp: LinearProgram, pivot_rule: str = "bland") -> LpOutcome:
     phase1_cost = np.zeros(total)
     phase1_cost[width:] = 1.0
     eligible1 = np.ones(total, dtype=bool)
-    status = t.run(phase1_cost, eligible1, pivot_rule)
+    status = t.run(phase1_cost, eligible1)
     infeas = float(phase1_cost[t.basis] @ t.tab[:, -1])
     if status != "optimal" or infeas > FEAS_TOL:
         return LpOutcome(status="infeasible", x=None, value=None, infeasibility=max(infeas, 0.0))
@@ -250,7 +241,7 @@ def solve(lp: LinearProgram, pivot_rule: str = "bland") -> LpOutcome:
     phase2_cost[:width] = c_std
     eligible2 = np.ones(total, dtype=bool)
     eligible2[width:] = False  # artificials may leave but never re-enter
-    status = t.run(phase2_cost, eligible2, pivot_rule)
+    status = t.run(phase2_cost, eligible2)
     if status == "unbounded":
         return LpOutcome(status="unbounded", x=None, value=None)
 
@@ -292,31 +283,3 @@ def solve(lp: LinearProgram, pivot_rule: str = "bland") -> LpOutcome:
         duality_gap=float(value - dual_obj),
         comp_slackness=comp,
     )
-
-
-def feasible_point(
-    a_eq: Optional[np.ndarray] = None,
-    b_eq: Optional[np.ndarray] = None,
-    a_ge: Optional[np.ndarray] = None,
-    b_ge: Optional[np.ndarray] = None,
-    n_vars: Optional[int] = None,
-    free_vars: Sequence[int] = (),
-) -> Optional[np.ndarray]:
-    """Phase-one feasibility: a point of the system, or None."""
-    if n_vars is None:
-        if a_eq is not None:
-            n_vars = np.atleast_2d(a_eq).shape[1]
-        elif a_ge is not None:
-            n_vars = np.atleast_2d(a_ge).shape[1]
-        else:
-            raise ValueError("cannot infer the number of variables")
-    lp = LinearProgram(
-        objective=np.zeros(n_vars),
-        a_eq=a_eq,
-        b_eq=b_eq,
-        a_ge=a_ge,
-        b_ge=b_ge,
-        free_vars=tuple(free_vars),
-    )
-    out = solve(lp)
-    return out.x if out.status == "optimal" else None

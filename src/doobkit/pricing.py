@@ -481,7 +481,7 @@ def martingale_representation(
         dm = mproc.at_cells(m) - mproc.at_cells(m - 1)[parent]
         h = np.zeros(space.n_cells(m - 1))
         for b in range(space.n_cells(m - 1)):
-            children = np.where(parent == b)[0]
+            children = space.children(m, b)
             a = ds[children][:, None]
             sol, *_ = np.linalg.lstsq(a, dm[children], rcond=None)
             resid = float(np.abs(a @ sol - dm[children]).max())

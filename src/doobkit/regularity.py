@@ -503,28 +503,13 @@ def xi0_step_alpha(
         [cond_exp_cells(space, space.expand(m, ratio), p, m - 1) for p in family]
     ).max(axis=0)
     delta = martingale_increments(xi0, family, base_index=base_index, n=m)
-    parent = space.parent_cell(m)
-
-    lower, upper = -np.inf, np.inf
-    feasible = True
-    for b in range(space.n_cells(m - 1)):
-        children = np.where(parent == b)[0]
-        s = sup_cells[b]
-        norm = ratio[children] / s if s > 0.0 else np.zeros(children.shape[0])
-        iv = alpha_interval(norm, delta.increments[children])
-        lower = max(lower, iv.lower)
-        upper = min(upper, iv.upper)
-        if iv.preferred is None:
-            feasible = False
-    if not feasible or lower > upper + STRICT_TOL:
+    sup = sup_cells[space.parent_cell(m)]
+    norm = np.divide(ratio, sup, out=np.zeros_like(ratio), where=sup > 0.0)
+    # the per-predecessor intervals intersect to the interval over all cells
+    iv = alpha_interval(norm, delta.increments)
+    if iv.empty:
         return StepFailure(m=m, reason="empty alpha interval")
-    if np.isfinite(upper):
-        alpha = upper
-    elif lower <= 0.0:
-        alpha = 0.0
-    else:
-        alpha = lower
-    alpha = float(min(max(alpha, lower), upper))
+    alpha = iv.preferred
 
     xi0_atoms = 1.0 + alpha * space.expand(m, delta.increments)
     ok, bad_i, dev = _check_unit_conditional(space, family, xi0_atoms, m, tol)
@@ -556,20 +541,16 @@ def xi0_step_lp(
     """
     space = family.space
     ratio = one_step_ratio_cells(f, m)
-    parent = space.parent_cell(m)
+    masses = np.vstack([p.cell_prob(space, m) for p in family])
     values = np.empty_like(ratio)
     for b in range(space.n_cells(m - 1)):
-        children = np.where(parent == b)[0]
+        children = space.children(m, b)
         r = ratio[children]
         if r.max() <= 1.0 + 1e-13:
             values[children] = 1.0
             continue
-        cond = np.vstack(
-            [
-                [p.probs[list(space.cells(m)[c])].sum() for c in children]
-                for p in family
-            ]
-        )
+        # contiguous rows keep the summation order of the per-extreme rows
+        cond = np.ascontiguousarray(masses[:, children])
         cond = cond / cond.sum(axis=1, keepdims=True)
         out = solve(
             LinearProgram(

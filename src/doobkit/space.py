@@ -11,12 +11,21 @@ list of extreme points whose convex hull is the uncertainty set.
 Random variables are plain float arrays with one entry per atom.  Adapted
 processes store one value per cell per time and are expanded to atoms on
 demand, so measurability cannot silently break.
+
+Every module reads the filtration's nodes from one table per space: for
+each time, the cell of each atom, the first atom of each cell, the parent
+of each cell and the children of each parent.  Each of these arrays is
+built on first use and cached read-only on the space.  The table holds
+indices only; sums over cells (conditional expectations, cell masses,
+domination rows) keep their per-cell order of summation, so that every
+result stays the same to the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -108,23 +117,38 @@ class FilteredSpace:
     def n_cells(self, m: int) -> int:
         return len(self.partitions[m])
 
+    @cached_property
+    def _table(self) -> dict:
+        # not a dataclass field, so ==, hash and repr see only the partitions
+        return {}
+
+    def _level(self, build: Callable[["FilteredSpace", int], Any], m: int) -> Any:
+        """The node-table entry ``build`` makes for time ``m``, built once."""
+        key = (build, m)
+        entry = self._table.get(key)
+        if entry is None:
+            entry = build(self, m)
+            for arr in entry if isinstance(entry, tuple) else (entry,):
+                arr.setflags(write=False)
+            self._table[key] = entry
+        return entry
+
     def atom_to_cell(self, m: int) -> np.ndarray:
-        """Index of the time-``m`` cell containing each atom."""
-        out = np.empty(self.n_atoms, dtype=np.intp)
-        for j, cell in enumerate(self.partitions[m]):
-            out[list(cell)] = j
-        return out
+        """Index of the time-``m`` cell containing each atom (read-only)."""
+        return self._level(_atom_cell, m)
 
     def parent_cell(self, m: int) -> np.ndarray:
-        """For each cell of time ``m`` >= 1, the index of its time ``m-1`` parent."""
+        """For each cell of time ``m`` >= 1, the index of its time ``m-1``
+        parent (read-only)."""
         if m < 1:
             raise ValueError("parent_cell needs m >= 1")
-        coarse = self.atom_to_cell(m - 1)
-        return np.array([coarse[cell[0]] for cell in self.partitions[m]], dtype=np.intp)
+        return self._level(_parent, m)
 
-    def children(self, m: int, parent: int) -> list[int]:
-        """Cells of time ``m`` contained in cell ``parent`` of time ``m-1``."""
-        return [j for j, p in enumerate(self.parent_cell(m)) if p == parent]
+    def children(self, m: int, parent: int) -> np.ndarray:
+        """Cells of time ``m`` contained in cell ``parent`` of time ``m-1``,
+        ascending (read-only)."""
+        order, starts = self._level(_children, m)
+        return order[starts[parent] : starts[parent + 1]]
 
     def expand(self, m: int, cell_values: np.ndarray) -> np.ndarray:
         """Lift per-cell values at time ``m`` to a per-atom array."""
@@ -140,16 +164,45 @@ class FilteredSpace:
         atom_values = np.asarray(atom_values, dtype=float)
         if atom_values.shape != (self.n_atoms,):
             raise ShapeMismatch(f"expected {self.n_atoms} atom values, got {atom_values.shape}")
-        out = np.empty(self.n_cells(m))
-        for j, cell in enumerate(self.partitions[m]):
-            vals = atom_values[list(cell)]
-            if np.max(vals) - np.min(vals) > atol:
-                raise ShapeMismatch(
-                    f"values are not measurable at time {m}: cell {j} spans "
-                    f"[{vals.min()}, {vals.max()}]"
-                )
-            out[j] = vals[0]
-        return out
+        cell = self.atom_to_cell(m)
+        hi = np.full(self.n_cells(m), -np.inf)
+        lo = np.full(self.n_cells(m), np.inf)
+        np.maximum.at(hi, cell, atom_values)
+        np.minimum.at(lo, cell, atom_values)
+        bad = np.flatnonzero(hi - lo > atol)
+        if bad.size:
+            j = bad[0]
+            raise ShapeMismatch(
+                f"values are not measurable at time {m}: cell {j} spans [{lo[j]}, {hi[j]}]"
+            )
+        return atom_values[self._level(_first_atom, m)]
+
+
+# node-table builders: one time level each, called once per space and level
+
+
+def _atom_cell(space: FilteredSpace, m: int) -> np.ndarray:
+    out = [0] * space.n_atoms
+    for j, cell in enumerate(space.partitions[m]):
+        for a in cell:
+            out[a] = j
+    return np.array(out, dtype=np.intp)
+
+
+def _first_atom(space: FilteredSpace, m: int) -> np.ndarray:
+    return np.array([cell[0] for cell in space.partitions[m]], dtype=np.intp)
+
+
+def _parent(space: FilteredSpace, m: int) -> np.ndarray:
+    return space.atom_to_cell(m - 1)[space._level(_first_atom, m)]
+
+
+def _children(space: FilteredSpace, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # a stable sort keeps each parent's children ascending
+    parent = space.parent_cell(m)
+    order = np.argsort(parent, kind="stable")
+    starts = np.searchsorted(parent[order], np.arange(space.n_cells(m - 1) + 1))
+    return order, starts
 
 
 def build_space(n_atoms: int, partitions: Sequence[Iterable[Iterable[int]]]) -> FilteredSpace:

@@ -2,8 +2,10 @@
 
 Nothing here reuses the code paths under test: conditional expectations are
 recomputed from raw sums, LP optima come from exhaustive active-set
-enumeration, and the free-mode price comes from the one-parameter family of
-signed two-measure mixtures evaluated at its endpoints and on a grid.
+enumeration, the free-mode price comes from the one-parameter family of
+signed two-measure mixtures evaluated at its endpoints and on a grid, the
+filtration's nodes come from scans of the partition tuples, and the
+closed-form alpha comes from one interval per predecessor cell.
 """
 
 from __future__ import annotations
@@ -24,6 +26,76 @@ def brute_cond_exp(space, xi, probs, m):
         for a in idx:
             out[a] = val
     return out
+
+
+def brute_atom_to_cell(space, m):
+    """Cell of each atom, by searching the partition tuples."""
+    return [
+        next(j for j, cell in enumerate(space.partitions[m]) if a in cell)
+        for a in range(space.n_atoms)
+    ]
+
+
+def brute_children(space, m, b):
+    """Time-``m`` cells inside cell ``b`` of time ``m-1``, by subset tests."""
+    coarse = set(space.partitions[m - 1][b])
+    return [j for j, cell in enumerate(space.partitions[m]) if set(cell) <= coarse]
+
+
+def brute_parent_cell(space, m):
+    """Time-``m-1`` cell holding each time-``m`` cell, by subset tests."""
+    return [
+        next(b for b, coarse in enumerate(space.partitions[m - 1]) if set(cell) <= set(coarse))
+        for cell in space.partitions[m]
+    ]
+
+
+def brute_restrict(space, m, atom_values, atol):
+    """(value at each cell's smallest atom, None), or (None, first cell whose
+    values span more than ``atol``)."""
+    out = []
+    for j, cell in enumerate(space.partitions[m]):
+        vals = [atom_values[a] for a in cell]
+        if max(vals) - min(vals) > atol:
+            return None, j
+        out.append(atom_values[min(cell)])
+    return out, None
+
+
+def per_cell_alpha(space, m, ratio, sup_cells, increments, tol=1e-12):
+    """Closed-form alpha, or None when no alpha works, by intersecting one
+    feasible interval per predecessor cell.
+
+    Per predecessor cell b the ratio is normalised by ``sup_cells[b]`` (0
+    where that is not positive); positive increments bound alpha below,
+    negative ones above, and a zero-increment cell must sit at or below one.
+    The choice is the cap, else 0 when the floor allows it, else the floor.
+    """
+    lower, upper = -np.inf, np.inf
+    feasible = True
+    for b in range(len(space.partitions[m - 1])):
+        lo_b, up_b, ok_b = -np.inf, np.inf, True
+        for j in brute_children(space, m, b):
+            v = ratio[j] / sup_cells[b] if sup_cells[b] > 0.0 else 0.0
+            d = increments[j]
+            if d > 0.0:
+                lo_b = max(lo_b, (v - 1.0) / d)
+            elif d < 0.0:
+                up_b = min(up_b, (1.0 - v) / (-d))
+            elif v > 1.0 + tol:
+                ok_b = False
+        lower, upper = max(lower, lo_b), min(upper, up_b)
+        if not ok_b or lo_b > up_b + tol:
+            feasible = False
+    if not feasible or lower > upper + tol:
+        return None
+    if np.isfinite(upper):
+        alpha = upper
+    elif lower <= 0.0:
+        alpha = 0.0
+    else:
+        alpha = lower
+    return float(min(max(alpha, lower), upper))
 
 
 def dual_mixture_price(p1, p2, payoff, grid: int = 2001) -> float:

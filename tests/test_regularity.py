@@ -33,6 +33,8 @@ from doobkit.claims import envelope_process
 from doobkit.regularity import MartingaleDelta
 from doobkit.generators import random_family, random_space, random_supermartingale
 
+from .oracles import per_cell_alpha
+
 
 def _proc(space, *levels):
     return AdaptedProcess(space=space, per_time=tuple(np.asarray(l, dtype=float) for l in levels))
@@ -260,6 +262,37 @@ class TestXi0StepAlpha:
         step = xi0_step_alpha(f, el, family_b, 2)
         assert isinstance(step, StepFailure)
         assert "extreme" in step.reason
+
+    def test_matches_per_cell_intervals(self):
+        # seeds at random-objective density vertices, so increments are nonzero
+        empty = certified = moved = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            space = random_space(rng, max_atoms=8, max_periods=3)
+            family = random_family(rng, space)
+            f, _, _ = random_supermartingale(rng, space, family)
+            el = find_a0_element(family, objective=rng.normal(size=space.n_atoms))
+            for m in range(1, space.horizon + 1):
+                ratio = one_step_ratio_cells(f, m)
+                sup = np.vstack(
+                    [cond_exp_cells(space, space.expand(m, ratio), p, m - 1) for p in family]
+                ).max(axis=0)
+                inc = martingale_increments(el, family, 0, m).increments
+                alpha = per_cell_alpha(space, m, ratio, sup, inc)
+                step = xi0_step_alpha(f, el, family, m)
+                if alpha is None:
+                    assert isinstance(step, StepFailure), (seed, m)
+                    assert step.reason == "empty alpha interval", (seed, m)
+                    empty += 1
+                elif isinstance(step, Xi0Step):
+                    assert np.float64(step.alpha).tobytes() == np.float64(alpha).tobytes()
+                    xi0 = 1.0 + alpha * space.expand(m, inc)
+                    assert step.xi0.tobytes() == xi0.tobytes(), (seed, m)
+                    certified += 1
+                    moved += alpha != 0.0
+                else:  # refused by the checks after the interval
+                    assert step.reason != "empty alpha interval", (seed, m)
+        assert empty and certified and moved
 
 
 class TestXi0StepLp:

@@ -27,7 +27,13 @@ from doobkit import (
 )
 from doobkit.generators import random_family, random_space
 
-from .oracles import brute_cond_exp
+from .oracles import (
+    brute_atom_to_cell,
+    brute_children,
+    brute_cond_exp,
+    brute_parent_cell,
+    brute_restrict,
+)
 
 XI = np.array([1.0, 3.0, 2.0, 6.0])
 
@@ -62,6 +68,71 @@ class TestBuildSpace:
     def test_non_refining(self):
         with pytest.raises(NonRefining):
             build_space(4, [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1, 2], [3]]])
+
+
+class TestNodeTable:
+    # the children of time-1 cell 0 are cells 0 and 2, not a run of cells
+    INTERLEAVED = [[[0, 1, 2, 3]], [[0, 2], [1, 3]], [[0], [1], [2], [3]]]
+
+    def _spaces(self):
+        yield build_space(4, self.INTERLEAVED)
+        for seed in range(40):
+            yield random_space(np.random.default_rng(seed), max_atoms=8, max_periods=3)
+
+    def test_matches_partition_scans(self):
+        rng = np.random.default_rng(0)
+        for space in self._spaces():
+            for m in range(space.horizon + 1):
+                assert space.atom_to_cell(m).tolist() == brute_atom_to_cell(space, m)
+                if m:
+                    assert space.parent_cell(m).tolist() == brute_parent_cell(space, m)
+                    for b in range(space.n_cells(m - 1)):
+                        assert space.children(m, b).tolist() == brute_children(space, m, b)
+                measurable = space.expand(m, rng.normal(size=space.n_cells(m)))
+                assert space.restrict(m, measurable).tolist() == brute_restrict(
+                    space, m, measurable, 0.0
+                )[0]
+                rough = rng.normal(size=space.n_atoms)
+                _, bad = brute_restrict(space, m, rough, 0.0)
+                if bad is None:
+                    assert space.restrict(m, rough).tolist() == rough.tolist()
+                else:
+                    with pytest.raises(ShapeMismatch, match=f"cell {bad} spans"):
+                        space.restrict(m, rough)
+
+    def test_interleaved_children(self):
+        space = build_space(4, self.INTERLEAVED)
+        assert space.children(2, 0).tolist() == [0, 2]
+        assert space.children(2, 1).tolist() == [1, 3]
+        assert space.children(1, 0).tolist() == [0, 1]
+
+    def test_arrays_read_only(self, space_b):
+        for arr in (space_b.atom_to_cell(1), space_b.parent_cell(2), space_b.children(2, 1)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 5
+
+    def test_table_invisible_to_eq_hash_repr(self):
+        used = build_space(4, self.INTERLEAVED)
+        fresh = build_space(4, self.INTERLEAVED)
+        used.children(2, 1)
+        used.restrict(1, np.zeros(4))
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == (
+            "FilteredSpace(n_atoms=4, partitions=(((0, 1, 2, 3),), ((0, 2), (1, 3)), "
+            "((0,), (1,), (2,), (3,))))"
+        )
+
+    def test_restrict_tolerance_edges(self, space_b):
+        # cells (0, 1) and (2, 3); a span of exactly atol is measurable
+        np.testing.assert_array_equal(
+            space_b.restrict(1, [2.0, 2.0, 1.0, 1.25], atol=0.25), [2.0, 1.0]
+        )
+        with pytest.raises(ShapeMismatch) as exc:
+            space_b.restrict(1, [2.0, 2.0, 1.0, 1.5], atol=0.25)
+        assert str(exc.value) == "values are not measurable at time 1: cell 1 spans [1.0, 1.5]"
+        with pytest.raises(ShapeMismatch, match="cell 0 spans"):
+            space_b.restrict(1, [2.0, 2.5, 1.0, 1.5], atol=0.25)
 
 
 class TestMeasure:
