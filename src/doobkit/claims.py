@@ -48,8 +48,8 @@ from .space import (
     FilteredSpace,
     Measure,
     MeasureFamily,
+    _cond_exp_rows,
     build_space,
-    cond_exp_cells,
     ess_sup_cond_exp_cells,
 )
 
@@ -169,17 +169,16 @@ def _require_xi(instance: AuditInstance, nonnegative: bool) -> np.ndarray:
 def _eval_envelope_tower(instance: AuditInstance) -> tuple[float, str]:
     family = instance.family
     space = instance.space
-    xi = _require_xi(instance, nonnegative=False)
+    env = envelope_process(family, _require_xi(instance, nonnegative=False))
     worst, where = 0.0, ""
     for n in range(1, space.horizon + 1):
-        phi = space.expand(n, ess_sup_cond_exp_cells(space, xi, family, n))
+        phi = env.at_atoms(n)
         for m in range(n):
-            rhs = ess_sup_cond_exp_cells(space, xi, family, m)
-            for i, q in enumerate(family):
-                gap = float((cond_exp_cells(space, phi, q, m) - rhs).max())
-                if gap > worst:
-                    worst = gap
-                    where = f"conditioning the time-{n} envelope to time {m} under extreme {i}"
+            gaps = (_cond_exp_rows(space, phi, family.probs, m) - env.at_cells(m)).max(axis=1)
+            i = int(np.argmax(gaps))
+            if gaps[i] > worst:
+                worst = float(gaps[i])
+                where = f"conditioning the time-{n} envelope to time {m} under extreme {i}"
     return worst, where or "no excess over the early envelope"
 
 
@@ -206,12 +205,12 @@ def _eval_1q5(instance: AuditInstance) -> tuple[float, str]:
     env = envelope_process(instance.family, xi)
     worst, where = 0.0, ""
     for m in range(1, space.horizon + 1):
-        for i, p in enumerate(instance.family):
-            defect = cond_exp_cells(space, env.at_atoms(m), p, m - 1) - env.at_cells(m - 1)
-            mag = float(np.abs(defect).max())
-            if mag > worst:
-                worst = mag
-                where = f"martingale defect {mag:.6g} at time {m} under extreme {i}"
+        rows = _cond_exp_rows(space, env.at_atoms(m), instance.family.probs, m - 1)
+        mags = np.abs(rows - env.at_cells(m - 1)).max(axis=1)
+        i = int(np.argmax(mags))
+        if mags[i] > worst:
+            worst = float(mags[i])
+            where = f"martingale defect {worst:.6g} at time {m} under extreme {i}"
     return worst, where or "envelope is a family-martingale"
 
 
@@ -221,32 +220,32 @@ def _eval_fmars5(instance: AuditInstance) -> tuple[float, str]:
     if not a0_membership(family, xi, tol=1e-9):
         raise ClaimPreconditionUnmet("xi is not a unit-expectation density for the family")
     space = instance.space
-    conds = [
-        [cond_exp_cells(space, xi, p, m) for m in range(space.horizon + 1)] for p in family
-    ]
+    k = len(family)
+    # conds[m][b]: the density martingale under extreme b at time m
+    conds = [_cond_exp_rows(space, xi, family.probs, m) for m in range(space.horizon + 1)]
     worst, where = 0.0, ""
     for m in range(space.horizon + 1):
-        for i in range(len(family)):
-            for j in range(i + 1, len(family)):
-                mag = float(np.abs(conds[i][m] - conds[j][m]).max())
+        for i in range(k):
+            for j in range(i + 1, k):
+                mag = float(np.abs(conds[m][i] - conds[m][j]).max())
                 if mag > worst:
                     worst = mag
                     where = (
                         f"conditional expectations at time {m} differ by {mag:.6g} "
                         f"between extremes {i} and {j}"
                     )
-    for b in range(len(family)):
-        proc = AdaptedProcess(space=space, per_time=tuple(conds[b]))
+    for b in range(k):
         for m in range(1, space.horizon + 1):
-            for i, p in enumerate(family):
-                defect = cond_exp_cells(space, proc.at_atoms(m), p, m - 1) - proc.at_cells(m - 1)
-                mag = float(np.abs(defect).max())
-                if mag > worst:
-                    worst = mag
-                    where = (
-                        f"density martingale under extreme {b} has defect {mag:.6g} "
-                        f"at time {m} under extreme {i}"
-                    )
+            rows = _cond_exp_rows(space, conds[m][b][space.atom_to_cell(m)], family.probs, m - 1)
+            mags = np.abs(rows - conds[m - 1][b]).max(axis=1)
+            i = int(np.argmax(mags))
+            mag = float(mags[i])
+            if mag > worst:
+                worst = mag
+                where = (
+                    f"density martingale under extreme {b} has defect {mag:.6g} "
+                    f"at time {m} under extreme {i}"
+                )
     return worst, where or "conditional expectations agree and form a family-martingale"
 
 
@@ -291,12 +290,10 @@ def _eval_mmars1(instance: AuditInstance) -> tuple[float, str]:
     for m in range(1, space.horizon + 1):
         if np.any(f.at_atoms(m) > f.at_atoms(m - 1) + STRICT_TOL):
             raise ClaimPreconditionUnmet("f must be pathwise non-increasing")
+    conds = [_cond_exp_rows(space, xi, family.probs, m) for m in range(space.horizon + 1)]
     worst, where = 0.0, ""
-    for b, base in enumerate(family):
-        levels = [
-            f.at_cells(m) * cond_exp_cells(space, xi, base, m)
-            for m in range(space.horizon + 1)
-        ]
+    for b in range(len(family)):
+        levels = [f.at_cells(m) * conds[m][b] for m in range(space.horizon + 1)]
         prod = AdaptedProcess(space=space, per_time=tuple(levels))
         cls = classify(prod, family, tol=0.0)
         t, cell, i, mag = cls.worst_violation

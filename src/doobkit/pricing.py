@@ -285,7 +285,7 @@ def fair_price_a0(
     shift = np.zeros(n)
     shift[[terminal[c][0] for c in single]] = np.maximum(claim_cells[single], 0.0)
     # variables (g_1..g_n, t)
-    probs = np.vstack([p.probs for p in family])
+    probs = family.probs
     a_eq = np.hstack([probs, -np.ones((k, 1))])
     b_eq = -probs @ shift
     a_ge = b_ge = None

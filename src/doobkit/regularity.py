@@ -35,8 +35,10 @@ from .space import (
     Measure,
     MeasureFamily,
     ShapeMismatch,
+    _cond_exp_rows,
     cond_exp_cells,
     contract,
+    ess_sup_cond_exp_cells,
     mixture,
     rn_bounds,
 )
@@ -258,14 +260,12 @@ def classify(f: AdaptedProcess, family: MeasureFamily, tol: float = DEFAULT_TOL)
     worst = (-np.inf, 0, 0, 0)
     max_abs = 0.0
     for m in range(1, space.horizon + 1):
-        fm = f.at_atoms(m)
-        prev = f.at_cells(m - 1)
-        for i, p in enumerate(family):
-            defect = cond_exp_cells(space, fm, p, m - 1) - prev
-            j = int(np.argmax(defect))
-            if defect[j] > worst[0]:
-                worst = (defect[j], m, j, i)
-            max_abs = max(max_abs, float(np.abs(defect).max()))
+        defect = _cond_exp_rows(space, f.at_atoms(m), family.probs, m - 1) - f.at_cells(m - 1)
+        # the first worst in (extreme, cell) order; a later time must beat it
+        i, j = np.unravel_index(np.argmax(defect), defect.shape)
+        if defect[i, j] > worst[0]:
+            worst = (defect[i, j], m, int(j), int(i))
+        max_abs = max(max_abs, float(np.abs(defect).max()))
     violation = (worst[1], worst[2], worst[3], float(worst[0]))
     if worst[0] > tol:
         kind = "not-supermartingale"
@@ -297,28 +297,23 @@ def make_a0_element(family: MeasureFamily, xi: np.ndarray) -> A0Element:
 def find_a0_element(
     family: MeasureFamily, objective: Optional[np.ndarray] = None
 ) -> A0Element:
-    """An element of the unit-expectation density set, by linear programming.
+    """An element of the unit-expectation density set.
 
-    With an objective, maximizes its inner product over the set (a vertex);
-    without one, maximizes the smallest entry, which picks an interior
-    point.  The constant 1 is always feasible, so the program never fails.
+    With an objective, maximizes its inner product over the set by linear
+    programming (a vertex).  Without one, returns the element with the
+    largest smallest entry, which is exactly the constant 1: every element
+    has ``min(xi) <= E_p[xi] = 1``, with equality only at ``xi == 1``
+    because ``p > 0``.
     """
-    space = family.space
-    n = space.n_atoms
-    a_eq = np.vstack([p.probs for p in family])
-    b_eq = np.ones(len(family))
+    n = family.space.n_atoms
     if objective is None:
-        # variables (xi, t): maximize t subject to xi - t >= 0
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        a_eq_ext = np.hstack([a_eq, np.zeros((len(family), 1))])
-        a_ge = np.hstack([np.eye(n), -np.ones((n, 1))])
-        out = solve(LinearProgram(c, a_eq=a_eq_ext, b_eq=b_eq, a_ge=a_ge, b_ge=np.zeros(n)))
-    else:
-        obj = np.asarray(objective, dtype=float)
-        if obj.shape != (n,):
-            raise ShapeMismatch("objective must have one entry per atom")
-        out = solve(LinearProgram(-obj, a_eq=a_eq, b_eq=b_eq))
+        return A0Element(xi=np.ones(n))
+    obj = np.asarray(objective, dtype=float)
+    if obj.shape != (n,):
+        raise ShapeMismatch("objective must have one entry per atom")
+    a_eq = family.probs
+    b_eq = np.ones(len(family))
+    out = solve(LinearProgram(-obj, a_eq=a_eq, b_eq=b_eq))
     if out.status != "optimal":  # xi == 1 is feasible, so only round-off gets here
         raise NumericalBreakdown(f"density search unexpectedly {out.status}")
     xi = np.maximum(out.x[:n], 0.0)
@@ -371,15 +366,15 @@ def uniform_gap_bound(
     eps_bar = hi / (1.0 + hi)
     constant = lo / (1.0 + hi)
     rng = np.random.default_rng(seed)
-    worst = 0.0
     k = len(family)
+    qs = []
     for _ in range(n_samples):
         a = float(rng.uniform(0.0, eps_bar))
-        w = rng.dirichlet(np.ones(k))
-        p2 = mixture(family, w)
-        q = Measure((1.0 - a) * p1.probs + a * p2.probs)
-        gap_q = f.at_cells(m0 - 1) - cond_exp_cells(space, fm_atoms, q, m0 - 1)
-        worst = max(worst, float((constant * phi_cells - gap_q).max()))
+        p2 = mixture(family, rng.dirichlet(np.ones(k)))
+        qs.append(Measure((1.0 - a) * p1.probs + a * p2.probs).probs)
+    qs = np.reshape(qs, (n_samples, space.n_atoms))
+    gaps = f.at_cells(m0 - 1) - _cond_exp_rows(space, fm_atoms, qs, m0 - 1)
+    worst = float((constant * phi_cells - gaps).max(initial=0.0))
     return GapBoundReport(
         constant=constant,
         l=lo,
@@ -470,14 +465,11 @@ def _check_unit_conditional(
     m: int,
     tol: float,
 ) -> tuple[bool, int, float]:
-    """Worst deviation of E{xi0 | F_{m-1}} from one over all extremes."""
-    worst = 0.0
-    worst_i = 0
-    for i, p in enumerate(family):
-        dev = float(np.abs(cond_exp_cells(space, xi0_atoms, p, m - 1) - 1.0).max())
-        if dev > worst:
-            worst, worst_i = dev, i
-    return worst <= tol, worst_i, worst
+    """Worst deviation of E{xi0 | F_{m-1}} from one over all extremes, at
+    the first extreme that attains it."""
+    dev = np.abs(_cond_exp_rows(space, xi0_atoms, family.probs, m - 1) - 1.0).max(axis=1)
+    worst_i = int(np.argmax(dev))
+    return dev[worst_i] <= tol, worst_i, float(dev[worst_i])
 
 
 def xi0_step_alpha(
@@ -499,9 +491,7 @@ def xi0_step_alpha(
     """
     space = family.space
     ratio = one_step_ratio_cells(f, m)
-    sup_cells = np.vstack(
-        [cond_exp_cells(space, space.expand(m, ratio), p, m - 1) for p in family]
-    ).max(axis=0)
+    sup_cells = ess_sup_cond_exp_cells(space, space.expand(m, ratio), family, m - 1)
     delta = martingale_increments(xi0, family, base_index=base_index, n=m)
     sup = sup_cells[space.parent_cell(m)]
     norm = np.divide(ratio, sup, out=np.zeros_like(ratio), where=sup > 0.0)
@@ -590,8 +580,13 @@ def optional_decompose(
     non-decreasing compensator.
 
     Strategies: ``"lp"`` uses the cellwise LP at every step; ``"alpha-with-xi0"``
-    uses the closed-form path seeded with an interior density element;
-    ``"auto"`` tries the closed form and falls back to the LP per step.
+    uses the closed-form path seeded with :func:`find_a0_element`'s default,
+    the constant 1; ``"auto"`` tries the closed form and falls back to the
+    LP per step.  The constant seed has zero increments, so the closed form
+    certifies, with ``alpha = 0`` and ``xi0 = 1``, exactly the steps whose
+    one-step ratio is at most one and constant on the children of each
+    predecessor cell (``f`` does not rise and its drop is known one step
+    ahead); under ``"auto"`` every other step goes to the LP.
     Raises :class:`NotSupermartingale` or :class:`NotLocallyRegular`.
     """
     if strategy not in ("lp", "alpha-with-xi0", "auto"):
@@ -675,34 +670,29 @@ def verify_decomposition(
         growth = max(growth, float((-delta).max()))
     add("compensator-monotone", max(growth, 0.0))
 
-    def mart_defect(p: Measure) -> float:
+    def mart_defect(probs: np.ndarray) -> float:
         worst = 0.0
         for m in range(1, space.horizon + 1):
-            e = cond_exp_cells(space, mart.at_atoms(m), p, m - 1)
-            worst = max(worst, float(np.abs(e - mart.at_cells(m - 1)).max()))
+            e = _cond_exp_rows(space, mart.at_atoms(m), probs, m - 1)
+            worst = max(worst, float(np.abs(e - mart.at_cells(m - 1)).max(initial=0.0)))
         return worst
 
-    add("martingale-extremes", max(mart_defect(p) for p in family))
+    probs = family.probs
+    add("martingale-extremes", mart_defect(probs))
     rng = np.random.default_rng(seed)
-    mixed = 0.0
-    for _ in range(n_mixtures):
-        q = mixture(family, rng.dirichlet(np.ones(len(family))))
-        mixed = max(mixed, mart_defect(q))
-    add("martingale-mixtures", mixed)
+    mixes = [mixture(family, rng.dirichlet(np.ones(len(family)))).probs for _ in range(n_mixtures)]
+    add("martingale-mixtures", mart_defect(np.reshape(mixes, (n_mixtures, space.n_atoms))))
 
     drift = 0.0
     centered = 0.0
     for m in range(1, space.horizon + 1):
         df = f.at_atoms(m - 1) - f.at_atoms(m)
         dg = comp.at_atoms(m) - comp.at_atoms(m - 1)
-        for p in family:
-            lhs = cond_exp_cells(space, df, p, m - 1)
-            rhs = cond_exp_cells(space, dg, p, m - 1)
-            drift = max(drift, float(np.abs(lhs - rhs).max()))
-            psi = dg - space.expand(m - 1, rhs)
-            centered = max(
-                centered, float(np.abs(cond_exp_cells(space, psi, p, m - 1)).max())
-            )
+        lhs = _cond_exp_rows(space, df, probs, m - 1)
+        rhs = _cond_exp_rows(space, dg, probs, m - 1)
+        drift = max(drift, float(np.abs(lhs - rhs).max()))
+        psi = dg - rhs[:, space.atom_to_cell(m - 1)]
+        centered = max(centered, float(np.abs(_cond_exp_rows(space, psi, probs, m - 1)).max()))
     add("drift-matches-compensator-growth", drift)
     add("centered-compensator-residuals", centered, bound=STRICT_TOL)
     return DecompositionReport(checks=tuple(checks))

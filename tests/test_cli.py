@@ -262,7 +262,7 @@ class TestNumericalBreakdown:
         ["price", "--claim", "call90"],
         ["price", "--claim", "call90", "--mode", "generators", "--generators", "S"],
         ["hedge", "--claim", "call90"],
-        ["a0"],
+        ["a0", "--claim", "call90"],
     ])
     def test_exits_three_with_one_line(self, capsys, fixture_paths, monkeypatch, argv):
         # a kernel that cannot certify its LP trips the typed guards

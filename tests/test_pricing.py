@@ -22,15 +22,17 @@ from doobkit import (
     find_a0_element,
     find_emm,
     martingale_representation,
+    optional_decompose,
     price_slice_generators,
     solve,
     superhedge_strategy,
+    verify_decomposition,
     verify_emm,
 )
 from doobkit.generators import random_family, random_space, random_supermartingale
 
 from .oracles import dual_mixture_price
-from .trees import tree_market
+from .trees import tree_draw, tree_market
 
 
 def _terminal_claim(rng, space):
@@ -441,6 +443,12 @@ class TestTreeRegressions:
         assert highs.status == 0
         got = fair_price_generators(claim, gens, family).fair_price
         assert got == pytest.approx(highs.fun, rel=1e-7)
+
+    def test_decompose_and_verify_at_729_atoms(self):
+        family, f, _, _ = tree_draw(3, 6, 2, 0)
+        dec = optional_decompose(f, family, strategy="lp")
+        report = verify_decomposition(f, dec, family)
+        assert report.ok, [c for c in report.checks if not c.passed]
 
     @pytest.mark.parametrize(
         "depth,seed", [(3, s) for s in range(11)] + [(4, 0)],

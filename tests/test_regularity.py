@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from doobkit import (
     AdaptedProcess,
+    Measure,
     MeasureFamily,
     NotInA0,
     NotSupermartingale,
@@ -30,7 +31,7 @@ from doobkit import (
     xi0_step_lp,
 )
 from doobkit.claims import envelope_process
-from doobkit.regularity import MartingaleDelta
+from doobkit.regularity import MartingaleDelta, _check_unit_conditional
 from doobkit.generators import random_family, random_space, random_supermartingale
 
 from .oracles import per_cell_alpha
@@ -38,6 +39,12 @@ from .oracles import per_cell_alpha
 
 def _proc(space, *levels):
     return AdaptedProcess(space=space, per_time=tuple(np.asarray(l, dtype=float) for l in levels))
+
+
+def _dyadic_family(space):
+    """Three extremes on FIXTURE-B's space with time-1 cell masses .25, .5, .5."""
+    rows = ([0.125, 0.125, 0.375, 0.375], [0.25] * 4, [0.375, 0.125, 0.125, 0.375])
+    return MeasureFamily(space=space, extremes=tuple(Measure(np.array(r)) for r in rows))
 
 
 class TestClassify:
@@ -57,6 +64,13 @@ class TestClassify:
     def test_deterministic_decreasing_is_strict(self, space_b, family_b):
         f = _proc(space_b, [2.0], [1.0, 1.0], [1.0, 1.0, 1.0, 1.0])
         assert classify(f, family_b).kind == "supermartingale-strict"
+
+    def test_tie_reports_lower_extreme(self, space_b):
+        # dyadic data, so E{f_1} is exactly 1.125, 1.25 and 1.25 under the
+        # three extremes: extremes 1 and 2 tie for the worst drift
+        family = _dyadic_family(space_b)
+        f = _proc(space_b, [1.0], [1.5, 1.0], [1.5, 1.5, 1.0, 1.0])
+        assert classify(f, family).worst_violation == (1, 0, 1, 0.25)
 
     def test_one_step_verdict_matches_multistep_mixtures(self):
         # checking extremes one step at a time decides the property for
@@ -104,6 +118,16 @@ class TestFindA0Element:
     def test_default_is_member(self, family_b):
         el = find_a0_element(family_b)
         assert a0_membership(family_b, el.xi)
+
+    def test_default_is_exactly_one(self, family_b):
+        families = [family_b]
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            families.append(random_family(rng, random_space(rng)))
+        for family in families:
+            xi = find_a0_element(family).xi
+            assert xi.tobytes() == np.ones(family.space.n_atoms).tobytes()
+            assert a0_membership(family, xi)
 
     def test_vertex_with_indicator_objective(self, family_b):
         el = find_a0_element(family_b, objective=np.array([1.0, 0.0, 0.0, 0.0]))
@@ -263,6 +287,12 @@ class TestXi0StepAlpha:
         assert isinstance(step, StepFailure)
         assert "extreme" in step.reason
 
+    def test_unit_conditional_tie_reports_lower_extreme(self, space_b):
+        # E{xi0} is exactly 1.125, 1.25 and 1.25: extremes 1 and 2 tie
+        family = _dyadic_family(space_b)
+        xi0 = np.array([1.5, 1.5, 1.0, 1.0])
+        assert _check_unit_conditional(space_b, family, xi0, 1, 1e-9) == (False, 1, 0.25)
+
     def test_matches_per_cell_intervals(self):
         # seeds at random-objective density vertices, so increments are nonzero
         empty = certified = moved = 0
@@ -372,6 +402,19 @@ class TestOptionalDecompose:
             report = verify_decomposition(f, dec, family)
             assert report.ok, [c for c in report.checks if not c.passed]
 
+    def test_auto_seed_certifies_predictable_drops_with_zero_alpha(self, space_b, family_b):
+        # step 1 halves f on every path: the constant seed certifies it with
+        # alpha = 0; step 2 drops by different amounts inside a time-1 cell,
+        # so the normalized ratio exceeds one there and the LP takes over
+        f = _proc(space_b, [2.0], [1.0, 1.0], [1.0, 0.6, 0.9, 0.9])
+        assert classify(f, family_b).is_supermartingale
+        dec = optional_decompose(f, family_b, strategy="auto")
+        first, second = dec.steps
+        assert (first.method, first.alpha) == ("alpha-path", 0.0)
+        assert first.xi0.tobytes() == np.ones(4).tobytes()
+        assert second.method == "lp-path"
+        assert verify_decomposition(f, dec, family_b).ok
+
     def test_alpha_strategy_on_singleton_family(self):
         # with one measure the density martingale is genuinely driftless,
         # so the closed-form path certifies every step
@@ -411,6 +454,13 @@ class TestVerifyDecomposition:
         assert not report.ok
         failing = {c.name for c in report.checks if not c.passed}
         assert "compensator-monotone" in failing
+
+    def test_no_mixtures_still_reported(self, space_b, family_b):
+        f = _proc(space_b, [2.0], [1.5, 1.2], [1.5, 1.5, 0.9, 0.9])
+        dec = optional_decompose(f, family_b)
+        report = verify_decomposition(f, dec, family_b, n_mixtures=0)
+        mixed = [c for c in report.checks if c.name == "martingale-mixtures"]
+        assert report.ok and len(mixed) == 1 and mixed[0].max_violation == 0.0
 
     def test_centered_residuals_tight(self):
         rng = np.random.default_rng(41)

@@ -1,5 +1,7 @@
 """Filtered spaces, measures, and the conditional-expectation calculus."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from doobkit import (
     rn_bounds,
 )
 from doobkit.generators import random_family, random_space
+from doobkit.space import _cond_exp_rows, cond_exp_cells, ess_sup_cond_exp_cells
 
 from .oracles import (
     brute_atom_to_cell,
@@ -34,6 +37,7 @@ from .oracles import (
     brute_parent_cell,
     brute_restrict,
 )
+from .trees import tree_space
 
 XI = np.array([1.0, 3.0, 2.0, 6.0])
 
@@ -133,6 +137,62 @@ class TestNodeTable:
         assert str(exc.value) == "values are not measurable at time 1: cell 1 spans [1.0, 1.5]"
         with pytest.raises(ShapeMismatch, match="cell 0 spans"):
             space_b.restrict(1, [2.0, 2.5, 1.0, 1.5], atol=0.25)
+
+
+class TestCondExpKernel:
+    def _families(self):
+        """Random draws, the interleaved space and atom-fine ternary trees of
+        3 to 729 atoms, each with its own family."""
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            space = random_space(rng, max_atoms=8, max_periods=3)
+            yield random_family(rng, space), rng
+        rng = np.random.default_rng(99)
+        spaces = [build_space(4, TestNodeTable.INTERLEAVED)]
+        spaces += [tree_space(3, depth) for depth in range(1, 7)]
+        for space in spaces:
+            yield random_family(rng, space, max_extremes=3), rng
+
+    def test_equals_brute_sums_bit_for_bit(self):
+        for family, rng in self._families():
+            space = family.space
+            xi = rng.normal(size=space.n_atoms)
+            for m in range(space.horizon + 1):
+                for p in family:
+                    got = space.expand(m, cond_exp_cells(space, xi, p, m))
+                    assert got.tobytes() == brute_cond_exp(space, xi, p.probs, m).tobytes()
+
+    def test_rows_equal_single_measure_calls(self):
+        for family, rng in self._families():
+            space = family.space
+            k = len(family)
+            xi = rng.normal(size=space.n_atoms)
+            paired = rng.normal(size=(k, space.n_atoms))
+            for m in range(space.horizon + 1):
+                shared = _cond_exp_rows(space, xi, family.probs, m)
+                rows = _cond_exp_rows(space, paired, family.probs, m)
+                assert shared.shape == rows.shape == (k, space.n_cells(m))
+                for i, p in enumerate(family):
+                    assert shared[i].tobytes() == cond_exp_cells(space, xi, p, m).tobytes()
+                    assert rows[i].tobytes() == cond_exp_cells(space, paired[i], p, m).tobytes()
+
+    def test_ess_sup_is_max_over_extremes(self):
+        for family, rng in self._families():
+            space = family.space
+            xi = rng.uniform(0.0, 3.0, size=space.n_atoms)
+            for m in range(space.horizon + 1):
+                per_extreme = np.vstack([cond_exp_cells(space, xi, p, m) for p in family])
+                got = ess_sup_cond_exp_cells(space, xi, family, m)
+                assert got.tobytes() == per_extreme.max(axis=0).tobytes()
+
+    def test_family_probs_read_only(self, family_b):
+        probs = family_b.probs
+        np.testing.assert_array_equal(probs, [p.probs for p in family_b])
+        assert family_b.probs is probs
+        assert not probs.flags.writeable
+        with pytest.raises(ValueError):
+            probs[0, 0] = 0.5
+        assert [f.name for f in fields(family_b)] == ["space", "extremes"]
 
 
 class TestMeasure:
