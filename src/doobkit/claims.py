@@ -48,8 +48,8 @@ from .space import (
     FilteredSpace,
     Measure,
     MeasureFamily,
-    _cond_exp_rows,
     build_space,
+    cond_exp_cells,
     ess_sup_cond_exp_cells,
 )
 
@@ -174,7 +174,7 @@ def _eval_envelope_tower(instance: AuditInstance) -> tuple[float, str]:
     for n in range(1, space.horizon + 1):
         phi = env.at_atoms(n)
         for m in range(n):
-            gaps = (_cond_exp_rows(space, phi, family.probs, m) - env.at_cells(m)).max(axis=1)
+            gaps = (cond_exp_cells(space, phi, family.probs, m) - env.at_cells(m)).max(axis=1)
             i = int(np.argmax(gaps))
             if gaps[i] > worst:
                 worst = float(gaps[i])
@@ -205,7 +205,7 @@ def _eval_1q5(instance: AuditInstance) -> tuple[float, str]:
     env = envelope_process(instance.family, xi)
     worst, where = 0.0, ""
     for m in range(1, space.horizon + 1):
-        rows = _cond_exp_rows(space, env.at_atoms(m), instance.family.probs, m - 1)
+        rows = cond_exp_cells(space, env.at_atoms(m), instance.family.probs, m - 1)
         mags = np.abs(rows - env.at_cells(m - 1)).max(axis=1)
         i = int(np.argmax(mags))
         if mags[i] > worst:
@@ -220,13 +220,12 @@ def _eval_fmars5(instance: AuditInstance) -> tuple[float, str]:
     if not a0_membership(family, xi, tol=1e-9):
         raise ClaimPreconditionUnmet("xi is not a unit-expectation density for the family")
     space = instance.space
-    k = len(family)
     # conds[m][b]: the density martingale under extreme b at time m
-    conds = [_cond_exp_rows(space, xi, family.probs, m) for m in range(space.horizon + 1)]
+    conds = [cond_exp_cells(space, xi, family.probs, m) for m in range(space.horizon + 1)]
     worst, where = 0.0, ""
     for m in range(space.horizon + 1):
-        for i in range(k):
-            for j in range(i + 1, k):
+        for i in range(len(family)):
+            for j in range(i + 1, len(family)):
                 mag = float(np.abs(conds[m][i] - conds[m][j]).max())
                 if mag > worst:
                     worst = mag
@@ -234,16 +233,15 @@ def _eval_fmars5(instance: AuditInstance) -> tuple[float, str]:
                         f"conditional expectations at time {m} differ by {mag:.6g} "
                         f"between extremes {i} and {j}"
                     )
-    for b in range(k):
+    for b in range(len(family)):
         for m in range(1, space.horizon + 1):
-            rows = _cond_exp_rows(space, conds[m][b][space.atom_to_cell(m)], family.probs, m - 1)
+            rows = cond_exp_cells(space, conds[m][b][space.atom_to_cell(m)], family.probs, m - 1)
             mags = np.abs(rows - conds[m - 1][b]).max(axis=1)
             i = int(np.argmax(mags))
-            mag = float(mags[i])
-            if mag > worst:
-                worst = mag
+            if mags[i] > worst:
+                worst = float(mags[i])
                 where = (
-                    f"density martingale under extreme {b} has defect {mag:.6g} "
+                    f"density martingale under extreme {b} has defect {worst:.6g} "
                     f"at time {m} under extreme {i}"
                 )
     return worst, where or "conditional expectations agree and form a family-martingale"
@@ -290,7 +288,7 @@ def _eval_mmars1(instance: AuditInstance) -> tuple[float, str]:
     for m in range(1, space.horizon + 1):
         if np.any(f.at_atoms(m) > f.at_atoms(m - 1) + STRICT_TOL):
             raise ClaimPreconditionUnmet("f must be pathwise non-increasing")
-    conds = [_cond_exp_rows(space, xi, family.probs, m) for m in range(space.horizon + 1)]
+    conds = [cond_exp_cells(space, xi, family.probs, m) for m in range(space.horizon + 1)]
     worst, where = 0.0, ""
     for b in range(len(family)):
         levels = [f.at_cells(m) * conds[m][b] for m in range(space.horizon + 1)]

@@ -35,7 +35,6 @@ from .space import (
     Measure,
     MeasureFamily,
     ShapeMismatch,
-    _cond_exp_rows,
     cond_exp_cells,
     contract,
     ess_sup_cond_exp_cells,
@@ -260,7 +259,7 @@ def classify(f: AdaptedProcess, family: MeasureFamily, tol: float = DEFAULT_TOL)
     worst = (-np.inf, 0, 0, 0)
     max_abs = 0.0
     for m in range(1, space.horizon + 1):
-        defect = _cond_exp_rows(space, f.at_atoms(m), family.probs, m - 1) - f.at_cells(m - 1)
+        defect = cond_exp_cells(space, f.at_atoms(m), family.probs, m - 1) - f.at_cells(m - 1)
         # the first worst in (extreme, cell) order; a later time must beat it
         i, j = np.unravel_index(np.argmax(defect), defect.shape)
         if defect[i, j] > worst[0]:
@@ -373,7 +372,7 @@ def uniform_gap_bound(
         p2 = mixture(family, rng.dirichlet(np.ones(k)))
         qs.append(Measure((1.0 - a) * p1.probs + a * p2.probs).probs)
     qs = np.reshape(qs, (n_samples, space.n_atoms))
-    gaps = f.at_cells(m0 - 1) - _cond_exp_rows(space, fm_atoms, qs, m0 - 1)
+    gaps = f.at_cells(m0 - 1) - cond_exp_cells(space, fm_atoms, qs, m0 - 1)
     worst = float((constant * phi_cells - gaps).max(initial=0.0))
     return GapBoundReport(
         constant=constant,
@@ -465,9 +464,8 @@ def _check_unit_conditional(
     m: int,
     tol: float,
 ) -> tuple[bool, int, float]:
-    """Worst deviation of E{xi0 | F_{m-1}} from one over all extremes, at
-    the first extreme that attains it."""
-    dev = np.abs(_cond_exp_rows(space, xi0_atoms, family.probs, m - 1) - 1.0).max(axis=1)
+    """Worst deviation of E{xi0 | F_{m-1}} from one, and the first extreme with it."""
+    dev = np.abs(cond_exp_cells(space, xi0_atoms, family.probs, m - 1) - 1.0).max(axis=1)
     worst_i = int(np.argmax(dev))
     return dev[worst_i] <= tol, worst_i, float(dev[worst_i])
 
@@ -583,10 +581,8 @@ def optional_decompose(
     uses the closed-form path seeded with :func:`find_a0_element`'s default,
     the constant 1; ``"auto"`` tries the closed form and falls back to the
     LP per step.  The constant seed has zero increments, so the closed form
-    certifies, with ``alpha = 0`` and ``xi0 = 1``, exactly the steps whose
-    one-step ratio is at most one and constant on the children of each
-    predecessor cell (``f`` does not rise and its drop is known one step
-    ahead); under ``"auto"`` every other step goes to the LP.
+    certifies (``alpha = 0``, ``xi0 = 1``) exactly the steps whose one-step
+    ratio is at most one and constant on each predecessor cell's children.
     Raises :class:`NotSupermartingale` or :class:`NotLocallyRegular`.
     """
     if strategy not in ("lp", "alpha-with-xi0", "auto"):
@@ -673,7 +669,7 @@ def verify_decomposition(
     def mart_defect(probs: np.ndarray) -> float:
         worst = 0.0
         for m in range(1, space.horizon + 1):
-            e = _cond_exp_rows(space, mart.at_atoms(m), probs, m - 1)
+            e = cond_exp_cells(space, mart.at_atoms(m), probs, m - 1)
             worst = max(worst, float(np.abs(e - mart.at_cells(m - 1)).max(initial=0.0)))
         return worst
 
@@ -688,11 +684,11 @@ def verify_decomposition(
     for m in range(1, space.horizon + 1):
         df = f.at_atoms(m - 1) - f.at_atoms(m)
         dg = comp.at_atoms(m) - comp.at_atoms(m - 1)
-        lhs = _cond_exp_rows(space, df, probs, m - 1)
-        rhs = _cond_exp_rows(space, dg, probs, m - 1)
+        lhs = cond_exp_cells(space, df, probs, m - 1)
+        rhs = cond_exp_cells(space, dg, probs, m - 1)
         drift = max(drift, float(np.abs(lhs - rhs).max()))
         psi = dg - rhs[:, space.atom_to_cell(m - 1)]
-        centered = max(centered, float(np.abs(_cond_exp_rows(space, psi, probs, m - 1)).max()))
+        centered = max(centered, float(np.abs(cond_exp_cells(space, psi, probs, m - 1)).max()))
     add("drift-matches-compensator-growth", drift)
     add("centered-compensator-residuals", centered, bound=STRICT_TOL)
     return DecompositionReport(checks=tuple(checks))

@@ -15,15 +15,13 @@ demand, so measurability cannot silently break.
 Every module reads the filtration's nodes from one table per space: for
 each time, the cell of each atom, the first atom of each cell, the parent
 of each cell and the children of each parent.  Each of these arrays is
-built on first use and cached read-only on the space.
-
-Conditional expectations are ``np.bincount`` sums over the atom→cell map,
-for every measure of a family in one call, so each cell's numerator and
-mass add up in ascending atom order.  Cell masses (``Measure.cell_prob``)
-and the rows of the pricing and martingale-measure programs keep their
-per-cell ``.sum()``: numpy sums a slice pairwise, which no bincount or
-``np.add.reduceat`` reproduces, and those numbers feed linear programs
-whose optimal vertex can move with the last bit of their data.
+built on first use and cached read-only on the space.  Conditional
+expectations are ``np.bincount`` sums over the atom→cell map, for every
+measure of a family in one call, in ascending atom order.  Cell masses
+(``Measure.cell_prob``) and the rows of the pricing and martingale-measure
+programs keep numpy's pairwise per-cell ``.sum()``, which neither bincount
+nor ``np.add.reduceat`` reproduces, because they feed linear programs whose
+optimal vertex can move with the last bit of their data.
 """
 
 from __future__ import annotations
@@ -376,25 +374,24 @@ def _as_rv(space: FilteredSpace, xi: np.ndarray) -> np.ndarray:
     return xi
 
 
-def _cond_exp_rows(space: FilteredSpace, xi: np.ndarray, probs: np.ndarray, m: int) -> np.ndarray:
-    """Conditional expectations given time ``m`` under each row of the
-    ``(k, n)`` array ``probs``, as a ``(k, n_cells)`` array.
+def cond_exp_cells(
+    space: FilteredSpace, xi: np.ndarray, p: Measure | np.ndarray, m: int
+) -> np.ndarray:
+    """Conditional expectation of ``xi`` given time ``m``, one value per cell.
 
-    ``xi`` is one random variable for every row, or a ``(k, n)`` array
-    paired with ``probs`` row by row.  Each cell's numerator and mass are
-    summed in ascending atom order.
+    ``p`` is a measure, or a ``(k, n)`` array of probability rows (such as
+    ``MeasureFamily.probs``) giving ``(k, n_cells)``; ``xi`` may then also be
+    ``(k, n)``, paired row by row.  Sums run in ascending atom order.
     """
-    k = probs.shape[0]
-    c = space.n_cells(m)
+    single = isinstance(p, Measure)
+    probs = p.probs[None, :] if single else p
+    xi = _as_rv(space, xi) if single or np.ndim(xi) != 2 else xi
+    k, c = probs.shape[0], space.n_cells(m)
     bins = (np.arange(k)[:, None] * c + space.atom_to_cell(m)).ravel()
     num = np.bincount(bins, weights=(probs * xi).ravel(), minlength=k * c)
     mass = np.bincount(bins, weights=probs.ravel(), minlength=k * c)
-    return (num / mass).reshape(k, c)
-
-
-def cond_exp_cells(space: FilteredSpace, xi: np.ndarray, p: Measure, m: int) -> np.ndarray:
-    """Conditional expectation of ``xi`` given time ``m``, one value per cell."""
-    return _cond_exp_rows(space, _as_rv(space, xi), p.probs[None, :], m)[0]
+    out = (num / mass).reshape(k, c)
+    return out[0] if single else out
 
 
 def cond_exp(space: FilteredSpace, xi: np.ndarray, p: Measure, m: int) -> np.ndarray:
@@ -438,10 +435,15 @@ def cond_exp_mixture(
     """
     xi = _as_rv(space, xi)
     w = _check_weights(weights, len(family))
-    probs, base = family.probs, family.probs[0]
-    e_phi = _cond_exp_rows(space, probs / base, np.broadcast_to(base, probs.shape), m)
-    num = w @ (e_phi * _cond_exp_rows(space, xi, probs, m))
-    return space.expand(m, num / (w @ e_phi))
+    base = family.extremes[0]
+    num = np.zeros(space.n_cells(m))
+    den = np.zeros(space.n_cells(m))
+    for wi, p in zip(w, family):
+        phi = p.probs / base.probs
+        e_phi = cond_exp_cells(space, phi, base, m)
+        num += wi * e_phi * cond_exp_cells(space, xi, p, m)
+        den += wi * e_phi
+    return space.expand(m, num / den)
 
 
 def cond_exp_change_of_measure(
@@ -471,7 +473,7 @@ def ess_sup_cond_exp_cells(
     On a finite hull the essential supremum over every mixture equals the
     pointwise maximum over the extremes.
     """
-    return _cond_exp_rows(space, _as_rv(space, xi), family.probs, m).max(axis=0)
+    return cond_exp_cells(space, xi, family.probs, m).max(axis=0)
 
 
 def ess_sup_cond_exp(
@@ -490,8 +492,13 @@ def rn_bounds(family: MeasureFamily) -> tuple[float, float]:
     By the mediant inequality the same bounds hold between any two mixtures,
     so (l, L) bound the densities across the whole hull; 0 < l <= 1 <= L.
     """
-    ratio = family.probs[:, None, :] / family.probs[None, :, :]
-    return float(ratio.min()), float(ratio.max())
+    lo, hi = np.inf, -np.inf
+    for p in family:
+        for q in family:
+            ratio = p.probs / q.probs
+            lo = min(lo, float(ratio.min()))
+            hi = max(hi, float(ratio.max()))
+    return lo, hi
 
 
 def contract(family: MeasureFamily, m: int) -> list[np.ndarray]:

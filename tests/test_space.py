@@ -28,7 +28,7 @@ from doobkit import (
     rn_bounds,
 )
 from doobkit.generators import random_family, random_space
-from doobkit.space import _cond_exp_rows, cond_exp_cells, ess_sup_cond_exp_cells
+from doobkit.space import cond_exp_cells, ess_sup_cond_exp_cells
 
 from .oracles import (
     brute_atom_to_cell,
@@ -169,12 +169,20 @@ class TestCondExpKernel:
             xi = rng.normal(size=space.n_atoms)
             paired = rng.normal(size=(k, space.n_atoms))
             for m in range(space.horizon + 1):
-                shared = _cond_exp_rows(space, xi, family.probs, m)
-                rows = _cond_exp_rows(space, paired, family.probs, m)
+                shared = cond_exp_cells(space, xi, family.probs, m)
+                rows = cond_exp_cells(space, paired, family.probs, m)
                 assert shared.shape == rows.shape == (k, space.n_cells(m))
                 for i, p in enumerate(family):
                     assert shared[i].tobytes() == cond_exp_cells(space, xi, p, m).tobytes()
                     assert rows[i].tobytes() == cond_exp_cells(space, paired[i], p, m).tobytes()
+
+    def test_one_measure_takes_one_random_variable(self, family_b):
+        space = family_b.space
+        paired = np.ones((len(family_b), space.n_atoms))
+        with pytest.raises(ShapeMismatch):
+            cond_exp_cells(space, paired, family_b.extremes[0], 1)
+        with pytest.raises(ShapeMismatch):
+            cond_exp_cells(space, np.ones(space.n_atoms + 1), family_b.probs, 1)
 
     def test_ess_sup_is_max_over_extremes(self):
         for family, rng in self._families():
