@@ -220,30 +220,30 @@ def _eval_fmars5(instance: AuditInstance) -> tuple[float, str]:
     if not a0_membership(family, xi, tol=1e-9):
         raise ClaimPreconditionUnmet("xi is not a unit-expectation density for the family")
     space = instance.space
+    k = len(family)
     # conds[m][b]: the density martingale under extreme b at time m
     conds = [cond_exp_cells(space, xi, family.probs, m) for m in range(space.horizon + 1)]
-    worst, where = 0.0, ""
-    for m in range(space.horizon + 1):
-        for i in range(len(family)):
-            for j in range(i + 1, len(family)):
-                mag = float(np.abs(conds[m][i] - conds[m][j]).max())
-                if mag > worst:
-                    worst = mag
-                    where = (
-                        f"conditional expectations at time {m} differ by {mag:.6g} "
-                        f"between extremes {i} and {j}"
-                    )
-    for b in range(len(family)):
-        for m in range(1, space.horizon + 1):
-            rows = cond_exp_cells(space, conds[m][b][space.atom_to_cell(m)], family.probs, m - 1)
-            mags = np.abs(rows - conds[m - 1][b]).max(axis=1)
-            i = int(np.argmax(mags))
-            if mags[i] > worst:
-                worst = float(mags[i])
-                where = (
-                    f"density martingale under extreme {b} has defect {worst:.6g} "
-                    f"at time {m} under extreme {i}"
-                )
+    # gaps[m, i, j]: how far the martingales under i and j part; the first worst wins
+    gaps = np.stack([np.abs(c[:, None] - c[None, :]).max(axis=2) for c in conds])
+    m, i, j = np.unravel_index(np.argmax(gaps), gaps.shape)
+    worst, where = float(gaps[m, i, j]), ""
+    if worst > 0.0:
+        where = (f"conditional expectations at time {m} differ by {worst:.6g} "
+                 f"between extremes {i} and {j}")
+    # defects[b, m - 1, i]: time-m defect, under i, of the martingale under b; first worst wins
+    defects = np.empty((k, space.horizon, k))
+    under = np.tile(family.probs, (k, 1))  # row b * k + i is extreme i
+    for m in range(1, space.horizon + 1):
+        dens = np.repeat(conds[m][:, space.atom_to_cell(m)], k, axis=0)
+        rows = cond_exp_cells(space, dens, under, m - 1) - np.repeat(conds[m - 1], k, axis=0)
+        defects[:, m - 1] = np.abs(rows).max(axis=1).reshape(k, k)
+    b, m, i = np.unravel_index(np.argmax(defects), defects.shape)
+    if defects[b, m, i] > worst:
+        worst = float(defects[b, m, i])
+        where = (
+            f"density martingale under extreme {b} has defect {worst:.6g} "
+            f"at time {m + 1} under extreme {i}"
+        )
     return worst, where or "conditional expectations agree and form a family-martingale"
 
 

@@ -366,12 +366,11 @@ def uniform_gap_bound(
     constant = lo / (1.0 + hi)
     rng = np.random.default_rng(seed)
     k = len(family)
-    qs = []
-    for _ in range(n_samples):
+    qs = np.empty((n_samples, space.n_atoms))
+    for s in range(n_samples):
         a = float(rng.uniform(0.0, eps_bar))
         p2 = mixture(family, rng.dirichlet(np.ones(k)))
-        qs.append(Measure((1.0 - a) * p1.probs + a * p2.probs).probs)
-    qs = np.reshape(qs, (n_samples, space.n_atoms))
+        qs[s] = Measure((1.0 - a) * p1.probs + a * p2.probs).probs
     gaps = f.at_cells(m0 - 1) - cond_exp_cells(space, fm_atoms, qs, m0 - 1)
     worst = float((constant * phi_cells - gaps).max(initial=0.0))
     return GapBoundReport(
