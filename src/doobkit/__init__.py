@@ -7,7 +7,6 @@ from .space import (
     BadCover,
     BadWeights,
     FilteredSpace,
-    LengthMismatch,
     Measure,
     MeasureFamily,
     NonRefining,
@@ -17,14 +16,9 @@ from .space import (
     build_space,
     cond_exp,
     cond_exp_cells,
-    cond_exp_change_of_measure,
-    cond_exp_mixture,
-    contract,
     ess_sup_cond_exp,
     ess_sup_cond_exp_cells,
     mixture,
-    rho_metric,
-    rn_bounds,
 )
 from .lp import LinearProgram, LpOutcome, NumericalBreakdown, solve
 from .regularity import (
@@ -33,13 +27,11 @@ from .regularity import (
     Classification,
     CompletenessReport,
     DecompositionReport,
-    GapBoundReport,
     MartingaleDelta,
     NotInA0,
     NotLocallyRegular,
     NotSupermartingale,
     OptionalDecomposition,
-    PreconditionFailed,
     StepFailure,
     Xi0Step,
     a0_membership,
@@ -51,7 +43,6 @@ from .regularity import (
     martingale_increments,
     one_step_ratio_cells,
     optional_decompose,
-    uniform_gap_bound,
     verify_decomposition,
     xi0_step_alpha,
     xi0_step_lp,

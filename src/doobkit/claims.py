@@ -33,7 +33,9 @@ from typing import Optional
 import numpy as np
 
 from .generators import random_family, random_space
+from .lp import NumericalBreakdown
 from .regularity import (
+    NotInA0,
     StepFailure,
     a0_membership,
     classify,
@@ -48,6 +50,8 @@ from .space import (
     FilteredSpace,
     Measure,
     MeasureFamily,
+    ShapeMismatch,
+    SpaceError,
     build_space,
     cond_exp_cells,
     ess_sup_cond_exp_cells,
@@ -118,7 +122,7 @@ def _is_measurable(space: FilteredSpace, xi: np.ndarray) -> bool:
     try:
         space.restrict(space.horizon, xi, atol=0.0)
         return True
-    except Exception:
+    except ShapeMismatch:
         return False
 
 
@@ -386,7 +390,7 @@ def _drop_atom(instance: AuditInstance, atom: int) -> Optional[AuditInstance]:
         kept_cells.append(kept)
     try:
         new_space = build_space(space.n_atoms - 1, partitions)
-    except Exception:
+    except SpaceError:
         return None
     mask = np.array([a != atom for a in range(space.n_atoms)])
     extremes = []
@@ -474,7 +478,7 @@ def _sample_instance(
     if claim in _NEEDS_A0 or claim == "lemma-1q5":
         try:
             xi = find_a0_element(family, objective=rng.normal(size=n)).xi
-        except Exception:
+        except (NumericalBreakdown, NotInA0):
             return None
         if claim == "lemma-1q5":
             xi = xi * float(rng.uniform(0.5, 2.0))

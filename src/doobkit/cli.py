@@ -14,7 +14,8 @@ One verb per invocation::
 Exit codes: 0 success / expectation met, 1 domain failure (not a
 supermartingale, no certificate, hedge not extractable, audit expectation
 missed), 2 infeasible or no martingale measure, 3 I/O, schema or usage
-error.  Reports are JSON on stdout (or ``--out``); byte-for-byte
+error, or a numerical breakdown (an LP the kernel could not solve to a
+certified answer).  Reports are JSON on stdout (or ``--out``); byte-for-byte
 deterministic for a fixed input and seed unless ``--stamp`` is given.
 """
 

@@ -1,9 +1,8 @@
 """Dense two-phase simplex kernel.
 
 Minimizes a linear objective over equality and >= constraints with
-variables bounded below by 0 (selected variables may be free).  Pivots
-follow Bland's smallest-index rule, so the method terminates on degenerate
-desk-scale problems.
+variables bounded below by 0.  Pivots follow Bland's smallest-index rule,
+so the method terminates on degenerate desk-scale problems.
 
 The tableau keeps the artificial columns through both phases, which makes
 the dual vector readable off the final tableau: the artificial block holds
@@ -32,18 +31,13 @@ class NumericalBreakdown(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min objective . x  s.t.  a_eq x = b_eq,  a_ge x >= b_ge,  x >= 0.
-
-    Variables listed in ``free_vars`` are unbounded below (handled by a
-    difference-of-nonnegatives split).
-    """
+    """min objective . x  s.t.  a_eq x = b_eq,  a_ge x >= b_ge,  x >= 0."""
 
     objective: np.ndarray
     a_eq: Optional[np.ndarray] = None
     b_eq: Optional[np.ndarray] = None
     a_ge: Optional[np.ndarray] = None
     b_ge: Optional[np.ndarray] = None
-    free_vars: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         c = np.atleast_1d(np.asarray(self.objective, dtype=float))
@@ -68,8 +62,6 @@ class LinearProgram:
         pieces = [c] + [m for m in (self.a_eq, self.b_eq, self.a_ge, self.b_ge) if m is not None]
         if any(not np.all(np.isfinite(p)) for p in pieces):
             raise ValueError("LP data must be finite")
-        if any(not 0 <= j < n for j in self.free_vars):
-            raise ValueError("free variable index out of range")
 
     @property
     def n_vars(self) -> int:
@@ -161,43 +153,25 @@ class _Tableau:
 
 
 def _standardize(lp: LinearProgram):
-    """Assemble the standard-form matrix with free-variable splits and slacks."""
+    """Assemble the standard-form matrix: equality rows, then >= rows with
+    one surplus column each."""
     n = lp.n_vars
-    free = sorted(set(lp.free_vars))
-    n_split = len(free)
-    rows = []
-    rhs = []
-    n_ge = 0 if lp.a_ge is None else lp.a_ge.shape[0]
     n_eq = 0 if lp.a_eq is None else lp.a_eq.shape[0]
-    width = n + n_split + n_ge
+    n_ge = 0 if lp.a_ge is None else lp.a_ge.shape[0]
+    a_std = np.zeros((n_eq + n_ge, n + n_ge))
+    b_std = np.zeros(n_eq + n_ge)
     if n_eq:
-        for a, b in zip(lp.a_eq, lp.b_eq):
-            row = np.zeros(width)
-            row[:n] = a
-            row[n : n + n_split] = -a[free]
-            rows.append(row)
-            rhs.append(b)
+        a_std[:n_eq, :n] = lp.a_eq
+        b_std[:n_eq] = lp.b_eq
     if n_ge:
-        for k, (a, b) in enumerate(zip(lp.a_ge, lp.b_ge)):
-            row = np.zeros(width)
-            row[:n] = a
-            row[n : n + n_split] = -a[free]
-            row[n + n_split + k] = -1.0
-            rows.append(row)
-            rhs.append(b)
-    a_std = np.array(rows) if rows else np.zeros((0, width))
-    b_std = np.array(rhs) if rhs else np.zeros(0)
-    c_std = np.zeros(width)
+        a_std[n_eq:, :n] = lp.a_ge
+        b_std[n_eq:] = lp.b_ge
+        # one entry per surplus: an identity block would write -0.0 off the diagonal
+        k = np.arange(n_ge)
+        a_std[n_eq + k, n + k] = -1.0
+    c_std = np.zeros(n + n_ge)
     c_std[:n] = lp.objective
-    c_std[n : n + n_split] = -lp.objective[free]
-    return a_std, b_std, c_std, free, n_ge, n_eq
-
-
-def _recover_x(x_std: np.ndarray, n: int, free: list[int]) -> np.ndarray:
-    x = x_std[:n].copy()
-    for k, j in enumerate(free):
-        x[j] -= x_std[n + k]
-    return x
+    return a_std, b_std, c_std, n_ge, n_eq
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
@@ -206,13 +180,12 @@ def solve(lp: LinearProgram) -> LpOutcome:
     Raises :class:`NumericalBreakdown` when no numerically safe pivot
     exists; all other failure modes come back in the outcome status.
     """
-    a_std, b_std, c_std, free, n_ge, n_eq = _standardize(lp)
+    a_std, b_std, c_std, n_ge, n_eq = _standardize(lp)
     n = lp.n_vars
 
     if a_std.shape[0] == 0:
         # no constraints: x = 0 is optimal unless the objective points downhill
-        bounded = [j for j in range(n) if j not in set(free)]
-        if np.any(lp.objective[bounded] < 0) or any(lp.objective[j] != 0 for j in free):
+        if np.any(lp.objective < 0):
             return LpOutcome(status="unbounded", x=None, value=None)
         return LpOutcome(status="optimal", x=np.zeros(n), value=0.0)
 
@@ -245,8 +218,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     if status == "unbounded":
         return LpOutcome(status="unbounded", x=None, value=None)
 
-    x_std = t.solution()[:width]
-    x = _recover_x(x_std, n, free)
+    x = t.solution()[:n]
     value = float(lp.objective @ x)
 
     y = t.duals(phase2_cost)
@@ -256,7 +228,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     primal_residual = 0.0
     dual_obj = 0.0
     comp = 0.0
-    reduced = lp.objective.astype(float).copy()
+    reduced = lp.objective.copy()
     if n_eq:
         r = lp.a_eq @ x - lp.b_eq
         primal_residual = max(primal_residual, float(np.abs(r).max()))
@@ -268,10 +240,8 @@ def solve(lp: LinearProgram) -> LpOutcome:
         dual_obj += float(lp.b_ge @ y_ge)
         reduced -= lp.a_ge.T @ y_ge
         comp = max(comp, float(np.abs(y_ge * slack).max(initial=0.0)))
-    bounded = [j for j in range(n) if j not in set(free)]
-    if bounded:
-        primal_residual = max(primal_residual, float(max(0.0, -x[bounded].min(initial=0.0))))
-        comp = max(comp, float(np.abs(x[bounded] * reduced[bounded]).max(initial=0.0)))
+    primal_residual = max(primal_residual, float(max(0.0, -x.min(initial=0.0))))
+    comp = max(comp, float(np.abs(x * reduced).max(initial=0.0)))
 
     return LpOutcome(
         status="optimal",

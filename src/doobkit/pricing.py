@@ -323,7 +323,6 @@ def fair_price_generators(
     generators: Sequence[Union[A0Element, np.ndarray]],
     family: MeasureFamily,
     tol: float = DEFAULT_TOL,
-    check_ordering: bool = True,
 ) -> PricingResult:
     """Fair price over the simplex spanned by the given densities.
 
@@ -336,7 +335,7 @@ def fair_price_generators(
     is the claim per extreme and cell.  The weights are the dual's duals
     and the price is its optimal value.  Since the simplex sits inside the
     full density set, the price can only exceed the free-mode price; that
-    ordering is verified unless ``check_ordering`` is disabled.
+    ordering is verified.
     """
     space = family.space
     claim_cells = _claim_cells(space, claim)
@@ -365,12 +364,11 @@ def fair_price_generators(
     dominator = space.expand(space.horizon, (cols @ weights)[:n_cells])
     lower = max(p.expect(np.asarray(claim, dtype=float)) for p in family)
     gamma = weights / weights.sum() if price > tol else None
-    if check_ordering:
-        free = fair_price_a0(claim, family, tol=tol)
-        if price < free.fair_price - 1e-9:  # the simplex is a subset
-            raise NumericalBreakdown(
-                f"generator price {price} undercuts the free price {free.fair_price}"
-            )
+    free = fair_price_a0(claim, family, tol=tol)
+    if price < free.fair_price - 1e-9:  # the simplex is a subset
+        raise NumericalBreakdown(
+            f"generator price {price} undercuts the free price {free.fair_price}"
+        )
     return PricingResult(
         fair_price=price,
         dominator=dominator,
@@ -404,7 +402,7 @@ def closed_form_put(strike: float, terminal_low: float) -> float:
 # martingale measures
 
 
-def find_emm(market: MarketModel, space: Optional[FilteredSpace] = None) -> EmmResult:
+def find_emm(market: MarketModel) -> EmmResult:
     """Strictly positive martingale measure with maximal smallest atom.
 
     Maximizes the floor ``eps`` of the probability vector subject to unit
@@ -414,7 +412,7 @@ def find_emm(market: MarketModel, space: Optional[FilteredSpace] = None) -> EmmR
     row per cell of times 0..N-1): ``256 x 257`` on the 256-atom binary
     tree.  Returns no measure when the floor cannot be pushed above 1e-10.
     """
-    space = space or market.space
+    space = market.space
     n = space.n_atoms
     # variables (r_1..r_n, eps), q = r + eps
     rows = [np.concatenate([np.ones(n), [float(n)]])]
@@ -441,11 +439,9 @@ def find_emm(market: MarketModel, space: Optional[FilteredSpace] = None) -> EmmR
     return EmmResult(measure=Measure(q / q.sum()), min_slack=slack)
 
 
-def verify_emm(
-    q: Measure, market: MarketModel, space: Optional[FilteredSpace] = None, tol: float = DEFAULT_TOL
-) -> EmmReport:
+def verify_emm(q: Measure, market: MarketModel, tol: float = DEFAULT_TOL) -> EmmReport:
     """Largest cellwise one-step drift of the price under ``q``."""
-    space = space or market.space
+    space = market.space
     worst = 0.0
     for m in range(1, space.horizon + 1):
         e = cond_exp_cells(space, market.S.at_atoms(m), q, m - 1)
@@ -460,7 +456,6 @@ def verify_emm(
 def martingale_representation(
     mproc: AdaptedProcess,
     market: MarketModel,
-    space: Optional[FilteredSpace] = None,
     tol: float = DEFAULT_TOL,
 ) -> list[np.ndarray]:
     """Predictable positions whose gains replicate the martingale increments.
@@ -471,7 +466,7 @@ def martingale_representation(
     node whose residual exceeds ``tol``; on success the gains process
     telescopes back to the martingale exactly up to those residuals.
     """
-    space = space or market.space
+    space = market.space
     if mproc.space != space:
         raise ShapeMismatch("martingale lives on a different space")
     positions: list[np.ndarray] = []
@@ -506,7 +501,6 @@ def superhedge_strategy(
     claim: np.ndarray,
     market: MarketModel,
     family: MeasureFamily,
-    generators: Optional[Sequence[A0Element]] = None,
     tol: float = DEFAULT_TOL,
 ) -> TradingStrategy:
     """Self-financed strategy superhedging the claim from its fair price.
@@ -520,32 +514,15 @@ def superhedge_strategy(
     """
     space = market.space
     for i, p in enumerate(family):
-        report = verify_emm(p, market, space, tol=tol)
+        report = verify_emm(p, market, tol=tol)
         if not report.passed:
             raise FamilyNotEmm(
                 f"extreme {i} has price drift {report.max_residual:.3e}"
             )
-    slices = price_slice_generators(market)
-    if generators is None:
-        generators = slices
-    else:
-        generators = list(generators)
-        for g in generators:
-            if not any(np.allclose(g.xi, s.xi, atol=STRICT_TOL) for s in slices):
-                raise ValueError(
-                    "superhedge extraction needs normalized price slices as generators"
-                )
-    pricing = fair_price_generators(claim, generators, family, tol=tol)
+    pricing = fair_price_generators(claim, price_slice_generators(market), family, tol=tol)
     price = pricing.fair_price
-
-    # map generator weights onto slice times
-    slice_weight = np.zeros(space.horizon + 1)
-    if pricing.gamma is not None:
-        for g, w in zip(generators, pricing.gamma):
-            for i, s in enumerate(slices):
-                if np.allclose(g.xi, s.xi, atol=STRICT_TOL):
-                    slice_weight[i] += w
-                    break
+    # generator i is the slice of time i
+    slice_weight = np.zeros(space.horizon + 1) if pricing.gamma is None else pricing.gamma
 
     # dominator martingale: price * sum_i gamma_i * S_{min(i, m)} / S_0;
     # level 0 is the price itself so the initial capital is exact
@@ -561,7 +538,7 @@ def superhedge_strategy(
     if price <= tol:
         positions = [np.zeros(space.n_cells(m - 1)) for m in range(1, space.horizon + 1)]
     else:
-        positions = martingale_representation(mart, market, space, tol=tol)
+        positions = martingale_representation(mart, market, tol=tol)
 
     cash: list[np.ndarray] = [np.array([price])]
     risky: list[np.ndarray] = [np.array([0.0])]

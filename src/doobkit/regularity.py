@@ -32,14 +32,11 @@ from .space import (
     STRICT_TOL,
     AdaptedProcess,
     FilteredSpace,
-    Measure,
     MeasureFamily,
     ShapeMismatch,
     cond_exp_cells,
-    contract,
     ess_sup_cond_exp_cells,
     mixture,
-    rn_bounds,
 )
 
 __all__ = [
@@ -50,19 +47,16 @@ __all__ = [
     "StepFailure",
     "OptionalDecomposition",
     "AlphaInterval",
-    "GapBoundReport",
     "CheckResult",
     "DecompositionReport",
     "CompletenessReport",
     "NotInA0",
     "NotSupermartingale",
     "NotLocallyRegular",
-    "PreconditionFailed",
     "classify",
     "a0_membership",
     "make_a0_element",
     "find_a0_element",
-    "uniform_gap_bound",
     "martingale_increments",
     "alpha_interval",
     "xi0_step_alpha",
@@ -89,10 +83,6 @@ class NotLocallyRegular(ValueError):
     def __init__(self, failure: "StepFailure") -> None:
         super().__init__(f"step {failure.m}: {failure.reason}")
         self.failure = failure
-
-
-class PreconditionFailed(ValueError):
-    """A stated hypothesis of the operation does not hold on the input."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,19 +175,6 @@ class AlphaInterval:
 
     def contains(self, alpha: float, tol: float = STRICT_TOL) -> bool:
         return (not self.empty) and self.lower - tol <= alpha <= self.upper + tol
-
-
-@dataclass(frozen=True)
-class GapBoundReport:
-    """Result of propagating a one-measure drift gap to sampled mixtures."""
-
-    constant: float
-    l: float
-    L: float
-    eps_bar: float
-    n_samples: int
-    max_violation: float
-    verified: bool
 
 
 @dataclass(frozen=True)
@@ -322,66 +299,6 @@ def find_a0_element(
         xi = xi - np.linalg.lstsq(a_eq, resid, rcond=None)[0]
         xi = np.maximum(xi, 0.0)
     return make_a0_element(family, xi)
-
-
-# ---------------------------------------------------------------------------
-# drift-gap propagation
-
-
-def uniform_gap_bound(
-    f: AdaptedProcess,
-    family: MeasureFamily,
-    m0: int,
-    phi: np.ndarray,
-    n_samples: int = 100,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> GapBoundReport:
-    """Propagate a drift gap under the first extreme to nearby mixtures.
-
-    Requires ``f_{m0-1} - E{f_m0 | F_{m0-1}} >= phi >= 0`` under the first
-    extreme, with ``phi`` measurable at time ``m0 - 1``.  Then every
-    measure of the form ``(1 - a) P_1 + a P_2`` with ``a <= L/(1+L)``
-    keeps a gap of at least ``l/(1+L) * phi``; the report records the
-    worst slack over sampled such measures.
-    """
-    space = family.space
-    if not 1 <= m0 <= space.horizon:
-        raise PreconditionFailed(f"m0 must be in 1..{space.horizon}")
-    phi = np.asarray(phi, dtype=float)
-    try:
-        phi_cells = space.restrict(m0 - 1, phi, atol=0.0)
-    except ShapeMismatch as exc:
-        raise PreconditionFailed(f"phi is not measurable at time {m0 - 1}: {exc}") from exc
-    if np.any(phi_cells < -STRICT_TOL):
-        raise PreconditionFailed("phi must be nonnegative")
-    p1 = family.extremes[0]
-    fm_atoms = f.at_atoms(m0)
-    gap1 = f.at_cells(m0 - 1) - cond_exp_cells(space, fm_atoms, p1, m0 - 1)
-    if np.any(gap1 < phi_cells - STRICT_TOL):
-        raise PreconditionFailed("drift gap under the first extreme is below phi")
-
-    lo, hi = rn_bounds(family)
-    eps_bar = hi / (1.0 + hi)
-    constant = lo / (1.0 + hi)
-    rng = np.random.default_rng(seed)
-    k = len(family)
-    qs = np.empty((n_samples, space.n_atoms))
-    for s in range(n_samples):
-        a = float(rng.uniform(0.0, eps_bar))
-        p2 = mixture(family, rng.dirichlet(np.ones(k)))
-        qs[s] = Measure((1.0 - a) * p1.probs + a * p2.probs).probs
-    gaps = f.at_cells(m0 - 1) - cond_exp_cells(space, fm_atoms, qs, m0 - 1)
-    worst = float((constant * phi_cells - gaps).max(initial=0.0))
-    return GapBoundReport(
-        constant=constant,
-        l=lo,
-        L=hi,
-        eps_bar=eps_bar,
-        n_samples=n_samples,
-        max_violation=worst,
-        verified=worst <= tol,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +475,7 @@ def xi0_step_lp(
         values[children] = out.x
     xi0_atoms = space.expand(m, values)
     ok, bad_i, dev = _check_unit_conditional(space, family, xi0_atoms, m, tol)
-    if not ok:  # pragma: no cover - the LP enforces these equalities
+    if not ok:  # the LP enforces these rows only up to its own tolerance
         return StepFailure(m=m, reason=f"LP residual {dev} under extreme {bad_i}", certificate=dev)
     return Xi0Step(m=m, xi0=xi0_atoms, method="lp-path", alpha=None)
 
@@ -706,7 +623,7 @@ def completeness_check(
     an LP: minimize the sup-norm deviation between the target and a convex
     combination of the contracted extremes.
     """
-    cvecs = contract(family, n)
+    cvecs = [p.cell_prob(family.space, n) for p in family]
     d = delta.increments
     pairs: list[tuple[int, int, float]] = []
     if not delta.pos_cells:

@@ -38,7 +38,6 @@ __all__ = [
     "BadCover",
     "NonRefining",
     "BadWeights",
-    "LengthMismatch",
     "ShapeMismatch",
     "FilteredSpace",
     "Measure",
@@ -47,14 +46,9 @@ __all__ = [
     "build_space",
     "cond_exp",
     "cond_exp_cells",
-    "cond_exp_mixture",
-    "cond_exp_change_of_measure",
     "ess_sup_cond_exp",
     "ess_sup_cond_exp_cells",
     "mixture",
-    "rn_bounds",
-    "contract",
-    "rho_metric",
 ]
 
 #: default tolerance for soft equality checks across the package
@@ -83,10 +77,6 @@ class NonRefining(SpaceError):
 
 class BadWeights(ValueError):
     """Mixture weights are negative or do not sum to one."""
-
-
-class LengthMismatch(ValueError):
-    """Vectors that must have equal length do not."""
 
 
 class ShapeMismatch(ValueError):
@@ -417,54 +407,6 @@ def mixture(family: MeasureFamily, weights: np.ndarray) -> Measure:
     return Measure(probs / probs.sum())
 
 
-def cond_exp_mixture(
-    space: FilteredSpace,
-    xi: np.ndarray,
-    family: MeasureFamily,
-    weights: np.ndarray,
-    m: int,
-) -> np.ndarray:
-    """Conditional expectation under a mixed measure, via the density-weighted
-    combination of the extremes' conditional expectations.
-
-    Numerator and denominator both live on cells of time ``m``: each extreme
-    contributes its conditional expectation weighted by its mixture weight
-    times the conditional expectation of its density against the first
-    extreme.  The result agrees with :func:`cond_exp` under the mixed
-    measure to near machine precision.
-    """
-    xi = _as_rv(space, xi)
-    w = _check_weights(weights, len(family))
-    base = family.extremes[0]
-    num = np.zeros(space.n_cells(m))
-    den = np.zeros(space.n_cells(m))
-    for wi, p in zip(w, family):
-        phi = p.probs / base.probs
-        e_phi = cond_exp_cells(space, phi, base, m)
-        num += wi * e_phi * cond_exp_cells(space, xi, p, m)
-        den += wi * e_phi
-    return space.expand(m, num / den)
-
-
-def cond_exp_change_of_measure(
-    space: FilteredSpace,
-    xi: np.ndarray,
-    p_target: Measure,
-    p_base: Measure,
-    m: int,
-) -> np.ndarray:
-    """Conditional expectation under ``p_target`` computed with ``p_base``.
-
-    Uses the normalized density trick: multiply ``xi`` by the atomwise
-    density of ``p_target`` against ``p_base``, renormalized by that
-    density's conditional expectation, and condition under ``p_base``.
-    """
-    xi = _as_rv(space, xi)
-    density = p_target.probs / p_base.probs
-    scale = cond_exp(space, density, p_base, m)
-    return cond_exp(space, xi * density / scale, p_base, m)
-
-
 def ess_sup_cond_exp_cells(
     space: FilteredSpace, xi: np.ndarray, family: MeasureFamily, m: int
 ) -> np.ndarray:
@@ -480,40 +422,3 @@ def ess_sup_cond_exp(
     space: FilteredSpace, xi: np.ndarray, family: MeasureFamily, m: int
 ) -> np.ndarray:
     return family.space.expand(m, ess_sup_cond_exp_cells(space, xi, family, m))
-
-
-# ---------------------------------------------------------------------------
-# densities and contractions
-
-
-def rn_bounds(family: MeasureFamily) -> tuple[float, float]:
-    """Global min and max of atomwise densities over ordered extreme pairs.
-
-    By the mediant inequality the same bounds hold between any two mixtures,
-    so (l, L) bound the densities across the whole hull; 0 < l <= 1 <= L.
-    """
-    lo, hi = np.inf, -np.inf
-    for p in family:
-        for q in family:
-            ratio = p.probs / q.probs
-            lo = min(lo, float(ratio.min()))
-            hi = max(hi, float(ratio.max()))
-    return lo, hi
-
-
-def contract(family: MeasureFamily, m: int) -> list[np.ndarray]:
-    """Each extreme reduced to its vector of time-``m`` cell probabilities."""
-    return [p.cell_prob(family.space, m) for p in family]
-
-
-def rho_metric(p_contracted: np.ndarray, q_contracted: np.ndarray) -> float:
-    """Total-variation style distance between two cell-probability vectors.
-
-    Sums |difference| over all cells.  This is a pseudometric on contracted
-    measures: distinct measures can contract to the same vector.
-    """
-    p = np.asarray(p_contracted, dtype=float)
-    q = np.asarray(q_contracted, dtype=float)
-    if p.shape != q.shape:
-        raise LengthMismatch(f"contracted vectors differ in shape: {p.shape} vs {q.shape}")
-    return float(np.abs(p - q).sum())

@@ -131,41 +131,35 @@ def enumerate_lp_value(objective, a_eq, b_eq, a_ge, b_ge, tol: float = 1e-9):
     """Optimal value of  min c.x  s.t.  a_eq x = b_eq, a_ge x >= b_ge, x >= 0
     by enumerating active sets; None when no feasible vertex exists.
 
-    Only sound on bounded feasible regions (callers add box rows).
+    Every choice of n rows is solved in one stacked ``np.linalg.solve``,
+    after a stacked rank test drops the singular ones.  Only sound on
+    bounded feasible regions (callers add box rows).
     """
     c = np.asarray(objective, dtype=float)
     n = c.shape[0]
-    eq_rows = [] if a_eq is None else [
-        (np.asarray(r, dtype=float), float(b)) for r, b in zip(np.atleast_2d(a_eq), np.atleast_1d(b_eq))
-    ]
-    ge_rows = [] if a_ge is None else [
-        (np.asarray(r, dtype=float), float(b)) for r, b in zip(np.atleast_2d(a_ge), np.atleast_1d(b_ge))
-    ]
-    bound_rows = [(np.eye(n)[j], 0.0) for j in range(n)]
-    optional = ge_rows + bound_rows
 
-    def feasible(x: np.ndarray) -> bool:
-        for r, b in eq_rows:
-            if abs(r @ x - b) > tol:
-                return False
-        for r, b in optional:
-            if r @ x < b - tol:
-                return False
-        return True
+    def rows(a, b):
+        if a is None:
+            return np.zeros((0, n)), np.zeros(0)
+        return np.atleast_2d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
 
-    best = None
-    pool = eq_rows + optional
-    for active in combinations(range(len(pool)), n):
-        rows = [pool[i][0] for i in active]
-        rhs = [pool[i][1] for i in active]
-        a = np.vstack(rows)
-        if np.linalg.matrix_rank(a, tol=1e-10) < n:
-            continue
-        x, *_ = np.linalg.lstsq(a, np.asarray(rhs), rcond=None)
-        if np.abs(a @ x - rhs).max() > 1e-8:
-            continue
-        if feasible(x):
-            val = float(c @ x)
-            if best is None or val < best:
-                best = val
-    return best
+    eq_a, eq_b = rows(a_eq, b_eq)
+    ge_a, ge_b = rows(a_ge, b_ge)
+    # the bounds x >= 0 are optional rows like the >= constraints
+    opt_a = np.vstack([ge_a, np.eye(n)])
+    opt_b = np.concatenate([ge_b, np.zeros(n)])
+    pool_a = np.vstack([eq_a, opt_a])
+    pool_b = np.concatenate([eq_b, opt_b])
+    active = np.array(list(combinations(range(pool_a.shape[0]), n)), dtype=np.intp)
+    if active.size == 0:
+        return None
+    a, rhs = pool_a[active], pool_b[active]
+    full = np.linalg.matrix_rank(a, tol=1e-10) == n
+    a, rhs = a[full], rhs[full]
+    x = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
+    ok = np.abs(np.einsum("sij,sj->si", a, x) - rhs).max(axis=1, initial=0.0) <= 1e-8
+    ok &= np.all(np.abs(x @ eq_a.T - eq_b) <= tol, axis=1)
+    ok &= np.all(x @ opt_a.T >= opt_b - tol, axis=1)
+    if not ok.any():
+        return None
+    return float((x[ok] @ c).min())

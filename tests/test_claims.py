@@ -14,6 +14,7 @@ from doobkit import (
     parse_scenario,
     search_counterexample,
 )
+from doobkit import claims
 from doobkit.claims import CLAIM_IDS, envelope_process
 
 
@@ -195,6 +196,15 @@ class TestSearch:
         result = search_counterexample("lemma-q5", budget=50, seed=5, max_extremes=1)
         assert result.verdict == "pass"
         assert result.budget_used == 50
+
+    def test_program_error_is_not_a_skipped_draw(self, monkeypatch):
+        # only the density search's own typed failures may skip a draw
+        def broken(family, objective=None):
+            raise NameError("broken")
+
+        monkeypatch.setattr(claims, "find_a0_element", broken)
+        with pytest.raises(NameError):
+            search_counterexample("thm-fmars5", budget=5, seed=0)
 
     def test_shrinking_keeps_violation(self):
         result = search_counterexample("lemma-tmars5", budget=500, seed=21)

@@ -29,20 +29,6 @@ def test_unbounded():
     assert out.status == "unbounded"
 
 
-def test_free_variable():
-    # min x + y with x free, x + y = -3, y >= 0 -> x = -3
-    lp = LinearProgram(
-        np.array([1.0, 1.0]),
-        a_eq=np.array([[1.0, 1.0]]),
-        b_eq=np.array([-3.0]),
-        free_vars=(0,),
-    )
-    out = solve(lp)
-    assert out.status == "optimal"
-    assert out.value == pytest.approx(-3.0, abs=1e-12)
-    assert out.x[0] == pytest.approx(-3.0, abs=1e-12)
-
-
 def test_equalities_only():
     lp = LinearProgram(
         np.array([1.0, 2.0]),

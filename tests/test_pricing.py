@@ -137,32 +137,19 @@ class TestClosedForms:
             closed_form_put(80, 0.0)
 
 
-def _emm_extremes(market, k=2):
-    """Distinct martingale measures for a one-period market, by pushing the
-    floor LP toward different corners."""
-    from doobkit.lp import LinearProgram, solve
-
-    space = market.space
-    n = space.n_atoms
-    s0 = market.s0
-    ds = market.S.at_atoms(1) - s0
-    a_eq = np.vstack([np.concatenate([np.ones(n), [0.0]]), np.concatenate([ds, [0.0]])])
-    b_eq = np.array([1.0, 0.0])
-    a_ge = np.hstack([np.eye(n), -np.ones((n, 1))])
-    found = []
-    for j in range(n):
-        c = np.zeros(n + 1)
-        c[-1] = -0.01
-        c[j] = (-1.0) ** (j + 1)
-        out = solve(LinearProgram(c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=np.zeros(n)))
-        if out.status != "optimal" or out.x[-1] <= 1e-6:
-            continue
-        q = Measure(out.x[:n] / out.x[:n].sum())
-        if not any(np.allclose(q.probs, p.probs, atol=1e-12) for p in found):
-            found.append(q)
-        if len(found) == k:
-            break
-    return found
+def _emm_extremes(market, rng, k=2):
+    """``k`` strictly positive martingale measures for a one-period market
+    on an atom-fine space: random strictly positive mixtures of the
+    two-point martingale measures on every (up atom, down atom) pair."""
+    ds = market.S.at_atoms(1) - market.s0
+    up, down = np.flatnonzero(ds > 0), np.flatnonzero(ds < 0)
+    assert up.size + down.size == ds.size  # no atom at the start price
+    u, d = (a.ravel() for a in np.meshgrid(up, down))
+    pairs = np.arange(u.size)
+    two_point = np.zeros((u.size, ds.size))
+    two_point[pairs, u] = -ds[d] / (ds[u] - ds[d])
+    two_point[pairs, d] = ds[u] / (ds[u] - ds[d])
+    return [Measure(q / q.sum()) for q in rng.dirichlet(np.ones(u.size), size=k) @ two_point]
 
 
 class TestClosedFormAgreement:
@@ -175,8 +162,7 @@ class TestClosedFormAgreement:
 
     def test_random_one_period_bands(self):
         rng = np.random.default_rng(7)
-        done = 0
-        while done < 25:
+        for _ in range(25):
             n = int(rng.integers(3, 7))
             s0 = 100.0
             lo = float(rng.uniform(40, 90))
@@ -186,9 +172,9 @@ class TestClosedFormAgreement:
             space = build_space(n, [[list(range(n))], [[a] for a in range(n)]])
             s = AdaptedProcess(space=space, per_time=(np.array([s0]), s1))
             market = MarketModel(S=s, bounds=((s0, s0), (lo, hi)))
-            extremes = _emm_extremes(market)
-            if not extremes:
-                continue
+            extremes = _emm_extremes(market, rng)
+            for q in extremes:
+                assert verify_emm(q, market).passed
             family = MeasureFamily(space=space, extremes=tuple(extremes))
             gens = price_slice_generators(market)
             strike_call = float(rng.uniform(0, hi))
@@ -199,7 +185,6 @@ class TestClosedFormAgreement:
             payoff_put = np.maximum(strike_put - s1, 0.0)
             got = fair_price_generators(payoff_put, gens, family).fair_price
             assert got == pytest.approx(closed_form_put(strike_put, lo), abs=1e-9)
-            done += 1
 
     def test_two_period_band(self):
         # binary tree: 100 -> (120, 80) -> (140, 100 | 100, 60); the unique

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from doobkit import (
     AdaptedProcess,
+    LpOutcome,
     Measure,
     MeasureFamily,
     NotInA0,
+    NotLocallyRegular,
     NotSupermartingale,
-    PreconditionFailed,
     StepFailure,
     Xi0Step,
     a0_membership,
@@ -25,11 +26,11 @@ from doobkit import (
     mixture,
     one_step_ratio_cells,
     optional_decompose,
-    uniform_gap_bound,
     verify_decomposition,
     xi0_step_alpha,
     xi0_step_lp,
 )
+from doobkit import regularity
 from doobkit.claims import envelope_process
 from doobkit.regularity import MartingaleDelta, _check_unit_conditional
 from doobkit.generators import random_family, random_space, random_supermartingale
@@ -143,36 +144,6 @@ class TestFindA0Element:
         fam = MeasureFamily(space=space, extremes=(Measure(np.array([0.5, 0.5])),))
         el = find_a0_element(fam, objective=np.array([1.0, 0.0]))
         np.testing.assert_allclose(el.xi, [2.0, 0.0], atol=1e-12)
-
-
-class TestUniformGapBound:
-    def _strict_super(self, space_b):
-        return _proc(space_b, [2.0], [1.5, 1.4], [1.0, 1.0, 1.0, 1.0])
-
-    def test_zero_phi_trivial(self, space_b, family_b):
-        rep = uniform_gap_bound(self._strict_super(space_b), family_b, 1, np.zeros(4))
-        assert rep.verified
-
-    def test_singleton_constants(self, space_b, family_b):
-        fam = MeasureFamily(space=space_b, extremes=(family_b.extremes[0],))
-        rep = uniform_gap_bound(self._strict_super(space_b), fam, 1, np.full(4, 0.3))
-        assert (rep.l, rep.L) == (1.0, 1.0)
-        assert rep.constant == pytest.approx(0.5)
-        assert rep.verified
-
-    def test_fixture_b_sampled(self, space_b, family_b):
-        rep = uniform_gap_bound(
-            self._strict_super(space_b), family_b, 1, np.full(4, 0.3), n_samples=100
-        )
-        assert rep.verified
-        assert rep.constant == pytest.approx(0.4 / 3.5)
-
-    def test_precondition_failures(self, space_b, family_b):
-        f = self._strict_super(space_b)
-        with pytest.raises(PreconditionFailed):
-            uniform_gap_bound(f, family_b, 1, np.full(4, 5.0))  # gap too small
-        with pytest.raises(PreconditionFailed):
-            uniform_gap_bound(f, family_b, 2, np.array([0.1, 0.2, 0.0, 0.0]))  # not measurable
 
 
 class TestMartingaleIncrements:
@@ -364,6 +335,21 @@ class TestXi0StepLp:
         assert isinstance(step, StepFailure)
         assert step.cell == 0
         assert step.certificate is not None and step.certificate > 0
+
+    def test_lp_answer_off_the_unit_rows_is_refused(self, monkeypatch, space_b, family_b):
+        # an "optimal" outcome is gated on the equalities it was asked for
+        f = _proc(space_b, [2.0], [2.4, 1.6], [2.4, 2.4, 1.6, 1.6])
+
+        def one_too_high(lp):
+            return LpOutcome(status="optimal", x=lp.b_ge + 1.0, value=None)
+
+        monkeypatch.setattr(regularity, "solve", one_too_high)
+        step = xi0_step_lp(f, family_b, 1)
+        assert isinstance(step, StepFailure)
+        assert step.reason.startswith("LP residual 1") and step.reason.endswith("under extreme 0")
+        assert step.certificate == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(NotLocallyRegular, match="LP residual"):
+            optional_decompose(f, family_b, strategy="lp")
 
 
 class TestOptionalDecompose:

@@ -11,7 +11,6 @@ from doobkit import (
     AdaptedProcess,
     BadCover,
     BadWeights,
-    LengthMismatch,
     Measure,
     MeasureFamily,
     NonRefining,
@@ -19,13 +18,8 @@ from doobkit import (
     TrivialRootMissing,
     build_space,
     cond_exp,
-    cond_exp_change_of_measure,
-    cond_exp_mixture,
-    contract,
     ess_sup_cond_exp,
     mixture,
-    rho_metric,
-    rn_bounds,
 )
 from doobkit.generators import random_family, random_space
 from doobkit.space import cond_exp_cells, ess_sup_cond_exp_cells
@@ -288,53 +282,6 @@ class TestMixture:
             mixture(family_b, [-0.1, 1.1])
 
 
-class TestCondExpMixture:
-    def test_degenerate_equals_extreme(self, space_b, family_b):
-        got = cond_exp_mixture(space_b, XI, family_b, [1.0, 0.0], 1)
-        np.testing.assert_allclose(got, cond_exp(space_b, XI, family_b.extremes[0], 1), atol=1e-13)
-
-    def test_fixture_b_value(self, space_b, family_b):
-        got = cond_exp_mixture(space_b, XI, family_b, [0.5, 0.5], 1)
-        # cell {1,2}: (.325*1 + .175*3) / .5 = 1.7
-        assert got[0] == pytest.approx(1.7, abs=1e-13)
-
-    def test_time_zero_is_plain_expectation(self, space_b, family_b):
-        got = cond_exp_mixture(space_b, XI, family_b, [0.5, 0.5], 0)
-        q = mixture(family_b, [0.5, 0.5])
-        np.testing.assert_allclose(got, np.full(4, q.expect(XI)), atol=1e-13)
-
-    def test_matches_direct_mixed_measure(self):
-        # the density-weighted formula must agree with conditioning under
-        # the mixed measure pointwise on random draws
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            space = random_space(rng)
-            family = random_family(rng, space)
-            w = rng.dirichlet(np.ones(len(family)))
-            xi = rng.normal(size=space.n_atoms)
-            m = int(rng.integers(0, space.horizon + 1))
-            via_formula = cond_exp_mixture(space, xi, family, w, m)
-            direct = cond_exp(space, xi, mixture(family, w), m)
-            np.testing.assert_allclose(via_formula, direct, atol=1e-12)
-
-
-class TestChangeOfMeasure:
-    def test_same_measure_identity(self, space_b, family_b):
-        p = family_b.extremes[1]
-        got = cond_exp_change_of_measure(space_b, XI, p, p, 1)
-        np.testing.assert_allclose(got, cond_exp(space_b, XI, p, 1), atol=1e-13)
-
-    def test_fixture_b_value(self, space_b, family_b):
-        p1, p2 = family_b.extremes
-        got = cond_exp_change_of_measure(space_b, XI, p1, p2, 1)
-        np.testing.assert_allclose(got, [2.0, 2.0, 4.0, 4.0], atol=1e-13)
-
-    def test_time_zero(self, space_b, family_b):
-        p1, p2 = family_b.extremes
-        got = cond_exp_change_of_measure(space_b, XI, p1, p2, 0)
-        np.testing.assert_allclose(got, np.full(4, p1.expect(XI)), atol=1e-13)
-
-
 class TestEssSup:
     def test_singleton_equals_cond_exp(self, space_b, family_b):
         fam = MeasureFamily(space=space_b, extremes=(family_b.extremes[1],))
@@ -379,55 +326,14 @@ class TestEssSup:
 
 
 class TestDensityBoundsAndContractions:
-    def test_rn_bounds_singleton(self, space_b, family_b):
-        fam = MeasureFamily(space=space_b, extremes=(family_b.extremes[0],))
-        assert rn_bounds(fam) == (1.0, 1.0)
-
-    def test_rn_bounds_fixture_b(self, family_b):
-        lo, hi = rn_bounds(family_b)
-        assert lo == pytest.approx(0.4, abs=1e-15)
-        assert hi == pytest.approx(2.5, abs=1e-15)
-
-    def test_bounds_bracket_mixture_densities(self, family_b):
-        lo, hi = rn_bounds(family_b)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            q1 = mixture(family_b, rng.dirichlet([1, 1]))
-            q2 = mixture(family_b, rng.dirichlet([1, 1]))
-            ratio = q1.probs / q2.probs
-            assert lo - 1e-12 <= ratio.min() and ratio.max() <= hi + 1e-12
-
     def test_contract_time_zero(self, family_b):
-        for vec in contract(family_b, 0):
-            np.testing.assert_allclose(vec, [1.0], atol=1e-15)
+        for p in family_b:
+            np.testing.assert_allclose(p.cell_prob(family_b.space, 0), [1.0], atol=1e-15)
 
     def test_contract_fixture_b(self, family_b):
-        np.testing.assert_allclose(contract(family_b, 1)[1], [0.5, 0.5], atol=1e-15)
+        got = family_b.extremes[1].cell_prob(family_b.space, 1)
+        np.testing.assert_allclose(got, [0.5, 0.5], atol=1e-15)
 
     def test_contract_atom_fine(self, family_b):
-        np.testing.assert_allclose(contract(family_b, 2)[1], family_b.extremes[1].probs, atol=0)
-
-
-class TestRhoMetric:
-    def test_zero_on_identical(self):
-        assert rho_metric(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
-
-    def test_fixture_b_contractions(self, family_b):
-        c1, c2 = contract(family_b, 1)
-        assert rho_metric(c1, c2) == 0.0  # distinct measures, equal contraction
-        c1, c2 = contract(family_b, 2)
-        assert rho_metric(c1, c2) == pytest.approx(0.6, abs=1e-14)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            rho_metric(np.array([1.0]), np.array([0.5, 0.5]))
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_pseudometric_axioms(self, seed):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(1, 6))
-        a, b, c = (rng.dirichlet(np.ones(k)) for _ in range(3))
-        assert rho_metric(a, b) == rho_metric(b, a)
-        assert rho_metric(a, c) <= rho_metric(a, b) + rho_metric(b, c) + 1e-12
-        assert rho_metric(a, a) == 0.0
+        got = family_b.extremes[1].cell_prob(family_b.space, 2)
+        np.testing.assert_allclose(got, family_b.extremes[1].probs, atol=0)
