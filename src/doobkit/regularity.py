@@ -9,19 +9,25 @@ when each step admits a unit-conditional-expectation certificate: an
 F_m-measurable ``xi0 >= f_m / f_{m-1}`` whose conditional expectation given
 F_{m-1} equals one under every extreme.
 
-Two certificate constructions are provided.  The LP path solves the
-feasibility program cell by cell and always finds a certificate when one
-exists.  The alpha path follows the closed-form recipe: normalize the
-one-step ratio, then dominate it by ``1 + alpha * (increment of a density
-martingale)``.  The alpha path silently presumes that the density
-martingale has zero conditional drift under *every* extreme, which fails
-for general families (see :mod:`doobkit.claims`), so the construction
-re-verifies the unit-conditional property before emitting a certificate.
+Two certificate constructions are provided.  The LP path takes, per
+predecessor cell, the least-sum values that dominate the one-step ratio
+with conditional expectation one; it finds them by basis enumeration per
+level, with the cellwise LP for the nodes it cannot settle, and always
+finds a certificate when one exists.  Equal least sums go to the first
+basis in lexicographic order.  The alpha path follows the closed-form
+recipe: normalize the one-step ratio, then dominate it by
+``1 + alpha * (increment of a density martingale)``.  The alpha path
+silently presumes that the density martingale has zero conditional drift
+under *every* extreme, which fails for general families (see
+:mod:`doobkit.claims`), so the construction re-verifies the
+unit-conditional property before emitting a certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Optional, Union
 
 import numpy as np
@@ -428,31 +434,147 @@ def xi0_step_alpha(
     return Xi0Step(m=m, xi0=xi0_atoms, method="alpha-path", alpha=alpha)
 
 
+@lru_cache(maxsize=None)
+def _bases(c: int, k: int) -> np.ndarray:
+    """Every ``k``-subset of ``range(c)`` as a row, in lexicographic order
+    (read-only: one array serves every caller)."""
+    bases = np.array(list(combinations(range(c), k)), dtype=np.intp)
+    bases.setflags(write=False)
+    return bases
+
+
+#: most k x k systems one stacked solve takes on, so memory stays flat in
+#: the number of bases while tiny levels still take a single call
+_STACK = 4096
+
+
+def _cheapest_bases(law: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the least-sum basic solution ``g >= 0`` of ``law @ g = rhs``.
+
+    ``law`` is ``(nodes, k, c)`` and ``rhs`` is ``(nodes, k)``.  Every basis
+    of ``k`` columns is solved for all nodes at once, a run of bases per
+    stacked solve; a basis counts at a node when it is invertible,
+    ``g_B >= 0`` and its residual is at most 1e-12.  Only a strictly smaller
+    sum replaces the kept basis, so ties go to the first basis in
+    lexicographic order.  A node whose rows of ``law`` are dependent up to
+    round-off counts no basis.  Returns ``g`` (``(nodes, c)``, zero off the
+    basis) and a mask of the nodes where some basis counted.
+    """
+    nodes, k, c = law.shape
+    best = np.full(nodes, np.inf)
+    if k > 1:
+        # rows of C equal up to round-off (extremes sharing a node law) make
+        # every basis near-singular and its least sum meaningless: a NaN
+        # best is never beaten, so such a node is never found
+        gram = law @ law.transpose(0, 2, 1)
+        scale = np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+        best[np.linalg.det(gram) <= 1e-12 * scale] = np.nan
+    bases = _bases(c, k)
+    run = max(1, _STACK // nodes)
+    pick = np.zeros(nodes, dtype=np.intp)
+    g_pick = np.zeros((nodes, k))
+    for lo in range(0, bases.shape[0], run):
+        a = law[:, :, bases[lo : lo + run]].transpose(0, 2, 1, 3)  # (nodes, run, k, k)
+        try:
+            g = np.linalg.solve(a, rhs[:, None, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            # exactly singular somewhere: solve the others only
+            ok = np.linalg.det(a) != 0.0
+            b = np.broadcast_to(rhs[:, None, :, None], a.shape[:3] + (1,))
+            g = np.full(a.shape[:3], np.nan)
+            g[ok] = np.linalg.solve(a[ok], b[ok])[..., 0]
+        resid = np.abs((a @ g[..., None])[..., 0] - rhs[:, None, :]).max(axis=2)
+        total = np.where((g >= 0.0).all(axis=2) & (resid <= 1e-12), g.sum(axis=2), np.inf)
+        low = total.min(axis=1)
+        rows = np.flatnonzero(low < best)
+        if rows.size:
+            j = total[rows].argmin(axis=1)  # the first of equal sums
+            best[rows] = low[rows]
+            pick[rows] = lo + j
+            g_pick[rows] = g[rows, j]
+    found = np.isfinite(best)
+    out = np.zeros((nodes, c))
+    rows = np.flatnonzero(found)
+    out[rows[:, None], bases[pick[rows]]] = g_pick[rows]
+    return out, found
+
+
 def xi0_step_lp(
     f: AdaptedProcess,
     family: MeasureFamily,
     m: int,
     tol: float = DEFAULT_TOL,
 ) -> Union[Xi0Step, StepFailure]:
-    """Certificate at step ``m`` by cellwise linear programming.
+    """Certificate at step ``m``: per predecessor cell, the least-sum values
+    on the child cells, at least the one-step ratio, whose conditional
+    expectation is one under every extreme.
 
-    Per predecessor cell: find values on the child cells, at least the
-    one-step ratio, whose conditional expectation is one under every
-    extreme.  Feasibility at every cell of every step is equivalent to the
-    existence of the decomposition.  The constant 1 is returned outright
-    when it is feasible; otherwise the entry sum is minimized as a
-    deterministic tie-break.
+    Feasibility at every cell of every step is equivalent to the existence
+    of the decomposition.  A cell whose children's ratio is at most one gets
+    the constant 1 outright.  Every other cell solves
+    ``min sum(g)`` subject to ``C g = 1 - C r``, ``g >= 0``, for
+    ``x = r + g``, where ``C`` holds the children's conditional laws under
+    the ``k`` extremes.  An optimum sits on a basis of ``k`` children, so
+    the cells are settled by basis enumeration per level: every basis is
+    solved for all cells with the same number of children at once, and the
+    least sum wins, the first basis in lexicographic order on ties.  The
+    cells it cannot settle (fewer children than extremes, singular or
+    degenerate ``C``, infeasible) go to the cellwise LP in ascending cell
+    order, whose first failure is reported with its infeasibility
+    certificate.  Either way the step is returned only after its conditional
+    expectations are checked against one.
     """
     space = family.space
     ratio = one_step_ratio_cells(f, m)
+    order, starts = space.children_table(m)
+    need = np.maximum.reduceat(ratio[order], starts[:-1]) > 1.0 + 1e-13
+    values = np.ones_like(ratio)
+    if need.any():
+        k, n_cells = len(family), ratio.shape[0]
+        bins = (np.arange(k)[:, None] * n_cells + space.atom_to_cell(m)).ravel()
+        masses = np.bincount(bins, weights=family.probs.ravel(), minlength=k * n_cells)
+        masses = masses.reshape(k, n_cells)
+        counts = np.diff(starts)
+        # a cell with fewer children than extremes has no basis: it stays for the LP
+        for c in {c for c in counts[need].tolist() if c >= k}:
+            nodes = np.flatnonzero(need & (counts == c))
+            children = order[starts[nodes][:, None] + np.arange(c)]
+            law = masses[:, children].transpose(1, 0, 2)
+            law = law / law.sum(axis=2, keepdims=True)
+            r = ratio[children]
+            rhs = 1.0 - (law @ r[:, :, None])[:, :, 0]
+            # C >= 0, so a negative right-hand side leaves no g >= 0
+            hopeful = np.flatnonzero(rhs.min(axis=1) >= -1e-12)
+            if hopeful.size:
+                g, found = _cheapest_bases(law[hopeful], rhs[hopeful])
+                done = hopeful[found]
+                values[children[done]] = r[done] + g[found]
+                need[nodes[done]] = False
+        failure = _xi0_cells_lp(space, family, m, ratio, np.flatnonzero(need), values)
+        if failure is not None:
+            return failure
+    xi0_atoms = space.expand(m, values)
+    ok, bad_i, dev = _check_unit_conditional(space, family, xi0_atoms, m, tol)
+    if not ok:  # the LP enforces these rows only up to its own tolerance
+        return StepFailure(m=m, reason=f"LP residual {dev} under extreme {bad_i}", certificate=dev)
+    return Xi0Step(m=m, xi0=xi0_atoms, method="lp-path", alpha=None)
+
+
+def _xi0_cells_lp(
+    space: FilteredSpace,
+    family: MeasureFamily,
+    m: int,
+    ratio: np.ndarray,
+    cells: np.ndarray,
+    values: np.ndarray,
+) -> Optional[StepFailure]:
+    """One LP per predecessor cell in ``cells`` (ascending), writing the
+    optimum into ``values``; the first cell without one is the failure."""
+    if not cells.size:
+        return None
     masses = np.vstack([p.cell_prob(space, m) for p in family])
-    values = np.empty_like(ratio)
-    for b in range(space.n_cells(m - 1)):
+    for b in cells.tolist():
         children = space.children(m, b)
-        r = ratio[children]
-        if r.max() <= 1.0 + 1e-13:
-            values[children] = 1.0
-            continue
         # contiguous rows keep the summation order of the per-extreme rows
         cond = np.ascontiguousarray(masses[:, children])
         cond = cond / cond.sum(axis=1, keepdims=True)
@@ -462,7 +584,7 @@ def xi0_step_lp(
                 a_eq=cond,
                 b_eq=np.ones(len(family)),
                 a_ge=np.eye(children.shape[0]),
-                b_ge=r,
+                b_ge=ratio[children],
             )
         )
         if out.status != "optimal":
@@ -473,11 +595,7 @@ def xi0_step_lp(
                 certificate=out.infeasibility if out.status == "infeasible" else None,
             )
         values[children] = out.x
-    xi0_atoms = space.expand(m, values)
-    ok, bad_i, dev = _check_unit_conditional(space, family, xi0_atoms, m, tol)
-    if not ok:  # the LP enforces these rows only up to its own tolerance
-        return StepFailure(m=m, reason=f"LP residual {dev} under extreme {bad_i}", certificate=dev)
-    return Xi0Step(m=m, xi0=xi0_atoms, method="lp-path", alpha=None)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +611,10 @@ def optional_decompose(
     """Split a nonnegative family-supermartingale into martingale minus
     non-decreasing compensator.
 
-    Strategies: ``"lp"`` uses the cellwise LP at every step; ``"alpha-with-xi0"``
-    uses the closed-form path seeded with :func:`find_a0_element`'s default,
-    the constant 1; ``"auto"`` tries the closed form and falls back to the
-    LP per step.  The constant seed has zero increments, so the closed form
+    Strategies: ``"lp"`` uses :func:`xi0_step_lp` at every step;
+    ``"alpha-with-xi0"`` uses the closed-form path seeded with
+    :func:`find_a0_element`'s default, the constant 1; ``"auto"`` tries the
+    closed form and falls back to :func:`xi0_step_lp` per step.  The constant seed has zero increments, so the closed form
     certifies (``alpha = 0``, ``xi0 = 1``) exactly the steps whose one-step
     ratio is at most one and constant on each predecessor cell's children.
     Raises :class:`NotSupermartingale` or :class:`NotLocallyRegular`.

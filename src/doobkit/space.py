@@ -137,10 +137,16 @@ class FilteredSpace:
             raise ValueError("parent_cell needs m >= 1")
         return self._level(_parent, m)
 
+    def children_table(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, starts)``: the time-``m`` cells grouped by parent, so the
+        children of cell ``b`` of time ``m-1`` are ``order[starts[b]:starts[b + 1]]``,
+        ascending (read-only)."""
+        return self._level(_children, m)
+
     def children(self, m: int, parent: int) -> np.ndarray:
         """Cells of time ``m`` contained in cell ``parent`` of time ``m-1``,
         ascending (read-only)."""
-        order, starts = self._level(_children, m)
+        order, starts = self.children_table(m)
         return order[starts[parent] : starts[parent + 1]]
 
     def expand(self, m: int, cell_values: np.ndarray) -> np.ndarray:

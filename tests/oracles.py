@@ -4,8 +4,9 @@ Nothing here reuses the code paths under test: conditional expectations are
 recomputed from raw sums, LP optima come from exhaustive active-set
 enumeration, the free-mode price comes from the one-parameter family of
 signed two-measure mixtures evaluated at its endpoints and on a grid, the
-filtration's nodes come from scans of the partition tuples, and the
-closed-form alpha comes from one interval per predecessor cell.
+filtration's nodes come from scans of the partition tuples, the
+closed-form alpha comes from one interval per predecessor cell, and the
+unit-conditional dominator comes from one simplex LP per predecessor cell.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+
+from doobkit.lp import LinearProgram, solve
+from doobkit.regularity import StepFailure, Xi0Step, _check_unit_conditional, one_step_ratio_cells
 
 
 def brute_cond_exp(space, xi, probs, m):
@@ -96,6 +100,48 @@ def per_cell_alpha(space, m, ratio, sup_cells, increments, tol=1e-12):
     else:
         alpha = lower
     return float(min(max(alpha, lower), upper))
+
+
+def per_node_xi0_lp(f, family, m, tol=1e-9):
+    """``xi0_step_lp`` as one simplex LP per predecessor cell whose children's
+    ratio exceeds one, in ascending cell order: min sum(x) subject to
+    ``C x = 1`` and ``x >= r``, with the first cell without an optimum
+    reported."""
+    space = family.space
+    ratio = one_step_ratio_cells(f, m)
+    masses = np.vstack([p.cell_prob(space, m) for p in family])
+    values = np.empty_like(ratio)
+    for b in range(space.n_cells(m - 1)):
+        children = space.children(m, b)
+        r = ratio[children]
+        if r.max() <= 1.0 + 1e-13:
+            values[children] = 1.0
+            continue
+        # contiguous rows keep the summation order of the per-extreme rows
+        cond = np.ascontiguousarray(masses[:, children])
+        cond = cond / cond.sum(axis=1, keepdims=True)
+        out = solve(
+            LinearProgram(
+                objective=np.ones(children.shape[0]),
+                a_eq=cond,
+                b_eq=np.ones(len(family)),
+                a_ge=np.eye(children.shape[0]),
+                b_ge=r,
+            )
+        )
+        if out.status != "optimal":
+            return StepFailure(
+                m=m,
+                reason=f"no unit-conditional dominator over cell {b} at time {m - 1}",
+                cell=b,
+                certificate=out.infeasibility if out.status == "infeasible" else None,
+            )
+        values[children] = out.x
+    xi0_atoms = space.expand(m, values)
+    ok, bad_i, dev = _check_unit_conditional(space, family, xi0_atoms, m, tol)
+    if not ok:  # the LP enforces these rows only up to its own tolerance
+        return StepFailure(m=m, reason=f"LP residual {dev} under extreme {bad_i}", certificate=dev)
+    return Xi0Step(m=m, xi0=xi0_atoms, method="lp-path", alpha=None)
 
 
 def dual_mixture_price(p1, p2, payoff, grid: int = 2001) -> float:

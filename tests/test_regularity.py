@@ -17,6 +17,7 @@ from doobkit import (
     Xi0Step,
     a0_membership,
     alpha_interval,
+    build_space,
     classify,
     completeness_check,
     cond_exp_cells,
@@ -33,13 +34,51 @@ from doobkit import (
 from doobkit import regularity
 from doobkit.claims import envelope_process
 from doobkit.regularity import MartingaleDelta, _check_unit_conditional
-from doobkit.generators import random_family, random_space, random_supermartingale
+from doobkit.generators import (
+    product_family,
+    random_family,
+    random_space,
+    random_supermartingale,
+)
 
-from .oracles import per_cell_alpha
+from .oracles import per_cell_alpha, per_node_xi0_lp
+from .trees import tree_draw
 
 
 def _proc(space, *levels):
     return AdaptedProcess(space=space, per_time=tuple(np.asarray(l, dtype=float) for l in levels))
+
+
+def _same_as_per_node_lp(f, family, m, where) -> str:
+    """``xi0_step_lp`` against the per-node LP oracle: ``xi0`` to 1e-12 where
+    both certify, the failure's cell, reason and certificate bytes where the
+    oracle fails.  Returns which of the two happened."""
+    step, want = xi0_step_lp(f, family, m), per_node_xi0_lp(f, family, m)
+    if isinstance(want, StepFailure):
+        assert isinstance(step, StepFailure), where
+        assert (step.m, step.cell, step.reason) == (want.m, want.cell, want.reason), where
+        assert (step.certificate is None) == (want.certificate is None), where
+        if want.certificate is not None:
+            assert np.float64(step.certificate).tobytes() == np.float64(want.certificate).tobytes()
+        return "failed"
+    assert isinstance(step, Xi0Step), (where, step.reason)
+    np.testing.assert_allclose(step.xi0, want.xi0, rtol=0, atol=1e-12, err_msg=str(where))
+    return "certified"
+
+
+def _worked_nodes(f, family, m):
+    """(child count, rank of the children's conditional laws) of each cell of
+    time ``m - 1`` whose children's one-step ratio exceeds one."""
+    space = family.space
+    ratio = one_step_ratio_cells(f, m)
+    masses = np.vstack([p.cell_prob(space, m) for p in family])
+    out = []
+    for b in range(space.n_cells(m - 1)):
+        children = space.children(m, b)
+        if ratio[children].max() > 1.0 + 1e-13:
+            law = masses[:, children] / masses[:, children].sum(axis=1, keepdims=True)
+            out.append((children.shape[0], np.linalg.matrix_rank(law, tol=1e-9)))
+    return out
 
 
 def _dyadic_family(space):
@@ -337,7 +376,9 @@ class TestXi0StepLp:
         assert step.certificate is not None and step.certificate > 0
 
     def test_lp_answer_off_the_unit_rows_is_refused(self, monkeypatch, space_b, family_b):
-        # an "optimal" outcome is gated on the equalities it was asked for
+        # an "optimal" outcome is gated on the equalities it was asked for;
+        # the root still reaches the LP because both extremes give its
+        # children the law (0.5, 0.5), so no 2 x 2 basis is invertible
         f = _proc(space_b, [2.0], [2.4, 1.6], [2.4, 2.4, 1.6, 1.6])
 
         def one_too_high(lp):
@@ -350,6 +391,69 @@ class TestXi0StepLp:
         assert step.certificate == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(NotLocallyRegular, match="LP residual"):
             optional_decompose(f, family_b, strategy="lp")
+
+
+    def test_matches_per_node_lp_on_random_draws(self):
+        # supermartingales certify; envelope processes mostly fail somewhere
+        seen = {"certified": 0, "failed": 0, "one child": 0, "fewer children than extremes": 0}
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            space = random_space(rng)
+            family = random_family(rng, space)
+            f, _, _ = random_supermartingale(rng, space, family)
+            env = envelope_process(family, rng.exponential(size=space.n_atoms))
+            for proc in (f, env):
+                for m in range(1, space.horizon + 1):
+                    seen[_same_as_per_node_lp(proc, family, m, (seed, m))] += 1
+                    seen["one child"] += int((np.diff(space.children_table(m)[1]) == 1).sum())
+                    seen["fewer children than extremes"] += sum(
+                        c < len(family) for c, _ in _worked_nodes(proc, family, m)
+                    )
+        assert min(seen.values()) > 0, seen
+
+    def test_matches_per_node_lp_on_pasting_stable_families(self):
+        # extremes that share a node law make C rank-deficient there
+        seen = {"certified": 0, "failed": 0, "rank-deficient": 0}
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            space = random_space(rng)
+            family = product_family(rng, space)
+            f, _, _ = random_supermartingale(rng, space, family)
+            env = envelope_process(family, rng.exponential(size=space.n_atoms))
+            for proc in (f, env):
+                for m in range(1, space.horizon + 1):
+                    seen[_same_as_per_node_lp(proc, family, m, (seed, m))] += 1
+                    seen["rank-deficient"] += sum(
+                        rank < min(c, len(family)) for c, rank in _worked_nodes(proc, family, m)
+                    )
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("b, depth, k", [(3, 4, 2), (3, 5, 2), (3, 6, 2), (9, 3, 3)])
+    def test_matches_per_node_lp_on_trees(self, b, depth, k):
+        family, f, _, _ = tree_draw(b, depth, k, 0)
+        for m in range(1, depth + 1):
+            assert _same_as_per_node_lp(f, family, m, m) == "certified"
+
+    @pytest.mark.parametrize("b, depth, k", [(3, 5, 2), (9, 3, 3)])
+    def test_basis_enumeration_settles_every_tree_node(self, monkeypatch, b, depth, k):
+        family, f, _, _ = tree_draw(b, depth, k, 0)
+
+        def no_lp(lp):
+            raise AssertionError("a node reached the LP")
+
+        monkeypatch.setattr(regularity, "solve", no_lp)
+        dec = optional_decompose(f, family, strategy="lp")
+        assert verify_decomposition(f, dec, family).ok
+
+    def test_ties_go_to_the_first_basis(self, monkeypatch):
+        # one extreme with law 1/4 on each of four children: every one-child
+        # basis costs 0.0625 / 0.25, and the first child takes it
+        space = build_space(4, [[[0, 1, 2, 3]], [[0], [1], [2], [3]]])
+        family = MeasureFamily(space=space, extremes=(Measure(np.full(4, 0.25)),))
+        f = _proc(space, [1.0], [1.25, 1.0, 0.75, 0.75])
+        monkeypatch.setattr(regularity, "solve", None)  # the enumeration settles it
+        step = xi0_step_lp(f, family, 1)
+        assert step.xi0.tolist() == [1.5, 1.0, 0.75, 0.75]
 
 
 class TestOptionalDecompose:

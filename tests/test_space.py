@@ -105,7 +105,8 @@ class TestNodeTable:
         assert space.children(1, 0).tolist() == [0, 1]
 
     def test_arrays_read_only(self, space_b):
-        for arr in (space_b.atom_to_cell(1), space_b.parent_cell(2), space_b.children(2, 1)):
+        order, starts = space_b.children_table(2)
+        for arr in (space_b.atom_to_cell(1), space_b.parent_cell(2), space_b.children(2, 1), order, starts):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 5
