@@ -14,9 +14,7 @@ from .space import (
     SpaceError,
     TrivialRootMissing,
     build_space,
-    cond_exp,
     cond_exp_cells,
-    ess_sup_cond_exp,
     ess_sup_cond_exp_cells,
     mixture,
 )

@@ -53,6 +53,7 @@ from .space import (
     ShapeMismatch,
     SpaceError,
     build_space,
+    cell_sums,
     cond_exp_cells,
     ess_sup_cond_exp_cells,
 )
@@ -452,11 +453,10 @@ def _terminal_unit_density(
 
     space = family.space
     horizon = space.horizon
-    cvecs = np.vstack([p.cell_prob(space, horizon) for p in family])
     out = lp_solve(
         LinearProgram(
             -rng.normal(size=space.n_cells(horizon)),
-            a_eq=cvecs,
+            a_eq=cell_sums(space, family.probs, horizon),
             b_eq=np.ones(len(family)),
         )
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .space import AdaptedProcess, FilteredSpace, Measure, MeasureFamily, build_space
+from .space import AdaptedProcess, FilteredSpace, Measure, MeasureFamily, build_space, node_laws
 
 __all__ = [
     "random_space",
@@ -134,21 +134,22 @@ def random_martingale(
     """A process with zero one-step drift under every extreme.
 
     Per node the child values must satisfy one linear equation per extreme;
-    a random nullspace direction is added to the constant continuation.
+    a random nullspace direction is added to the constant continuation.  The
+    nullspaces come from one SVD per child count and level; the directions
+    are drawn node by node in ascending order.
     """
     levels = [np.array([float(start)])]
     for m in range(1, space.horizon + 1):
         prev = levels[-1]
-        masses = np.vstack([p.cell_prob(space, m) for p in family])
-        vals = np.empty(space.n_cells(m))
-        for b in range(space.n_cells(m - 1)):
-            children = space.children(m, b)
-            # row by row: a 2-D sum would add in another order and move the draw
-            rmat = np.vstack([mass / mass.sum() for mass in masses[:, children]])
-            x = np.full(children.shape[0], prev[b])
+        nodes = []
+        for parents, children, law in node_laws(space, family.probs, m):
             # nullspace of the conditional-probability rows
-            _, s, vt = np.linalg.svd(rmat, full_matrices=True)
-            rank = int(np.sum(s > 1e-12))
+            _, s, vt = np.linalg.svd(law, full_matrices=True)
+            rank = np.sum(s > 1e-12, axis=1)
+            nodes.extend(zip(parents.tolist(), children, vt, rank.tolist()))
+        vals = np.empty(space.n_cells(m))
+        for b, children, vt, rank in sorted(nodes, key=lambda node: node[0]):
+            x = np.full(children.shape[0], prev[b])
             null = vt[rank:]
             if null.shape[0]:
                 coeffs = rng.normal(scale=spread, size=null.shape[0])

@@ -45,6 +45,7 @@ from .space import (
     Measure,
     MeasureFamily,
     ShapeMismatch,
+    cell_sums,
     cond_exp_cells,
 )
 
@@ -246,16 +247,16 @@ def _claim_cells(space: FilteredSpace, claim: np.ndarray) -> np.ndarray:
         raise NotMeasurable(str(exc)) from exc
 
 
-def _domination_rows(
-    space: FilteredSpace, family: MeasureFamily, cells: Sequence[tuple[int, ...]]
-) -> np.ndarray:
-    """Rows mapping an atom vector h to E{h | F_N}(cell), per extreme per cell."""
-    rows = np.zeros((len(family) * len(cells), space.n_atoms))
-    for j, p in enumerate(family):
-        for c, cell in enumerate(cells):
-            idx = list(cell)
-            rows[j * len(cells) + c, idx] = p.probs[idx] / p.probs[idx].sum()
-    return rows
+def _domination_rows(space: FilteredSpace, family: MeasureFamily, keep: np.ndarray) -> np.ndarray:
+    """Rows mapping an atom vector h to E{h | F_N}(cell), per extreme per
+    terminal cell where the boolean ``keep`` holds."""
+    horizon, probs = space.horizon, family.probs
+    cell = space.atom_to_cell(horizon)
+    atoms = np.flatnonzero(keep[cell])
+    rows = np.zeros((len(family), np.count_nonzero(keep), space.n_atoms))
+    cond = probs[:, atoms] / cell_sums(space, probs, horizon)[:, cell[atoms]]
+    rows[:, (np.cumsum(keep) - 1)[cell[atoms]], atoms] = cond
+    return rows.reshape(-1, space.n_atoms)
 
 
 def fair_price_a0(
@@ -279,18 +280,16 @@ def fair_price_a0(
     claim_cells = _claim_cells(space, claim)
     n = space.n_atoms
     k = len(family)
-    terminal = space.cells(space.horizon)
-    single = [c for c, cell in enumerate(terminal) if len(cell) == 1]
-    multi = [c for c, cell in enumerate(terminal) if len(cell) > 1]
-    shift = np.zeros(n)
-    shift[[terminal[c][0] for c in single]] = np.maximum(claim_cells[single], 0.0)
+    cell = space.atom_to_cell(space.horizon)
+    multi = np.bincount(cell) > 1  # terminal cells of more than one atom
+    shift = np.where(multi[cell], 0.0, np.maximum(claim_cells[cell], 0.0))
     # variables (g_1..g_n, t)
     probs = family.probs
     a_eq = np.hstack([probs, -np.ones((k, 1))])
     b_eq = -probs @ shift
     a_ge = b_ge = None
-    if multi:
-        dom = _domination_rows(space, family, [terminal[c] for c in multi])
+    if multi.any():
+        dom = _domination_rows(space, family, multi)
         a_ge = np.hstack([dom, np.zeros((dom.shape[0], 1))])
         # shift vanishes on multi-atom cells, so their bounds stay the claim
         b_ge = np.tile(claim_cells[multi], k)
@@ -348,7 +347,7 @@ def fair_price_generators(
             raise GeneratorNotInA0(str(exc)) from exc
     if not elems:
         raise ValueError("need at least one generator")
-    dom = _domination_rows(space, family, space.cells(space.horizon))
+    dom = _domination_rows(space, family, np.ones(space.n_cells(space.horizon), dtype=bool))
     cols = np.column_stack([dom @ e.xi for e in elems])
     b_ge = np.tile(claim_cells, len(family))
     dual = solve(LinearProgram(-b_ge, a_ge=-cols.T, b_ge=-np.ones(len(elems))))

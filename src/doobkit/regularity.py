@@ -40,9 +40,11 @@ from .space import (
     FilteredSpace,
     MeasureFamily,
     ShapeMismatch,
+    cell_sums,
     cond_exp_cells,
     ess_sup_cond_exp_cells,
     mixture,
+    node_laws,
 )
 
 __all__ = [
@@ -526,76 +528,43 @@ def xi0_step_lp(
     """
     space = family.space
     ratio = one_step_ratio_cells(f, m)
-    order, starts = space.children_table(m)
-    need = np.maximum.reduceat(ratio[order], starts[:-1]) > 1.0 + 1e-13
+    need = np.zeros(space.n_cells(m - 1), dtype=bool)
+    need[space.parent_cell(m)[ratio > 1.0 + 1e-13]] = True
     values = np.ones_like(ratio)
     if need.any():
-        k, n_cells = len(family), ratio.shape[0]
-        bins = (np.arange(k)[:, None] * n_cells + space.atom_to_cell(m)).ravel()
-        masses = np.bincount(bins, weights=family.probs.ravel(), minlength=k * n_cells)
-        masses = masses.reshape(k, n_cells)
-        counts = np.diff(starts)
-        # a cell with fewer children than extremes has no basis: it stays for the LP
-        for c in {c for c in counts[need].tolist() if c >= k}:
-            nodes = np.flatnonzero(need & (counts == c))
-            children = order[starts[nodes][:, None] + np.arange(c)]
-            law = masses[:, children].transpose(1, 0, 2)
-            law = law / law.sum(axis=2, keepdims=True)
-            r = ratio[children]
-            rhs = 1.0 - (law @ r[:, :, None])[:, :, 0]
-            # C >= 0, so a negative right-hand side leaves no g >= 0
-            hopeful = np.flatnonzero(rhs.min(axis=1) >= -1e-12)
-            if hopeful.size:
-                g, found = _cheapest_bases(law[hopeful], rhs[hopeful])
-                done = hopeful[found]
-                values[children[done]] = r[done] + g[found]
-                need[nodes[done]] = False
-        failure = _xi0_cells_lp(space, family, m, ratio, np.flatnonzero(need), values)
-        if failure is not None:
-            return failure
+        k = len(family)
+        rest = []  # (cell, children, law) of the nodes left for the LP
+        for parents, children, law in node_laws(space, family.probs, m):
+            nodes = np.flatnonzero(need[parents])
+            # a cell with fewer children than extremes has no basis: it stays for the LP
+            if nodes.size and children.shape[1] >= k:
+                r = ratio[children[nodes]]
+                rhs = 1.0 - (law[nodes] @ r[:, :, None])[:, :, 0]
+                # C >= 0, so a negative right-hand side leaves no g >= 0
+                hopeful = np.flatnonzero(rhs.min(axis=1) >= -1e-12)
+                if hopeful.size:
+                    g, found = _cheapest_bases(law[nodes[hopeful]], rhs[hopeful])
+                    done = hopeful[found]
+                    values[children[nodes[done]]] = r[done] + g[found]
+                    nodes = np.delete(nodes, done)
+            rest += [(int(parents[j]), children[j], law[j]) for j in nodes]
+        for b, children, cond in sorted(rest, key=lambda node: node[0]):
+            c, r = children.shape[0], ratio[children]
+            lp = LinearProgram(np.ones(c), a_eq=cond, b_eq=np.ones(k), a_ge=np.eye(c), b_ge=r)
+            out = solve(lp)
+            if out.status != "optimal":
+                return StepFailure(
+                    m=m,
+                    reason=f"no unit-conditional dominator over cell {b} at time {m - 1}",
+                    cell=b,
+                    certificate=out.infeasibility if out.status == "infeasible" else None,
+                )
+            values[children] = out.x
     xi0_atoms = space.expand(m, values)
     ok, bad_i, dev = _check_unit_conditional(space, family, xi0_atoms, m, tol)
     if not ok:  # the LP enforces these rows only up to its own tolerance
         return StepFailure(m=m, reason=f"LP residual {dev} under extreme {bad_i}", certificate=dev)
     return Xi0Step(m=m, xi0=xi0_atoms, method="lp-path", alpha=None)
-
-
-def _xi0_cells_lp(
-    space: FilteredSpace,
-    family: MeasureFamily,
-    m: int,
-    ratio: np.ndarray,
-    cells: np.ndarray,
-    values: np.ndarray,
-) -> Optional[StepFailure]:
-    """One LP per predecessor cell in ``cells`` (ascending), writing the
-    optimum into ``values``; the first cell without one is the failure."""
-    if not cells.size:
-        return None
-    masses = np.vstack([p.cell_prob(space, m) for p in family])
-    for b in cells.tolist():
-        children = space.children(m, b)
-        # contiguous rows keep the summation order of the per-extreme rows
-        cond = np.ascontiguousarray(masses[:, children])
-        cond = cond / cond.sum(axis=1, keepdims=True)
-        out = solve(
-            LinearProgram(
-                objective=np.ones(children.shape[0]),
-                a_eq=cond,
-                b_eq=np.ones(len(family)),
-                a_ge=np.eye(children.shape[0]),
-                b_ge=ratio[children],
-            )
-        )
-        if out.status != "optimal":
-            return StepFailure(
-                m=m,
-                reason=f"no unit-conditional dominator over cell {b} at time {m - 1}",
-                cell=b,
-                certificate=out.infeasibility if out.status == "infeasible" else None,
-            )
-        values[children] = out.x
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -741,13 +710,17 @@ def completeness_check(
     an LP: minimize the sup-norm deviation between the target and a convex
     combination of the contracted extremes.
     """
-    cvecs = [p.cell_prob(family.space, n) for p in family]
     d = delta.increments
-    pairs: list[tuple[int, int, float]] = []
     if not delta.pos_cells:
         return CompletenessReport(level=n, fraction_inside=1.0, pairs=(), vacuous=True)
-    n_cells = cvecs[0].shape[0]
-    k = len(cvecs)
+    # variables: (lambda_1..lambda_k, deviation); only the target moves per pair
+    cmat = cell_sums(family.space, family.probs, n).T  # cells x k
+    n_cells, k = cmat.shape
+    a_ge = np.hstack([np.vstack([-cmat, cmat]), np.ones((2 * n_cells, 1))])
+    a_eq = np.concatenate([np.ones(k), [0.0]])[None, :]
+    obj = np.zeros(k + 1)
+    obj[-1] = 1.0
+    pairs: list[tuple[int, int, float]] = []
     inside = 0
     for i in delta.neg_cells:
         for j in delta.pos_cells:
@@ -755,18 +728,7 @@ def completeness_check(
             target = np.zeros(n_cells)
             target[i] = d[j] / denom
             target[j] = -d[i] / denom
-            # variables: (lambda_1..lambda_k, deviation)
-            cmat = np.vstack(cvecs).T  # cells x k
-            a_ge = np.vstack(
-                [
-                    np.hstack([-cmat, np.ones((n_cells, 1))]),
-                    np.hstack([cmat, np.ones((n_cells, 1))]),
-                ]
-            )
             b_ge = np.concatenate([-target, target])
-            a_eq = np.concatenate([np.ones(k), [0.0]])[None, :]
-            obj = np.zeros(k + 1)
-            obj[-1] = 1.0
             out = solve(LinearProgram(obj, a_eq=a_eq, b_eq=np.ones(1), a_ge=a_ge, b_ge=b_ge))
             dev = float(out.value) if out.status == "optimal" else np.inf
             pairs.append((int(i), int(j), dev))

@@ -14,21 +14,24 @@ demand, so measurability cannot silently break.
 
 Every module reads the filtration's nodes from one table per space: for
 each time, the cell of each atom, the first atom of each cell, the parent
-of each cell and the children of each parent.  Each of these arrays is
-built on first use and cached read-only on the space.  Conditional
-expectations are ``np.bincount`` sums over the atom→cell map, for every
-measure of a family in one call, in ascending atom order.  Cell masses
-(``Measure.cell_prob``) and the rows of the pricing and martingale-measure
-programs keep numpy's pairwise per-cell ``.sum()``, which neither bincount
-nor ``np.add.reduceat`` reproduces, because they feed linear programs whose
-optimal vertex can move with the last bit of their data.
+of each cell, the children of each parent, and the atoms of each cell and
+children of each parent grouped by count.  Each of these arrays is built
+on first use and cached read-only on the space.
+
+No other module sums probability mass over cells.  :func:`cell_sums` adds
+each cell in numpy's pairwise order, bit for bit the cell's own ``.sum()``
+(neither ``np.bincount``, ``np.add.reduceat`` nor a 3-D reduction does),
+and feeds :func:`node_laws`, linear-program data and instance draws, whose
+optimal vertices and seeded draws can move with the last bit.  Conditional
+expectations (:func:`cond_exp_cells`) are ``np.bincount`` sums over the
+atom→cell map, for every measure of a family in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,9 +47,9 @@ __all__ = [
     "MeasureFamily",
     "AdaptedProcess",
     "build_space",
-    "cond_exp",
+    "cell_sums",
+    "node_laws",
     "cond_exp_cells",
-    "ess_sup_cond_exp",
     "ess_sup_cond_exp_cells",
     "mixture",
 ]
@@ -121,8 +124,10 @@ class FilteredSpace:
         entry = self._table.get(key)
         if entry is None:
             entry = build(self, m)
-            for arr in entry if isinstance(entry, tuple) else (entry,):
-                arr.setflags(write=False)
+            # an entry is an array, a tuple of arrays or a tuple of array pairs
+            for part in entry if isinstance(entry, tuple) else (entry,):
+                for arr in part if isinstance(part, tuple) else (part,):
+                    arr.setflags(write=False)
             self._table[key] = entry
         return entry
 
@@ -196,12 +201,33 @@ def _parent(space: FilteredSpace, m: int) -> np.ndarray:
     return space.atom_to_cell(m - 1)[space._level(_first_atom, m)]
 
 
+def _grouped(owner: np.ndarray, n_owners: int) -> tuple[np.ndarray, np.ndarray]:
+    # a stable sort keeps each owner's members ascending
+    order = np.argsort(owner, kind="stable")
+    return order, np.searchsorted(owner[order], np.arange(n_owners + 1))
+
+
+def _by_count(order: np.ndarray, starts: np.ndarray) -> tuple:
+    """``(owners, members (owners, c))`` per member count ``c``, ascending."""
+    counts = np.diff(starts)
+    out = []
+    # np.unique would import numpy.ma, a visible share of a CLI call's start-up
+    for c in np.flatnonzero(np.bincount(counts)).tolist():
+        owners = np.flatnonzero(counts == c)
+        out.append((owners, order[starts[owners][:, None] + np.arange(c)]))
+    return tuple(out)
+
+
 def _children(space: FilteredSpace, m: int) -> tuple[np.ndarray, np.ndarray]:
-    # a stable sort keeps each parent's children ascending
-    parent = space.parent_cell(m)
-    order = np.argsort(parent, kind="stable")
-    starts = np.searchsorted(parent[order], np.arange(space.n_cells(m - 1) + 1))
-    return order, starts
+    return _grouped(space.parent_cell(m), space.n_cells(m - 1))
+
+
+def _cell_atoms(space: FilteredSpace, m: int) -> tuple:
+    return _by_count(*_grouped(space.atom_to_cell(m), space.n_cells(m)))
+
+
+def _node_children(space: FilteredSpace, m: int) -> tuple:
+    return _by_count(*space.children_table(m))
 
 
 def build_space(n_atoms: int, partitions: Sequence[Iterable[Iterable[int]]]) -> FilteredSpace:
@@ -265,10 +291,6 @@ class Measure:
 
     def __len__(self) -> int:
         return self.probs.shape[0]
-
-    def cell_prob(self, space: FilteredSpace, m: int) -> np.ndarray:
-        """Probability of each time-``m`` cell."""
-        return np.array([self.probs[list(cell)].sum() for cell in space.cells(m)])
 
     def expect(self, xi: np.ndarray) -> float:
         return float(np.dot(self.probs, np.asarray(xi, dtype=float)))
@@ -353,8 +375,34 @@ class AdaptedProcess:
     def at_atoms(self, m: int) -> np.ndarray:
         return self.space.expand(m, self.per_time[m])
 
-    def terminal(self) -> np.ndarray:
-        return self.at_atoms(self.horizon)
+
+# ---------------------------------------------------------------------------
+# cell masses and node laws
+
+
+def cell_sums(space: FilteredSpace, values: np.ndarray, m: int) -> np.ndarray:
+    """Per-cell sums ``(k, n_cells)`` of the rows of a ``(k, n)`` array, each
+    bit for bit the cell's own ``.sum()``: one contiguous ``(cells, size)``
+    gather per row and cell size, summed along its last axis."""
+    out = np.empty((values.shape[0], space.n_cells(m)))
+    for cells, atoms in space._level(_cell_atoms, m):
+        for i, row in enumerate(values):
+            out[i, cells] = row[atoms].sum(axis=1)
+    return out
+
+
+def node_laws(space: FilteredSpace, probs: np.ndarray, m: int) -> Iterator[tuple]:
+    """``(parents, children, law)`` per child count ``c``, ascending: the
+    time-``m - 1`` cells with ``c`` children, those children ``(nodes, c)``,
+    and their conditional laws under the rows of the ``(k, n)`` array
+    ``probs``, ``(nodes, k, c)``, each the child masses over their own sum."""
+    mass = cell_sums(space, probs, m)
+    for parents, children in space._level(_node_children, m):
+        law = np.empty((parents.shape[0], mass.shape[0], children.shape[1]))
+        for i, row in enumerate(mass):
+            sub = row[children]
+            law[:, i] = sub / sub.sum(axis=1, keepdims=True)
+        yield parents, children, law
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +438,6 @@ def cond_exp_cells(
     return out[0] if single else out
 
 
-def cond_exp(space: FilteredSpace, xi: np.ndarray, p: Measure, m: int) -> np.ndarray:
-    """Conditional expectation of ``xi`` given time ``m``, expanded to atoms."""
-    return space.expand(m, cond_exp_cells(space, xi, p, m))
-
-
 def _check_weights(weights: np.ndarray, k: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (k,):
@@ -422,9 +465,3 @@ def ess_sup_cond_exp_cells(
     pointwise maximum over the extremes.
     """
     return cond_exp_cells(space, xi, family.probs, m).max(axis=0)
-
-
-def ess_sup_cond_exp(
-    space: FilteredSpace, xi: np.ndarray, family: MeasureFamily, m: int
-) -> np.ndarray:
-    return family.space.expand(m, ess_sup_cond_exp_cells(space, xi, family, m))

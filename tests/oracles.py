@@ -6,7 +6,9 @@ enumeration, the free-mode price comes from the one-parameter family of
 signed two-measure mixtures evaluated at its endpoints and on a grid, the
 filtration's nodes come from scans of the partition tuples, the
 closed-form alpha comes from one interval per predecessor cell, and the
-unit-conditional dominator comes from one simplex LP per predecessor cell.
+unit-conditional dominator comes from one simplex LP per predecessor cell,
+and cell masses, node laws, nullspace draws and pricing rows come from one
+``.sum()`` per cell and one SVD per node.
 """
 
 from __future__ import annotations
@@ -66,6 +68,47 @@ def brute_restrict(space, m, atom_values, atol):
     return out, None
 
 
+def brute_cell_masses(space, family, m):
+    """``(k, n_cells)`` cell masses, one ``.sum()`` per extreme per cell."""
+    return np.array([[p.probs[list(cell)].sum() for cell in space.cells(m)] for p in family])
+
+
+def per_node_domination_rows(space, family, cells):
+    """Rows mapping an atom vector h to E{h | F_N}(cell), per extreme per
+    cell in the list of atom tuples ``cells``, filled entry by entry."""
+    rows = np.zeros((len(family) * len(cells), space.n_atoms))
+    for j, p in enumerate(family):
+        for c, cell in enumerate(cells):
+            idx = list(cell)
+            rows[j * len(cells) + c, idx] = p.probs[idx] / p.probs[idx].sum()
+    return rows
+
+
+def per_node_random_martingale(rng, space, family, start=1.0, spread=0.5):
+    """``random_martingale`` with one SVD and one draw per node, ascending:
+    per node the children's conditional-law rows, each divided by its own
+    sum, and a normal draw over their nullspace."""
+    levels = [np.array([float(start)])]
+    for m in range(1, space.horizon + 1):
+        prev = levels[-1]
+        masses = brute_cell_masses(space, family, m)
+        vals = np.empty(space.n_cells(m))
+        for b in range(space.n_cells(m - 1)):
+            children = np.array(brute_children(space, m, b))
+            # row by row: a 2-D sum would add in another order and move the draw
+            rmat = np.vstack([mass / mass.sum() for mass in masses[:, children]])
+            x = np.full(children.shape[0], prev[b])
+            _, s, vt = np.linalg.svd(rmat, full_matrices=True)
+            rank = int(np.sum(s > 1e-12))
+            null = vt[rank:]
+            if null.shape[0]:
+                coeffs = rng.normal(scale=spread, size=null.shape[0])
+                x = x + null.T @ coeffs
+            vals[children] = x
+        levels.append(vals)
+    return levels
+
+
 def per_cell_alpha(space, m, ratio, sup_cells, increments, tol=1e-12):
     """Closed-form alpha, or None when no alpha works, by intersecting one
     feasible interval per predecessor cell.
@@ -109,7 +152,7 @@ def per_node_xi0_lp(f, family, m, tol=1e-9):
     reported."""
     space = family.space
     ratio = one_step_ratio_cells(f, m)
-    masses = np.vstack([p.cell_prob(space, m) for p in family])
+    masses = brute_cell_masses(space, family, m)
     values = np.empty_like(ratio)
     for b in range(space.n_cells(m - 1)):
         children = space.children(m, b)

@@ -10,7 +10,7 @@ from doobkit import (
     MeasureFamily,
     audit,
     classify,
-    cond_exp,
+    cond_exp_cells,
     parse_scenario,
     search_counterexample,
 )
@@ -150,19 +150,20 @@ class TestWitnessReplay:
             xi = scenario.claims["xi"].atoms(scenario.space)
         else:
             xi = np.asarray(result.witness["xi_atoms"], dtype=float)
+        space = scenario.space
         worst = 0.0
-        for m in range(scenario.space.horizon + 1):
-            conds = [cond_exp(scenario.space, xi, p, m) for p in family]
+        for m in range(space.horizon + 1):
+            conds = [cond_exp_cells(space, xi, p, m) for p in family]
             for i in range(len(conds)):
                 for j in range(i + 1, len(conds)):
                     worst = max(worst, float(np.abs(conds[i] - conds[j]).max()))
             for b, base in enumerate(family):
                 if m == 0:
                     continue
-                proc = cond_exp(scenario.space, xi, base, m)
-                prev = cond_exp(scenario.space, xi, base, m - 1)
+                proc = space.expand(m, cond_exp_cells(space, xi, base, m))
+                prev = cond_exp_cells(space, xi, base, m - 1)
                 for p in family:
-                    e = cond_exp(scenario.space, proc, p, m - 1)
+                    e = cond_exp_cells(space, proc, p, m - 1)
                     worst = max(worst, float(np.abs(e - prev).max()))
         assert worst == pytest.approx(result.violation, abs=1e-10)
 

@@ -30,8 +30,9 @@ from doobkit import (
     verify_emm,
 )
 from doobkit.generators import random_family, random_space, random_supermartingale
+from doobkit.pricing import _domination_rows
 
-from .oracles import dual_mixture_price
+from .oracles import dual_mixture_price, per_node_domination_rows
 from .trees import tree_draw, tree_market
 
 
@@ -317,7 +318,7 @@ class TestSuperhedge:
             )
             assert strat.self_financing_residual(market) <= 1e-12
             assert strat.capital_residual(market) <= 1e-10
-            assert np.all(strat.capital.terminal() >= claim - 1e-9)
+            assert np.all(strat.capital.at_atoms(strat.capital.horizon) >= claim - 1e-9)
             done += 1
 
 
@@ -337,14 +338,28 @@ class TestMarketModel:
 
 def _full_form_rows(space, family):
     """E_p{h | F_N}(cell) as rows over atoms, every extreme, every terminal cell."""
-    rows = []
-    for p in family:
-        for cell in space.cells(space.horizon):
-            row = np.zeros(space.n_atoms)
-            idx = list(cell)
-            row[idx] = p.probs[idx] / p.probs[idx].sum()
-            rows.append(row)
-    return np.vstack(rows)
+    return per_node_domination_rows(space, family, space.cells(space.horizon))
+
+
+class TestDominationRows:
+    def test_equal_per_cell_loop_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        draws = []
+        for _ in range(40):
+            space = random_space(rng, max_atoms=40, max_periods=3)
+            draws.append(random_family(rng, space))
+        draws += [tree_draw(3, 6, 2, 0)[0], tree_draw(9, 3, 3, 0)[0]]
+        for family in draws:
+            space = family.space
+            terminal = space.cells(space.horizon)
+            for keep in (
+                np.ones(len(terminal), dtype=bool),
+                np.array([len(cell) > 1 for cell in terminal]),
+                rng.random(len(terminal)) < 0.5,
+            ):
+                cells = [terminal[c] for c in np.flatnonzero(keep)]
+                got = _domination_rows(space, family, keep)
+                assert np.array_equal(got, per_node_domination_rows(space, family, cells))
 
 
 class TestSmallFormAgainstFullForm:
@@ -404,7 +419,7 @@ class TestTreeRegressions:
         assert gen.fair_price >= free.fair_price - 1e-9
         strat = superhedge_strategy(claim, market, family)
         assert strat.initial_capital() == pytest.approx(gen.fair_price, abs=0)
-        assert np.all(strat.capital.terminal() >= claim - 1e-9)
+        assert np.all(strat.capital.at_atoms(strat.capital.horizon) >= claim - 1e-9)
 
     def test_prices_at_243_atoms_match_highs(self):
         linprog = pytest.importorskip("scipy.optimize").linprog

@@ -41,7 +41,7 @@ from doobkit.generators import (
     random_supermartingale,
 )
 
-from .oracles import per_cell_alpha, per_node_xi0_lp
+from .oracles import brute_cell_masses, per_cell_alpha, per_node_xi0_lp
 from .trees import tree_draw
 
 
@@ -71,7 +71,7 @@ def _worked_nodes(f, family, m):
     time ``m - 1`` whose children's one-step ratio exceeds one."""
     space = family.space
     ratio = one_step_ratio_cells(f, m)
-    masses = np.vstack([p.cell_prob(space, m) for p in family])
+    masses = brute_cell_masses(space, family, m)
     out = []
     for b in range(space.n_cells(m - 1)):
         children = space.children(m, b)

@@ -17,21 +17,20 @@ from doobkit import (
     ShapeMismatch,
     TrivialRootMissing,
     build_space,
-    cond_exp,
-    ess_sup_cond_exp,
     mixture,
 )
 from doobkit.generators import random_family, random_space
-from doobkit.space import cond_exp_cells, ess_sup_cond_exp_cells
+from doobkit.space import cell_sums, cond_exp_cells, ess_sup_cond_exp_cells, node_laws
 
 from .oracles import (
     brute_atom_to_cell,
+    brute_cell_masses,
     brute_children,
     brute_cond_exp,
     brute_parent_cell,
     brute_restrict,
 )
-from .trees import tree_space
+from .trees import tree_draw, tree_space
 
 XI = np.array([1.0, 3.0, 2.0, 6.0])
 
@@ -198,6 +197,55 @@ class TestCondExpKernel:
         assert [f.name for f in fields(family_b)] == ["space", "extremes"]
 
 
+class TestCellKernel:
+    """``cell_sums`` and ``node_laws`` against one ``.sum()`` per cell and
+    per node row, bit for bit."""
+
+    def _families(self):
+        """Random draws with mixed cell sizes, many cells and nodes of 8 or
+        more, and the families of the tree recipe (3^6 atoms k = 2, 9^3
+        atoms k = 3)."""
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            space = random_space(rng, max_atoms=40, max_periods=3)
+            yield random_family(rng, space)
+        for b, depth, k in ((3, 6, 2), (9, 3, 3)):
+            yield tree_draw(b, depth, k, 0)[0]
+
+    def test_cell_sums_equal_per_cell_sums(self):
+        sizes = set()
+        for family in self._families():
+            space = family.space
+            for m in range(space.horizon + 1):
+                got = cell_sums(space, family.probs, m)
+                assert np.array_equal(got, brute_cell_masses(space, family, m))
+                sizes.update(len(cell) for cell in space.cells(m))
+        assert len(sizes) > 20 and max(sizes) > 128
+
+    def test_node_laws_equal_per_row_division(self):
+        counts = set()
+        for family in self._families():
+            space = family.space
+            for m in range(1, space.horizon + 1):
+                mass = brute_cell_masses(space, family, m)
+                seen = []
+                for parents, children, law in node_laws(space, family.probs, m):
+                    assert law.shape == (parents.size, len(family), children.shape[1])
+                    for b, kids, rows in zip(parents.tolist(), children, law):
+                        assert kids.tolist() == brute_children(space, m, b)
+                        want = np.vstack([row / row.sum() for row in mass[:, kids]])
+                        assert np.array_equal(rows, want)
+                    seen.extend(parents.tolist())
+                    counts.add(children.shape[1])
+                assert sorted(seen) == list(range(space.n_cells(m - 1)))
+        assert len(counts) > 10 and max(counts) >= 9
+
+    def test_groupings_read_only(self, family_b):
+        for parents, children, _ in node_laws(family_b.space, family_b.probs, 2):
+            for arr in (parents, children):
+                assert not arr.flags.writeable
+
+
 class TestMeasure:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -234,17 +282,17 @@ class TestAdaptedProcess:
 
 class TestCondExp:
     def test_uniform_averages(self, space_b, family_b):
-        got = cond_exp(space_b, XI, family_b.extremes[0], 1)
+        got = space_b.expand(1, cond_exp_cells(space_b, XI, family_b.extremes[0], 1))
         np.testing.assert_allclose(got, [2.0, 2.0, 4.0, 4.0], atol=1e-14)
 
     def test_weighted_averages(self, space_b, family_b):
-        got = cond_exp(space_b, XI, family_b.extremes[1], 1)
+        got = space_b.expand(1, cond_exp_cells(space_b, XI, family_b.extremes[1], 1))
         oracle = brute_cond_exp(space_b, XI, [0.4, 0.1, 0.1, 0.4], 1)
         np.testing.assert_allclose(got, [1.4, 1.4, 5.2, 5.2], atol=1e-14)
         np.testing.assert_allclose(got, oracle, atol=1e-14)
 
     def test_atom_fine_identity(self, space_b, family_b):
-        got = cond_exp(space_b, XI, family_b.extremes[1], 2)
+        got = space_b.expand(2, cond_exp_cells(space_b, XI, family_b.extremes[1], 2))
         np.testing.assert_allclose(got, XI, atol=1e-14)
 
     @settings(max_examples=40, deadline=None)
@@ -258,9 +306,9 @@ class TestCondExp:
         n = space.horizon
         m = int(rng.integers(0, n + 1))
         k = int(rng.integers(0, m + 1))
-        inner = cond_exp(space, xi, p, m)
+        inner = space.expand(m, cond_exp_cells(space, xi, p, m))
         np.testing.assert_allclose(
-            cond_exp(space, inner, p, k), cond_exp(space, xi, p, k), atol=1e-12
+            cond_exp_cells(space, inner, p, k), cond_exp_cells(space, xi, p, k), atol=1e-12
         )
 
 
@@ -286,15 +334,16 @@ class TestMixture:
 class TestEssSup:
     def test_singleton_equals_cond_exp(self, space_b, family_b):
         fam = MeasureFamily(space=space_b, extremes=(family_b.extremes[1],))
-        got = ess_sup_cond_exp(space_b, XI, fam, 1)
-        np.testing.assert_allclose(got, cond_exp(space_b, XI, fam.extremes[0], 1), atol=0)
+        got = ess_sup_cond_exp_cells(space_b, XI, fam, 1)
+        np.testing.assert_allclose(got, cond_exp_cells(space_b, XI, fam.extremes[0], 1), atol=0)
 
     def test_fixture_b_value(self, space_b, family_b):
-        got = ess_sup_cond_exp(space_b, XI, family_b, 1)
+        got = space_b.expand(1, ess_sup_cond_exp_cells(space_b, XI, family_b, 1))
         np.testing.assert_allclose(got, [2.0, 2.0, 5.2, 5.2], atol=1e-13)
 
     def test_atom_fine_identity(self, space_b, family_b):
-        np.testing.assert_allclose(ess_sup_cond_exp(space_b, XI, family_b, 2), XI, atol=1e-13)
+        got = space_b.expand(2, ess_sup_cond_exp_cells(space_b, XI, family_b, 2))
+        np.testing.assert_allclose(got, XI, atol=1e-13)
 
     def test_dominates_sampled_mixtures_and_attained(self):
         # cond exp under any mixture stays at or below the envelope, and the
@@ -305,12 +354,12 @@ class TestEssSup:
             family = random_family(rng, space)
             xi = rng.uniform(0, 3, size=space.n_atoms)
             m = int(rng.integers(0, space.horizon + 1))
-            env = ess_sup_cond_exp(space, xi, family, m)
-            per_extreme = np.vstack([cond_exp(space, xi, p, m) for p in family])
+            env = ess_sup_cond_exp_cells(space, xi, family, m)
+            per_extreme = np.vstack([cond_exp_cells(space, xi, p, m) for p in family])
             assert np.abs(per_extreme.max(axis=0) - env).max() == 0.0
             for _ in range(10):
                 q = mixture(family, rng.dirichlet(np.ones(len(family))))
-                assert np.all(cond_exp(space, xi, q, m) <= env + 1e-12)
+                assert np.all(cond_exp_cells(space, xi, q, m) <= env + 1e-12)
 
     def test_cond_exp_of_max_dominates_max_of_cond_exp(self):
         # pulling the max outside conditioning only loses mass
@@ -321,20 +370,20 @@ class TestEssSup:
             p = family.extremes[0]
             fs = rng.uniform(0, 2, size=(int(rng.integers(2, 5)), space.n_atoms))
             m = int(rng.integers(0, space.horizon + 1))
-            lhs = cond_exp(space, fs.max(axis=0), p, m)
-            rhs = np.vstack([cond_exp(space, f, p, m) for f in fs]).max(axis=0)
+            lhs = cond_exp_cells(space, fs.max(axis=0), p, m)
+            rhs = np.vstack([cond_exp_cells(space, f, p, m) for f in fs]).max(axis=0)
             assert np.all(lhs >= rhs - 1e-12)
 
 
 class TestDensityBoundsAndContractions:
     def test_contract_time_zero(self, family_b):
-        for p in family_b:
-            np.testing.assert_allclose(p.cell_prob(family_b.space, 0), [1.0], atol=1e-15)
+        got = cell_sums(family_b.space, family_b.probs, 0)
+        np.testing.assert_allclose(got, [[1.0], [1.0]], atol=1e-15)
 
     def test_contract_fixture_b(self, family_b):
-        got = family_b.extremes[1].cell_prob(family_b.space, 1)
+        got = cell_sums(family_b.space, family_b.probs, 1)[1]
         np.testing.assert_allclose(got, [0.5, 0.5], atol=1e-15)
 
     def test_contract_atom_fine(self, family_b):
-        got = family_b.extremes[1].cell_prob(family_b.space, 2)
-        np.testing.assert_allclose(got, family_b.extremes[1].probs, atol=0)
+        got = cell_sums(family_b.space, family_b.probs, 2)
+        np.testing.assert_allclose(got, family_b.probs, atol=0)
