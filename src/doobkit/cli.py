@@ -28,7 +28,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -272,14 +271,11 @@ def _capital_csv(strategy, market: MarketModel) -> str:
     for m in range(space.horizon + 1):
         x = strategy.capital.at_cells(m)
         s = market.S.at_cells(m)
-        parents = space.parent_cell(m) if m else None
+        # the time-0 positions sit at index 0, like a parent cell
+        parents = space.parent_cell(m) if m else (0,)
         for c in range(space.n_cells(m)):
-            if m == 0:
-                h0 = float(strategy.cash[0][0])
-                h = float(strategy.risky[0][0])
-            else:
-                h0 = float(strategy.cash[m][parents[c]])
-                h = float(strategy.risky[m][parents[c]])
+            h0 = float(strategy.cash[m][parents[c]])
+            h = float(strategy.risky[m][parents[c]])
             writer.writerow([m, c, repr(float(x[c])), repr(h0), repr(h), repr(float(s[c]))])
     return buf.getvalue()
 
@@ -412,6 +408,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     results: list[tuple[dict, int, Optional[str]]] = []
     try:
         if args.jobs > 1 and len(args.inputs) > 1:
+            # imported here: it adds a visible share of every call's start-up
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(_worker, [(p, args) for p in args.inputs]))
         else:

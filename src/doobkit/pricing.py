@@ -15,7 +15,7 @@ The generator price always dominates the free price.  When the family's
 extremes are martingale measures for a price process and the generators
 are the normalized price slices, the optimal dominator is itself a
 tradable martingale, and a self-financed strategy superhedging the claim
-falls out of a per-node linear solve.
+falls out of one closed-form solve per level.
 
 Each program is posed in its small form, rows x columns, for n atoms, k
 extremes, M terminal cells (M' of them holding more than one atom), D
@@ -184,8 +184,8 @@ class TradingStrategy:
 
     ``cash[m]`` and ``risky[m]`` for m >= 1 hold one value per cell of the
     time ``m-1`` partition (announced one step ahead); index 0 holds the
-    initial scalar positions.  Capital is ``cash + risky * price`` and the
-    rebalancing is self-financed.
+    initial positions, one per time-0 cell.  Capital is ``cash + risky *
+    price`` and the rebalancing is self-financed.
     """
 
     cash: tuple[np.ndarray, ...]
@@ -204,13 +204,9 @@ class TradingStrategy:
             prev_cells = space.atom_to_cell(m - 1)
             h_now = self.risky[m][prev_cells]
             c_now = self.cash[m][prev_cells]
-            if m == 1:
-                h_prev = np.full(space.n_atoms, float(self.risky[0][0]))
-                c_prev = np.full(space.n_atoms, float(self.cash[0][0]))
-            else:
-                pp = space.atom_to_cell(m - 2)
-                h_prev = self.risky[m - 1][pp]
-                c_prev = self.cash[m - 1][pp]
+            pp = space.atom_to_cell(max(m - 2, 0))
+            h_prev = self.risky[m - 1][pp]
+            c_prev = self.cash[m - 1][pp]
             s_prev = market.S.at_atoms(m - 1)
             resid = (c_now - c_prev) + (h_now - h_prev) * s_prev
             worst = max(worst, float(np.abs(resid).max()))
@@ -221,11 +217,7 @@ class TradingStrategy:
         space = self.capital.space
         worst = 0.0
         for m in range(space.horizon + 1):
-            if m == 0:
-                held = float(self.cash[0][0]) + float(self.risky[0][0]) * market.s0
-                worst = max(worst, abs(self.initial_capital() - held))
-                continue
-            prev_cells = space.atom_to_cell(m - 1)
+            prev_cells = space.atom_to_cell(max(m - 1, 0))
             held = self.cash[m][prev_cells] + self.risky[m][prev_cells] * market.S.at_atoms(m)
             worst = max(worst, float(np.abs(self.capital.at_atoms(m) - held).max()))
         return worst
@@ -249,7 +241,8 @@ def _claim_cells(space: FilteredSpace, claim: np.ndarray) -> np.ndarray:
 
 def _domination_rows(space: FilteredSpace, family: MeasureFamily, keep: np.ndarray) -> np.ndarray:
     """Rows mapping an atom vector h to E{h | F_N}(cell), per extreme per
-    terminal cell where the boolean ``keep`` holds."""
+    terminal cell where the boolean ``keep`` holds: the free price's
+    multi-atom terminal cells, where the LP needs the rows themselves."""
     horizon, probs = space.horizon, family.probs
     cell = space.atom_to_cell(horizon)
     atoms = np.flatnonzero(keep[cell])
@@ -331,7 +324,10 @@ def fair_price_generators(
     extremes, M terminal cells, G generators), so it is solved through its
     dual, ``G x (k * M)``: maximize ``b . y`` over ``y >= 0`` with
     ``C^T y <= 1``, where C maps weights to conditional expectations and b
-    is the claim per extreme and cell.  The weights are the dual's duals
+    is the claim per extreme and cell.  Column g of C is the terminal
+    conditional expectation of generator g under each extreme in turn,
+    from one :func:`~doobkit.space.cond_exp_cells` call over every
+    (generator, extreme) pair.  The weights are the dual's duals
     and the price is its optimal value.  Since the simplex sits inside the
     full density set, the price can only exceed the free-mode price; that
     ordering is verified.
@@ -347,10 +343,13 @@ def fair_price_generators(
             raise GeneratorNotInA0(str(exc)) from exc
     if not elems:
         raise ValueError("need at least one generator")
-    dom = _domination_rows(space, family, np.ones(space.n_cells(space.horizon), dtype=bool))
-    cols = np.column_stack([dom @ e.xi for e in elems])
-    b_ge = np.tile(claim_cells, len(family))
-    dual = solve(LinearProgram(-b_ge, a_ge=-cols.T, b_ge=-np.ones(len(elems))))
+    k, n_gens = len(family), len(elems)
+    # row g * k + j is generator g under extreme j, so columns run extreme-major
+    xis = np.repeat(np.vstack([e.xi for e in elems]), k, axis=0)
+    cond = cond_exp_cells(space, xis, np.tile(family.probs, (n_gens, 1)), space.horizon)
+    cols = cond.reshape(n_gens, -1).T
+    b_ge = np.tile(claim_cells, k)
+    dual = solve(LinearProgram(-b_ge, a_ge=-cols.T, b_ge=-np.ones(n_gens)))
     if dual.status == "unbounded":
         raise PricingInfeasible(
             "no nonnegative combination of the generators dominates the claim"
@@ -459,11 +458,12 @@ def martingale_representation(
 ) -> list[np.ndarray]:
     """Predictable positions whose gains replicate the martingale increments.
 
-    Per predecessor cell, solves ``H * (price increment) = (martingale
-    increment)`` over the child cells by least squares, taking the
-    least-norm solution.  Raises :class:`NotRepresentable` at the first
-    node whose residual exceeds ``tol``; on success the gains process
-    telescopes back to the martingale exactly up to those residuals.
+    Per predecessor cell, the least-norm least-squares solution of ``H *
+    ds = dm`` over the child cells is ``<ds, dm> / <ds, ds>``, or 0 where
+    the price does not move; a level's cells are settled at once.  Raises
+    :class:`NotRepresentable` at the first (time, cell), ascending, whose
+    children's largest residual exceeds ``tol``; on success the gains
+    process telescopes back to the martingale up to those residuals.
     """
     space = market.space
     if mproc.space != space:
@@ -471,17 +471,17 @@ def martingale_representation(
     positions: list[np.ndarray] = []
     for m in range(1, space.horizon + 1):
         parent = space.parent_cell(m)
+        n_prev = space.n_cells(m - 1)
         ds = market.S.at_cells(m) - market.S.at_cells(m - 1)[parent]
         dm = mproc.at_cells(m) - mproc.at_cells(m - 1)[parent]
-        h = np.zeros(space.n_cells(m - 1))
-        for b in range(space.n_cells(m - 1)):
-            children = space.children(m, b)
-            a = ds[children][:, None]
-            sol, *_ = np.linalg.lstsq(a, dm[children], rcond=None)
-            resid = float(np.abs(a @ sol - dm[children]).max())
-            if resid > tol:
-                raise NotRepresentable(m=m, cell=b, residual=resid)
-            h[b] = float(sol[0])
+        num = np.bincount(parent, weights=ds * dm, minlength=n_prev)
+        den = np.bincount(parent, weights=ds * ds, minlength=n_prev)
+        h = np.divide(num, den, out=np.zeros(n_prev), where=den > 0.0)
+        resid = np.abs(h[parent] * ds - dm)
+        bad = resid > tol
+        if bad.any():
+            b = int(parent[bad].min())
+            raise NotRepresentable(m=m, cell=b, residual=float(resid[parent == b].max()))
         positions.append(h)
     return positions
 
@@ -507,7 +507,7 @@ def superhedge_strategy(
     Requires every extreme to be a martingale measure for the asset.  The
     claim is priced over the normalized price slices; the optimal
     dominator's conditional-expectation process is then a stopped-slice
-    combination, the same under every martingale measure, and its per-node
+    combination, the same under every martingale measure, and its
     representation in asset increments gives the risky position.  Capital
     starts at the fair price and ends at or above the claim.
     """
@@ -527,11 +527,10 @@ def superhedge_strategy(
     # level 0 is the price itself so the initial capital is exact
     levels = [np.array([price])]
     for m in range(1, space.horizon + 1):
-        acc = np.zeros(space.n_cells(m))
+        acc = np.zeros(space.n_atoms)
         for i in range(space.horizon + 1):
-            stopped = space.restrict(m, market.S.at_atoms(min(i, m)))
-            acc += slice_weight[i] * stopped
-        levels.append(price * acc / market.s0)
+            acc += slice_weight[i] * market.S.at_atoms(min(i, m))
+        levels.append(price * space.restrict(m, acc) / market.s0)
     mart = AdaptedProcess(space=space, per_time=tuple(levels))
 
     if price <= tol:

@@ -8,7 +8,9 @@ filtration's nodes come from scans of the partition tuples, the
 closed-form alpha comes from one interval per predecessor cell, and the
 unit-conditional dominator comes from one simplex LP per predecessor cell,
 and cell masses, node laws, nullspace draws and pricing rows come from one
-``.sum()`` per cell and one SVD per node.
+``.sum()`` per cell and one SVD per node.  Hedge positions come from one
+least-squares solve per node, and the hedge's capital from one
+``restrict`` per time and price slice.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from doobkit.lp import LinearProgram, solve
+from doobkit.pricing import NotRepresentable
 from doobkit.regularity import StepFailure, Xi0Step, _check_unit_conditional, one_step_ratio_cells
 
 
@@ -82,6 +85,44 @@ def per_node_domination_rows(space, family, cells):
             idx = list(cell)
             rows[j * len(cells) + c, idx] = p.probs[idx] / p.probs[idx].sum()
     return rows
+
+
+def per_node_representation(mproc, market, tol=1e-9):
+    """``martingale_representation`` with one ``np.linalg.lstsq`` per
+    predecessor cell, ascending, raising at the first cell whose residual
+    exceeds ``tol``."""
+    space = market.space
+    positions = []
+    for m in range(1, space.horizon + 1):
+        parent = space.parent_cell(m)
+        ds = market.S.at_cells(m) - market.S.at_cells(m - 1)[parent]
+        dm = mproc.at_cells(m) - mproc.at_cells(m - 1)[parent]
+        h = np.zeros(space.n_cells(m - 1))
+        for b in range(space.n_cells(m - 1)):
+            children = space.children(m, b)
+            a = ds[children][:, None]
+            sol, *_ = np.linalg.lstsq(a, dm[children], rcond=None)
+            resid = float(np.abs(a @ sol - dm[children]).max())
+            if resid > tol:
+                raise NotRepresentable(m=m, cell=b, residual=resid)
+            h[b] = float(sol[0])
+        positions.append(h)
+    return positions
+
+
+def stopped_levels(market, price, slice_weight):
+    """The hedge's capital per time: ``price * sum_i w_i * S_{min(i, m)} /
+    S_0``, each stopped slice restricted to the time-``m`` cells on its own
+    and accumulated per cell; level 0 is the price itself."""
+    space = market.space
+    levels = [np.array([price])]
+    for m in range(1, space.horizon + 1):
+        acc = np.zeros(space.n_cells(m))
+        for i in range(space.horizon + 1):
+            stopped = space.restrict(m, market.S.at_atoms(min(i, m)))
+            acc += slice_weight[i] * stopped
+        levels.append(price * acc / market.s0)
+    return levels
 
 
 def per_node_random_martingale(rng, space, family, start=1.0, spread=0.5):

@@ -1,5 +1,7 @@
 """Fair pricing, martingale measures, representation, and hedging."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,12 @@ from doobkit import (
 from doobkit.generators import random_family, random_space, random_supermartingale
 from doobkit.pricing import _domination_rows
 
-from .oracles import dual_mixture_price, per_node_domination_rows
+from .oracles import (
+    dual_mixture_price,
+    per_node_domination_rows,
+    per_node_representation,
+    stopped_levels,
+)
 from .trees import tree_draw, tree_market
 
 
@@ -362,6 +369,101 @@ class TestDominationRows:
                 assert np.array_equal(got, per_node_domination_rows(space, family, cells))
 
 
+def _oracle_markets():
+    """(where, family, market, claim): random martingale markets, then the
+    tree recipe up to 729 atoms."""
+    rng = np.random.default_rng(31)
+    for i in range(40):
+        space = random_space(rng, max_atoms=12, max_periods=3)
+        family = random_family(rng, space)
+        _, mart, _ = random_supermartingale(rng, space, family, margin=1.0)
+        yield f"draw {i}", family, MarketModel(S=mart), _terminal_claim(rng, space)
+    for b, depth, k in [(3, 3, 2), (3, 4, 2), (3, 5, 2), (3, 6, 2), (9, 3, 3), (2, 6, 1), (5, 3, 3)]:
+        yield f"tree {b}^{depth} k={k}", *tree_market(b, depth, k, 0)
+
+
+def _unrepresentable(rng, mproc):
+    """``mproc`` with the children of two cells of one time moved off the
+    asset span, and the (time, cell) that should be reported first."""
+    space = mproc.space
+    m = int(rng.integers(1, space.horizon + 1))
+    picks = rng.choice(space.n_cells(m - 1), size=min(2, space.n_cells(m - 1)), replace=False)
+    hit = np.isin(space.parent_cell(m), picks)
+    levels = list(mproc.per_time)
+    levels[m] = levels[m] + hit * (1.0 + rng.random(space.n_cells(m)))
+    return AdaptedProcess(space=space, per_time=tuple(levels)), (m, int(picks.min()))
+
+
+class TestKernelAgainstPerNodeOracles:
+    """Generator pricing and hedging read the conditional-expectation kernel
+    and settle a whole level at once; the dense rows, the per-node least
+    squares and the per-slice restricts are the oracles."""
+
+    def test_generator_price_matches_dense_rows(self):
+        for where, family, market, claim in _oracle_markets():
+            space = family.space
+            gens = price_slice_generators(market)
+            dom = _full_form_rows(space, family)
+            bound = np.tile(space.restrict(space.horizon, claim), len(family))
+            cols = np.column_stack([dom @ g.xi for g in gens])
+            dual = solve(LinearProgram(-bound, a_ge=-cols.T, b_ge=-np.ones(len(gens))))
+            assert dual.status == "optimal", where
+            result = fair_price_generators(claim, gens, family)
+            assert result.fair_price == pytest.approx(-dual.value, rel=1e-12), where
+            assert np.all(result.gamma >= 0.0), where
+            assert result.gamma.sum() == pytest.approx(1.0, abs=1e-12), where
+            mix = result.fair_price * sum(w * g.xi for w, g in zip(result.gamma, gens))
+            assert np.all(dom @ mix >= bound - 1e-9), where
+
+    def test_hedge_matches_per_node_oracles(self):
+        rng = np.random.default_rng(32)
+        for where, family, market, claim in _oracle_markets():
+            # a mix of two slices is hedged by a dominator with two weights
+            horizon = market.space.horizon
+            mixed = 0.3 * market.S.at_atoms(1) + 0.7 * market.S.at_atoms(horizon)
+            for payoff in (mixed, claim):
+                strat = superhedge_strategy(payoff, market, family)
+                pricing = strat.pricing
+                weights = np.zeros(horizon + 1) if pricing.gamma is None else pricing.gamma
+                want = stopped_levels(market, pricing.fair_price, weights)
+                for got, level in zip(strat.capital.per_time, want):
+                    assert np.array_equal(got, level), where
+                oracle = per_node_representation(strat.capital, market)
+                for got, h in zip(strat.risky[1:], oracle):
+                    np.testing.assert_allclose(got, h, rtol=0, atol=1e-10, err_msg=where)
+
+            moved, first = _unrepresentable(rng, strat.capital)
+            with pytest.raises(NotRepresentable) as want_info:
+                per_node_representation(moved, market)
+            with pytest.raises(NotRepresentable) as got_info:
+                martingale_representation(moved, market)
+            assert (want_info.value.m, want_info.value.cell) == first, where
+            assert (got_info.value.m, got_info.value.cell) == first, where
+            assert got_info.value.residual == pytest.approx(want_info.value.residual, rel=1e-9)
+
+    def test_flat_node_takes_no_position(self):
+        # the price stays at 100 on the right node, so that node holds 0
+        space = build_space(3, [[[0, 1, 2]], [[0], [1, 2]], [[0], [1], [2]]])
+        s = AdaptedProcess(
+            space=space,
+            per_time=(np.array([100.0]), np.array([120.0, 90.0]), np.array([120.0, 90.0, 90.0])),
+        )
+        market = MarketModel(S=s)
+        still = AdaptedProcess(
+            space=space, per_time=(np.array([5.0]), np.array([7.0, 4.0]), np.array([7.0, 4.0, 4.0]))
+        )
+        h = martingale_representation(still, market)
+        assert h[1][1] == 0.0
+        for got, want in zip(h, per_node_representation(still, market)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        moving = AdaptedProcess(
+            space=space, per_time=(np.array([5.0]), np.array([7.0, 4.0]), np.array([7.0, 5.0, 3.0]))
+        )
+        with pytest.raises(NotRepresentable) as info:
+            martingale_representation(moving, market)
+        assert (info.value.m, info.value.cell, info.value.residual) == (2, 1, 1.0)
+
+
 class TestSmallFormAgainstFullForm:
     """The shifted free LP and the dual generator LP against the programs
     written out in full (every extreme, every terminal cell) and posed
@@ -443,6 +545,22 @@ class TestTreeRegressions:
         assert highs.status == 0
         got = fair_price_generators(claim, gens, family).fair_price
         assert got == pytest.approx(highs.fun, rel=1e-7)
+
+    @pytest.mark.parametrize("verb", ["price", "hedge"])
+    def test_generator_verbs_stay_small_at_2187_atoms(self, verb):
+        # the dense (k * M, n) rows took a 74.6 MiB peak here
+        family, market, claim = tree_market(3, 7, 2, 0)
+        gens = price_slice_generators(market)
+        tracemalloc.start()
+        try:
+            if verb == "price":
+                fair_price_generators(claim, gens, family)
+            else:
+                superhedge_strategy(claim, market, family)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_decompose_and_verify_at_729_atoms(self):
         family, f, _, _ = tree_draw(3, 6, 2, 0)
