@@ -28,7 +28,7 @@ Audited claims:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -411,27 +411,22 @@ def _drop_atom(instance: AuditInstance, atom: int) -> Optional[AuditInstance]:
     return AuditInstance(family=family, xi=xi, f=f)
 
 
+def _smaller(instance: AuditInstance) -> Iterator[Optional[AuditInstance]]:
+    """The instance less one extreme, last first, then less one atom, last
+    first; None where the drop is not possible."""
+    for idx in reversed(range(len(instance.family))):
+        yield _drop_extreme(instance, idx)
+    for atom in reversed(range(instance.space.n_atoms)):
+        yield _drop_atom(instance, atom)
+
+
 def _shrink(claim: str, instance: AuditInstance, tol: float) -> AuditInstance:
     """Greedy removal of extremes then atoms while the violation persists."""
     current = instance
     improved = True
     while improved:
         improved = False
-        for idx in reversed(range(len(current.family))):
-            candidate = _drop_extreme(current, idx)
-            if candidate is None:
-                continue
-            try:
-                if audit(claim, candidate, tol=tol).verdict == "counterexample":
-                    current = candidate
-                    improved = True
-                    break
-            except ClaimPreconditionUnmet:
-                continue
-        if improved:
-            continue
-        for atom in reversed(range(current.space.n_atoms)):
-            candidate = _drop_atom(current, atom)
+        for candidate in _smaller(current):
             if candidate is None:
                 continue
             try:

@@ -37,6 +37,7 @@ from . import claims as claims_mod
 from .claims import CLAIM_IDS, AuditInstance, ClaimPreconditionUnmet
 from .lp import NumericalBreakdown
 from .pricing import (
+    EMM_MIN_SLACK,
     FamilyNotEmm,
     MarketModel,
     NotRepresentable,
@@ -57,6 +58,7 @@ from .regularity import (
     verify_decomposition,
 )
 from .scenario import Scenario, SchemaError, load_scenario
+from .space import MIN_PROB
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -305,11 +307,10 @@ def _run_emm(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
     market = MarketModel(S=_process(scenario, args.process))
     result = find_emm(market)
     if result.measure is None:
-        return (
-            {"verb": "emm", "found": False, "min_slack": result.min_slack, "measure": None},
-            EXIT_INFEASIBLE,
-            None,
-        )
+        report = {"verb": "emm", "found": False, "min_slack": result.min_slack, "measure": None}
+        if result.min_slack > EMM_MIN_SLACK:  # every node has a law; their product is too small
+            report["reason"] = f"a martingale measure exists, but an atom is at or below {MIN_PROB}"
+        return report, EXIT_INFEASIBLE, None
     residual = verify_emm(result.measure, market, tol=_tolerance(args)).max_residual
     report = {
         "verb": "emm",

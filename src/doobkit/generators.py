@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .space import AdaptedProcess, FilteredSpace, Measure, MeasureFamily, build_space, node_laws
+from .space import AdaptedProcess, FilteredSpace, Measure, MeasureFamily, build_space
+from .space import compose_laws, node_laws
 
 __all__ = [
     "random_space",
@@ -44,13 +45,18 @@ def random_space(
                 # guarantee every part is hit
                 labels[rng.permutation(len(cell))[:n_parts]] = np.arange(n_parts)
                 for part in range(n_parts):
-                    sub = [cell[i] for i in range(len(cell)) if labels[i] == part]
-                    if sub:
-                        level.append(sub)
+                    level.append([cell[i] for i in range(len(cell)) if labels[i] == part])
             else:
                 level.append(list(cell))
         partitions.append(level)
     return build_space(n_atoms, partitions)
+
+
+def _floored_dirichlet(rng: np.random.Generator, size: int) -> np.ndarray:
+    """A Dirichlet(2) draw floored at 0.1 / size on every entry, renormalized."""
+    v = rng.dirichlet(np.full(size, 2.0))
+    v = 0.9 * v + 0.1 / size
+    return v / v.sum()
 
 
 def random_family(
@@ -58,13 +64,8 @@ def random_family(
 ) -> MeasureFamily:
     """1..max_extremes strictly positive measures, kept well away from zero."""
     k = int(rng.integers(1, max_extremes + 1))
-    n = space.n_atoms
-    extremes = []
-    for _ in range(k):
-        p = rng.dirichlet(np.full(n, 2.0))
-        p = 0.9 * p + 0.1 / n  # floor of 0.1/n on every atom
-        extremes.append(Measure(p / p.sum()))
-    return MeasureFamily(space=space, extremes=tuple(extremes))
+    extremes = tuple(Measure(_floored_dirichlet(rng, space.n_atoms)) for _ in range(k))
+    return MeasureFamily(space=space, extremes=extremes)
 
 
 def product_family(
@@ -84,44 +85,34 @@ def product_family(
     """
     from itertools import product as iter_product
 
-    nodes: list[tuple[int, int, np.ndarray, list[np.ndarray]]] = []
+    nodes: list[tuple[int, np.ndarray, list[np.ndarray]]] = []
     total = 1
     for m in range(1, space.horizon + 1):
         for b in range(space.n_cells(m - 1)):
             children = space.children(m, b)
             if children.shape[0] == 1:
-                nodes.append((m, b, children, [np.ones(1)]))
-                continue
+                continue  # its one child carries the parent's whole mass
             n_choices = 2 if total * 2 <= max_extremes and rng.random() < 0.8 else 1
-            laws = []
-            for _ in range(n_choices):
-                v = rng.dirichlet(np.full(children.shape[0], 2.0))
-                v = 0.9 * v + 0.1 / children.shape[0]
-                laws.append(v / v.sum())
+            laws = [_floored_dirichlet(rng, children.shape[0]) for _ in range(n_choices)]
             total *= n_choices
-            nodes.append((m, b, children, laws))
-    terminal_laws = []
-    for cell in space.cells(space.horizon):
-        v = rng.dirichlet(np.full(len(cell), 2.0))
-        v = 0.9 * v + 0.1 / len(cell)
-        terminal_laws.append(v / v.sum())
+            nodes.append((m, children, laws))
+    terminal = space.atom_to_cell(space.horizon)
+    terminal_laws = [_floored_dirichlet(rng, size) for size in np.bincount(terminal).tolist()]
+    # a stable sort lists the atoms cell by cell, each cell's in ascending order
+    within = np.empty(space.n_atoms)
+    within[np.argsort(terminal, kind="stable")] = np.concatenate(terminal_laws)
 
     extremes = []
     for picks in iter_product(*[range(len(laws)) for *_, laws in nodes]):
-        cell_prob = {0: np.ones(1)}
-        for (m, b, children, laws), pick in zip(nodes, picks):
-            probs = cell_prob.setdefault(m, np.zeros(space.n_cells(m)))
-            probs[children] = cell_prob[m - 1][b] * laws[pick]
-        atom_probs = np.zeros(space.n_atoms)
-        for c, cell in enumerate(space.cells(space.horizon)):
-            atom_probs[list(cell)] = cell_prob[space.horizon][c] * terminal_laws[c]
-        extremes.append(Measure(atom_probs / atom_probs.sum()))
-    # duplicate extremes can only arise from degenerate draws; keep the first
-    unique = []
-    for p in extremes:
-        if not any(np.array_equal(p.probs, q.probs) for q in unique):
-            unique.append(p)
-    return MeasureFamily(space=space, extremes=tuple(unique))
+        steps = [np.ones(space.n_cells(m)) for m in range(1, space.horizon + 1)]
+        for (m, children, laws), pick in zip(nodes, picks):
+            steps[m - 1][children] = laws[pick]
+        atom_probs = compose_laws(space, steps, within)
+        p = Measure(atom_probs / atom_probs.sum())
+        # duplicate extremes can only arise from degenerate draws; keep the first
+        if not any(np.array_equal(p.probs, q.probs) for q in extremes):
+            extremes.append(p)
+    return MeasureFamily(space=space, extremes=tuple(extremes))
 
 
 def random_martingale(

@@ -18,14 +18,13 @@ tradable martingale, and a self-financed strategy superhedging the claim
 falls out of one closed-form solve per level.
 
 Each program is posed in its small form, rows x columns, for n atoms, k
-extremes, M terminal cells (M' of them holding more than one atom), D
-non-terminal cells and G generators:
+extremes, M terminal cells (M' of them holding more than one atom) and G
+generators:
 
 - free price: ``(k + k * M') x (n + 1)``; the domination of a one-atom
   terminal cell is a lower bound on that atom, taken in by a shift;
 - generator price: the dual, ``G x (k * M)``, whose duals are the weights;
-- martingale measure: ``(1 + D) x (n + 1)``; the floor on every atom is
-  taken in by a shift.
+- martingale measure: none, a product of closed-form one-step laws.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from .lp import LinearProgram, NumericalBreakdown, solve
 from .regularity import A0Element, NotInA0, make_a0_element
 from .space import (
     DEFAULT_TOL,
+    MIN_PROB,
     STRICT_TOL,
     AdaptedProcess,
     FilteredSpace,
@@ -46,6 +46,7 @@ from .space import (
     MeasureFamily,
     ShapeMismatch,
     cell_sums,
+    compose_laws,
     cond_exp_cells,
 )
 
@@ -166,10 +167,14 @@ class PricingResult:
         }
 
 
+#: a node floor at or below this gives no martingale measure
+EMM_MIN_SLACK = 1e-10
+
+
 @dataclass(frozen=True, eq=False)
 class EmmResult:
     measure: Optional[Measure]
-    min_slack: float
+    min_slack: float  # smallest one-step conditional probability over the nodes
 
 
 @dataclass(frozen=True)
@@ -360,7 +365,6 @@ def fair_price_generators(
     price = -dual.value
     n_cells = space.n_cells(space.horizon)
     dominator = space.expand(space.horizon, (cols @ weights)[:n_cells])
-    lower = max(p.expect(np.asarray(claim, dtype=float)) for p in family)
     gamma = weights / weights.sum() if price > tol else None
     free = fair_price_a0(claim, family, tol=tol)
     if price < free.fair_price - 1e-9:  # the simplex is a subset
@@ -372,7 +376,7 @@ def fair_price_generators(
         dominator=dominator,
         mode="generators",
         gamma=gamma,
-        lower_bound=lower,
+        lower_bound=free.lower_bound,
     )
 
 
@@ -401,40 +405,43 @@ def closed_form_put(strike: float, terminal_low: float) -> float:
 
 
 def find_emm(market: MarketModel) -> EmmResult:
-    """Strictly positive martingale measure with maximal smallest atom.
+    """Strictly positive martingale measure with maximal smallest one-step
+    conditional probability at every node.
 
-    Maximizes the floor ``eps`` of the probability vector subject to unit
-    mass and the cellwise zero-drift equalities.  The floor enters by the
-    shift ``q = r + eps``, ``r >= 0``, so the program posed is
-    ``(1 + D) x (n + 1)`` for n atoms and D non-terminal cells (one drift
-    row per cell of times 0..N-1): ``256 x 257`` on the 256-atom binary
-    tree.  Returns no measure when the floor cannot be pushed above 1e-10.
+    It is a product of zero-drift one-step laws, one per node.  At a node
+    whose c children move the price by d, with sum ``tot`` and ``far`` the
+    move furthest against it, the largest floor is ``far / (c * far - tot)``
+    (``1 / c`` when ``tot = 0``, 0 when no move goes strictly against it);
+    every child gets it and the children at ``far`` split the rest evenly.
+    A terminal cell of several atoms splits its mass evenly.  ``min_slack``
+    is the smallest node floor; no measure when it is at most
+    ``EMM_MIN_SLACK``, or when the product leaves an atom at or below
+    ``MIN_PROB`` (a measure exists then, but a :class:`Measure` cannot hold
+    it).
     """
     space = market.space
-    n = space.n_atoms
-    # variables (r_1..r_n, eps), q = r + eps
-    rows = [np.concatenate([np.ones(n), [float(n)]])]
+    steps = []
+    floor = 1.0
     for m in range(1, space.horizon + 1):
-        ds = market.S.at_atoms(m) - market.S.at_atoms(m - 1)
-        for cell in space.cells(m - 1):
-            row = np.zeros(n + 1)
-            idx = list(cell)
-            row[idx] = ds[idx]
-            row[-1] = ds[idx].sum()
-            rows.append(row)
-    a_eq = np.vstack(rows)
-    b_eq = np.zeros(a_eq.shape[0])
-    b_eq[0] = 1.0
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    out = solve(LinearProgram(c, a_eq=a_eq, b_eq=b_eq))
-    if out.status != "optimal":
-        return EmmResult(measure=None, min_slack=0.0)
-    slack = float(out.x[-1])
-    if slack <= 1e-10:
-        return EmmResult(measure=None, min_slack=max(slack, 0.0))
-    q = out.x[:n] + slack
-    return EmmResult(measure=Measure(q / q.sum()), min_slack=slack)
+        parent = space.parent_cell(m)
+        d = market.S.at_cells(m) - market.S.at_cells(m - 1)[parent]
+        c = np.bincount(parent)  # every node has a child, so one entry per node
+        tot = np.bincount(parent, weights=d)
+        # moves signed against the drift: the least is the far move, below 0 iff a floor exists
+        against = d * np.sign(tot)[parent]
+        least = np.full(c.shape, np.inf)
+        np.minimum.at(least, parent, against)
+        den = c * least - np.abs(tot)
+        eps = np.divide(least, den, out=np.where(tot == 0.0, 1.0 / c, 0.0), where=least < 0.0)
+        left = np.divide(-np.abs(tot), den, out=np.zeros(c.shape), where=least < 0.0)  # 1 - c eps
+        floor = min(floor, float(eps.min()))
+        takes = against == least[parent]
+        share = left / np.bincount(parent, weights=takes)
+        steps.append(eps[parent] + np.where(takes, share[parent], 0.0))
+    terminal = space.atom_to_cell(space.horizon)
+    q = compose_laws(space, steps, 1.0 / np.bincount(terminal)[terminal])
+    found = floor > EMM_MIN_SLACK and q.min() > MIN_PROB
+    return EmmResult(measure=Measure(q) if found else None, min_slack=floor)
 
 
 def verify_emm(q: Measure, market: MarketModel, tol: float = DEFAULT_TOL) -> EmmReport:

@@ -21,10 +21,11 @@ on first use and cached read-only on the space.
 No other module sums probability mass over cells.  :func:`cell_sums` adds
 each cell in numpy's pairwise order, bit for bit the cell's own ``.sum()``
 (neither ``np.bincount``, ``np.add.reduceat`` nor a 3-D reduction does),
-and feeds :func:`node_laws`, linear-program data and instance draws, whose
-optimal vertices and seeded draws can move with the last bit.  Conditional
-expectations (:func:`cond_exp_cells`) are ``np.bincount`` sums over the
-atom→cell map, for every measure of a family in one call.
+and feeds :func:`node_laws` (inverted by :func:`compose_laws`),
+linear-program data and instance draws, whose optimal vertices and seeded
+draws can move with the last bit.  Conditional expectations
+(:func:`cond_exp_cells`) are ``np.bincount`` sums over the atom→cell map,
+for every measure of a family in one call.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "build_space",
     "cell_sums",
     "node_laws",
+    "compose_laws",
     "cond_exp_cells",
     "ess_sup_cond_exp_cells",
     "mixture",
@@ -403,6 +405,17 @@ def node_laws(space: FilteredSpace, probs: np.ndarray, m: int) -> Iterator[tuple
             sub = row[children]
             law[:, i] = sub / sub.sum(axis=1, keepdims=True)
         yield parents, children, law
+
+
+def compose_laws(space: FilteredSpace, steps: Sequence[np.ndarray], within: np.ndarray) -> np.ndarray:
+    """Atom probabilities from one-step laws, the inverse of :func:`node_laws`:
+    the product, from the root down, of each time-``m`` cell's conditional
+    probability given its parent (``steps[m - 1]``), times ``within``, each
+    atom's share of its terminal cell."""
+    probs = np.ones(space.n_atoms)
+    for m in range(1, space.horizon + 1):
+        probs *= steps[m - 1][space.atom_to_cell(m)]
+    return probs * within
 
 
 # ---------------------------------------------------------------------------

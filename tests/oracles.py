@@ -5,17 +5,19 @@ recomputed from raw sums, LP optima come from exhaustive active-set
 enumeration, the free-mode price comes from the one-parameter family of
 signed two-measure mixtures evaluated at its endpoints and on a grid, the
 filtration's nodes come from scans of the partition tuples, the
-closed-form alpha comes from one interval per predecessor cell, and the
+closed-form alpha comes from one interval per predecessor cell, the
 unit-conditional dominator comes from one simplex LP per predecessor cell,
-and cell masses, node laws, nullspace draws and pricing rows come from one
+the martingale measure from one dense floor LP over every atom, and cell
+masses, node laws, nullspace draws and pricing rows come from one
 ``.sum()`` per cell and one SVD per node.  Hedge positions come from one
 least-squares solve per node, and the hedge's capital from one
-``restrict`` per time and price slice.
+``restrict`` per time and price slice.  Pasting-stable families come from
+one dict of cell probabilities per combination of node laws.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -110,6 +112,41 @@ def per_node_representation(mproc, market, tol=1e-9):
     return positions
 
 
+def global_floor_emm(market):
+    """Martingale measure with maximal smallest atom, from one dense LP.
+
+    Maximizes the floor ``eps`` of the probability vector subject to unit
+    mass and one zero-drift row per non-terminal cell, with the floor taken
+    in by the shift ``q = r + eps``: ``(1 + D) x (n + 1)`` for n atoms and D
+    non-terminal cells.  Returns ``(measure probabilities or None, floor)``,
+    no measure when the floor cannot be pushed above 1e-10.
+    """
+    space = market.space
+    n = space.n_atoms
+    rows = [np.concatenate([np.ones(n), [float(n)]])]
+    for m in range(1, space.horizon + 1):
+        ds = market.S.at_atoms(m) - market.S.at_atoms(m - 1)
+        for cell in space.cells(m - 1):
+            row = np.zeros(n + 1)
+            idx = list(cell)
+            row[idx] = ds[idx]
+            row[-1] = ds[idx].sum()
+            rows.append(row)
+    a_eq = np.vstack(rows)
+    b_eq = np.zeros(a_eq.shape[0])
+    b_eq[0] = 1.0
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    out = solve(LinearProgram(c, a_eq=a_eq, b_eq=b_eq))
+    if out.status != "optimal":
+        return None, 0.0
+    slack = float(out.x[-1])
+    if slack <= 1e-10:
+        return None, max(slack, 0.0)
+    q = out.x[:n] + slack
+    return q / q.sum(), slack
+
+
 def stopped_levels(market, price, slice_weight):
     """The hedge's capital per time: ``price * sum_i w_i * S_{min(i, m)} /
     S_0``, each stopped slice restricted to the time-``m`` cells on its own
@@ -123,6 +160,46 @@ def stopped_levels(market, price, slice_weight):
             acc += slice_weight[i] * stopped
         levels.append(price * acc / market.s0)
     return levels
+
+
+def per_combination_product_family(rng, space, max_extremes=8):
+    """``product_family`` with one dict of cell probabilities per combination
+    of node laws, filled parent by parent, and one pass over the terminal
+    cells' tuples; returns the ``(extremes, n)`` probabilities."""
+    nodes = []
+    total = 1
+    for m in range(1, space.horizon + 1):
+        for b in range(space.n_cells(m - 1)):
+            children = np.array(brute_children(space, m, b))
+            if children.shape[0] == 1:
+                nodes.append((m, b, children, [np.ones(1)]))
+                continue
+            n_choices = 2 if total * 2 <= max_extremes and rng.random() < 0.8 else 1
+            laws = []
+            for _ in range(n_choices):
+                v = rng.dirichlet(np.full(children.shape[0], 2.0))
+                v = 0.9 * v + 0.1 / children.shape[0]
+                laws.append(v / v.sum())
+            total *= n_choices
+            nodes.append((m, b, children, laws))
+    terminal_laws = []
+    for cell in space.cells(space.horizon):
+        v = rng.dirichlet(np.full(len(cell), 2.0))
+        v = 0.9 * v + 0.1 / len(cell)
+        terminal_laws.append(v / v.sum())
+    extremes = []
+    for picks in product(*[range(len(laws)) for *_, laws in nodes]):
+        cell_prob = {0: np.ones(1)}
+        for (m, b, children, laws), pick in zip(nodes, picks):
+            probs = cell_prob.setdefault(m, np.zeros(space.n_cells(m)))
+            probs[children] = cell_prob[m - 1][b] * laws[pick]
+        atom_probs = np.zeros(space.n_atoms)
+        for c, cell in enumerate(space.cells(space.horizon)):
+            atom_probs[list(cell)] = cell_prob[space.horizon][c] * terminal_laws[c]
+        atom_probs = atom_probs / atom_probs.sum()
+        if not any(np.array_equal(atom_probs, q) for q in extremes):
+            extremes.append(atom_probs)
+    return np.vstack(extremes)
 
 
 def per_node_random_martingale(rng, space, family, start=1.0, spread=0.5):

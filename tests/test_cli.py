@@ -183,6 +183,30 @@ class TestEmm:
         code, report, _ = jrun(capsys, "emm", str(fixture_paths["arbitrage"]), "--process", "S")
         assert code == 2
         assert report["found"] is False
+        assert "reason" not in report  # no zero-drift law at the root
+
+    def test_atoms_below_the_measure_floor_exit_two_with_a_reason(self, capsys, tmp_path):
+        # each node's floor is about 1e-8, so a measure exists, but an atom's
+        # product is about 1e-16, below what a Measure holds
+        up = 1e8
+        doc = {
+            "atoms": 4,
+            "horizon": 2,
+            "filtration": [[[1, 2, 3, 4]], [[1, 2], [3, 4]], [[1], [2], [3], [4]]],
+            "measures": {"P": [0.25, 0.25, 0.25, 0.25]},
+            "processes": {
+                "S": [[100.0], [100.0 + up, 99.0], [100.0 + 2 * up, 99.0 + up, 99.0 + up, 98.0]]
+            },
+        }
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, _ = jrun(capsys, "emm", str(path), "--process", "S")
+        assert code == 2
+        assert report["found"] is False
+        assert 1e-10 < report["min_slack"] < 1e-7
+        assert report["reason"] == (
+            "a martingale measure exists, but an atom is at or below 1e-15"
+        )
 
 
 class TestA0:

@@ -4,9 +4,9 @@ import copy
 
 import numpy as np
 
-from doobkit.generators import random_family, random_martingale, random_space
+from doobkit.generators import product_family, random_family, random_martingale, random_space
 
-from .oracles import per_node_random_martingale
+from .oracles import per_combination_product_family, per_node_random_martingale
 from .trees import tree_draw
 
 
@@ -33,3 +33,17 @@ class TestRandomMartingale:
                 assert np.array_equal(level, expected)
             # both drew the same number of normals
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class TestProductFamily:
+    def test_equals_per_combination_oracle_bit_for_bit(self):
+        for seed in range(100):
+            for cap in (1, 2, 4, 8):
+                rng = np.random.default_rng([seed, cap])
+                space = random_space(rng, max_atoms=12 if seed % 2 else 30, max_periods=4)
+                oracle_rng = copy.deepcopy(rng)
+                got = product_family(rng, space, max_extremes=cap)
+                want = per_combination_product_family(oracle_rng, space, max_extremes=cap)
+                assert np.array_equal(got.probs, want)
+                # both drew the same variates
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state

@@ -23,6 +23,7 @@ from doobkit import (
     fair_price_generators,
     find_a0_element,
     find_emm,
+    load_scenario,
     martingale_representation,
     optional_decompose,
     price_slice_generators,
@@ -36,6 +37,7 @@ from doobkit.pricing import _domination_rows
 
 from .oracles import (
     dual_mixture_price,
+    global_floor_emm,
     per_node_domination_rows,
     per_node_representation,
     stopped_levels,
@@ -219,19 +221,76 @@ class TestClosedFormAgreement:
             assert got == pytest.approx(closed_form_put(strike, 60), abs=1e-9)
 
 
+def _one_period(moves, s0=100.0, terminal=None):
+    """One node whose children move the price by ``moves``; each child is a
+    terminal cell of one atom unless ``terminal`` lists cells of atoms."""
+    n = len(moves) if terminal is None else sum(len(c) for c in terminal)
+    cells = [[a] for a in range(n)] if terminal is None else terminal
+    space = build_space(n, [[list(range(n))], cells])
+    s1 = s0 + np.asarray(moves, dtype=float)
+    return MarketModel(S=AdaptedProcess(space=space, per_time=(np.array([s0]), s1)))
+
+
 class TestEmm:
     def test_constant_price_symmetric_optimum(self):
-        space = build_space(3, [[[0, 1, 2]], [[0], [1], [2]]])
-        s = AdaptedProcess(space=space, per_time=(np.array([5.0]), np.full(3, 5.0)))
-        result = find_emm(MarketModel(S=s))
-        assert result.measure is not None
-        assert result.min_slack == pytest.approx(1.0 / 3.0, abs=1e-9)
+        # a flat node: every child gets 1 / c
+        for c in (1, 2, 3, 5, 7):
+            result = find_emm(_one_period(np.zeros(c)))
+            assert np.array_equal(result.measure.probs, np.full(c, 1.0 / c))
+            assert result.min_slack == 1.0 / c
 
     def test_fixture_a(self, market_a):
+        # moves (20, 0, -30): floor 20 / (3 * 20 + 10), the rest on the up move
         result = find_emm(market_a)
-        assert result.measure is not None
-        assert result.min_slack >= 0.2 - 1e-9
+        assert np.array_equal(result.measure.probs, [3 / 7, 2 / 7, 2 / 7])
+        assert result.min_slack == 2 / 7
         assert verify_emm(result.measure, market_a).max_residual <= 1e-12
+
+    def test_one_child_that_moves_has_no_emm(self):
+        space = build_space(2, [[[0, 1]], [[0, 1]], [[0], [1]]])
+        s = AdaptedProcess(
+            space=space, per_time=(np.array([100.0]), np.array([105.0]), np.array([95.0, 115.0]))
+        )
+        result = find_emm(MarketModel(S=s))
+        assert result.measure is None
+        assert result.min_slack == 0.0
+
+    def test_no_down_move_has_no_emm(self):
+        result = find_emm(_one_period([0.0, 10.0, 20.0]))
+        assert result.measure is None
+        assert result.min_slack == 0.0
+
+    def test_tied_extremes_share_the_leftover(self):
+        # tot = 10 > 0, so the two children at lo = -10 share 1 - 4 * eps
+        market = _one_period([-10.0, 20.0, -10.0, 10.0])
+        result = find_emm(market)
+        eps = -10.0 / (4 * -10.0 - 10.0)
+        q = result.measure.probs
+        assert result.min_slack == eps
+        assert q[0] == q[2] == pytest.approx(eps + (1.0 - 4 * eps) / 2, abs=1e-15)
+        assert q[1] == q[3] == eps
+        assert verify_emm(result.measure, market).passed
+
+    def test_multi_atom_terminal_cells_split_evenly(self):
+        market = _one_period([10.0, -10.0], terminal=[[0, 1, 2], [3, 4]])
+        q = find_emm(market).measure.probs
+        assert np.array_equal(q, [1 / 6, 1 / 6, 1 / 6, 1 / 4, 1 / 4])
+
+    def test_atoms_below_the_measure_floor_give_no_emm(self):
+        # each node's floor is about 1e-8, so an atom's product is about 1e-16
+        space = build_space(4, [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1], [2], [3]]])
+        up = 1e8
+        s = AdaptedProcess(
+            space=space,
+            per_time=(
+                np.array([100.0]),
+                np.array([100.0 + up, 99.0]),
+                np.array([100.0 + 2 * up, 99.0 + up, 99.0 + up, 98.0]),
+            ),
+        )
+        result = find_emm(MarketModel(S=s))
+        assert result.measure is None
+        assert 1e-10 < result.min_slack < 1e-7
 
     def test_rising_price_has_no_emm(self):
         space = build_space(2, [[[0, 1]], [[0], [1]]])
@@ -507,6 +566,64 @@ class TestSmallFormAgainstFullForm:
         assert coarse >= 20  # terminal cells of several atoms were exercised
 
 
+class TestEmmAgainstGlobalFloor:
+    """The node-wise measure against the dense floor LP over every atom."""
+
+    @pytest.mark.parametrize("depth", [6, 7, 8])
+    def test_binary_markets_agree(self, depth):
+        # one extreme on a binary tree: each node's martingale law is unique
+        _, market, _ = tree_market(2, depth, 1, 1)
+        got = find_emm(market)
+        want, _ = global_floor_emm(market)
+        assert got.measure is not None and want is not None
+        np.testing.assert_allclose(got.measure.probs, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("depth", [3, 4])
+    def test_both_find_a_measure_on_ternary_trees(self, depth):
+        _, market, _ = tree_market(3, depth, 2, 0)
+        got = find_emm(market)
+        want, want_floor = global_floor_emm(market)
+        assert got.measure is not None and want is not None
+        # any measure's smallest atom lies under some node's smallest child
+        assert want_floor <= got.min_slack
+        assert verify_emm(got.measure, market).passed
+        assert verify_emm(Measure(want), market).passed
+
+    def test_floor_lp_trades_mass_between_children_sharing_a_floor(self):
+        # the root's children A and B both move up by 1 and share the floor
+        # 1/4; A's own up child has floor 0.01 / 1.01.  The node laws give A
+        # and B 1/4 each, the floor LP shifts mass from B to A, so its
+        # smallest atom is larger, yet never above the smallest node floor.
+        space = build_space(4, [[[0, 1, 2, 3]], [[0, 1], [2], [3]], [[0], [1], [2], [3]]])
+        s = AdaptedProcess(
+            space=space,
+            per_time=(
+                np.array([100.0]),
+                np.array([101.0, 101.0, 99.0]),
+                np.array([102.0, 100.99, 101.0, 99.0]),
+            ),
+        )
+        market = MarketModel(S=s)
+        got = find_emm(market)
+        want, want_floor = global_floor_emm(market)
+        assert got.min_slack == pytest.approx(0.01 / 1.01, rel=1e-12)
+        assert got.measure.probs.min() == pytest.approx(0.25 * 0.01 / 1.01, rel=1e-12)
+        assert got.measure.probs.min() < want_floor <= got.min_slack
+        assert verify_emm(got.measure, market).passed
+        assert verify_emm(Measure(want), market).passed
+
+    def test_both_find_none_without_a_measure(self, fixture_paths):
+        space = build_space(2, [[[0, 1]], [[0], [1]]])
+        rising = AdaptedProcess(
+            space=space, per_time=(np.array([100.0]), np.array([110.0, 120.0]))
+        )
+        arbitrage = load_scenario(fixture_paths["arbitrage"]).processes["S"]
+        for s in (rising, arbitrage):
+            market = MarketModel(S=s)
+            assert find_emm(market).measure is None
+            assert global_floor_emm(market)[0] is None
+
+
 class TestTreeRegressions:
     """Trees past desk scale, where the full-form programs went wrong."""
 
@@ -569,11 +686,14 @@ class TestTreeRegressions:
         assert report.ok, [c for c in report.checks if not c.passed]
 
     @pytest.mark.parametrize(
-        "depth,seed", [(3, s) for s in range(11)] + [(4, 0)],
-        ids=[f"27-atoms-seed{s}" for s in range(11)] + ["81-atoms-seed0"],
+        "b,depth,k,seed",
+        [(3, 3, 2, s) for s in range(11)]
+        + [(3, 4, 2, 0), (3, 6, 2, 0), (3, 8, 2, 0), (9, 4, 3, 0)],
+        ids=[f"27-atoms-seed{s}" for s in range(11)]
+        + ["81-atoms-seed0", "729-atoms-seed0", "6561-atoms-seed0", "6561-atoms-k3-seed0"],
     )
-    def test_find_emm_on_two_extreme_trees(self, depth, seed):
-        _, market, _ = tree_market(3, depth, 2, seed)
+    def test_find_emm_on_two_extreme_trees(self, b, depth, k, seed):
+        _, market, _ = tree_market(b, depth, k, seed)
         result = find_emm(market)
         assert result.measure is not None
         assert result.measure.probs.min() > 0.0

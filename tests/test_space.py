@@ -20,7 +20,13 @@ from doobkit import (
     mixture,
 )
 from doobkit.generators import random_family, random_space
-from doobkit.space import cell_sums, cond_exp_cells, ess_sup_cond_exp_cells, node_laws
+from doobkit.space import (
+    cell_sums,
+    compose_laws,
+    cond_exp_cells,
+    ess_sup_cond_exp_cells,
+    node_laws,
+)
 
 from .oracles import (
     brute_atom_to_cell,
@@ -239,6 +245,21 @@ class TestCellKernel:
                     counts.add(children.shape[1])
                 assert sorted(seen) == list(range(space.n_cells(m - 1)))
         assert len(counts) > 10 and max(counts) >= 9
+
+    def test_compose_laws_inverts_node_laws(self):
+        for family in self._families():
+            space = family.space
+            terminal = space.atom_to_cell(space.horizon)
+            for p in family.probs:
+                steps = []
+                for m in range(1, space.horizon + 1):
+                    step = np.empty(space.n_cells(m))
+                    for _, children, law in node_laws(space, p[None, :], m):
+                        step[children] = law[:, 0]
+                    steps.append(step)
+                within = p / cell_sums(space, p[None, :], space.horizon)[0][terminal]
+                got = compose_laws(space, steps, within)
+                np.testing.assert_allclose(got, p, rtol=1e-14, atol=0)
 
     def test_groupings_read_only(self, family_b):
         for parents, children, _ in node_laws(family_b.space, family_b.probs, 2):
