@@ -21,7 +21,6 @@ from .space import (
 from .lp import LinearProgram, LpOutcome, NumericalBreakdown, solve
 from .regularity import (
     A0Element,
-    AlphaInterval,
     Classification,
     CompletenessReport,
     DecompositionReport,
@@ -33,7 +32,6 @@ from .regularity import (
     StepFailure,
     Xi0Step,
     a0_membership,
-    alpha_interval,
     classify,
     completeness_check,
     find_a0_element,

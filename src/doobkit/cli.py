@@ -4,12 +4,16 @@ One verb per invocation::
 
     doobkit validate  scenario.json
     doobkit classify  scenario.json --process f
-    doobkit decompose scenario.json --process f [--strategy lp|alpha-with-xi0|auto]
+    doobkit decompose scenario.json --process f [--strategy lp|auto]
     doobkit price     scenario.json --claim call90 [--mode a0|generators --generators S]
     doobkit hedge     scenario.json --claim call90 [--generators S] [--csv]
     doobkit emm       scenario.json --process S
     doobkit a0        scenario.json [--claim name]
     doobkit audit     scenario.json --claim-id lemma-tmars5 [--budget N --seed K]
+
+``decompose --strategy auto`` (the default) tries the closed-form
+certificate seeded with the constant density, ``xi0 = 1``, at each step
+and falls back to the LP certificate; ``lp`` uses the LP throughout.
 
 Exit codes: 0 success / expectation met, 1 domain failure (not a
 supermartingale, no certificate, hedge not extractable, audit expectation
@@ -102,7 +106,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("decompose", help="martingale-minus-compensator split")
     common(p)
     p.add_argument("--process", default="f")
-    p.add_argument("--strategy", choices=("lp", "alpha-with-xi0", "auto"), default="auto")
+    p.add_argument("--strategy", choices=("lp", "auto"), default="auto")
 
     p = sub.add_parser("price", help="fair price of a terminal claim")
     common(p)

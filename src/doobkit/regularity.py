@@ -14,13 +14,16 @@ predecessor cell, the least-sum values that dominate the one-step ratio
 with conditional expectation one; it finds them by basis enumeration per
 level, with the cellwise LP for the nodes it cannot settle, and always
 finds a certificate when one exists.  Equal least sums go to the first
-basis in lexicographic order.  The alpha path follows the closed-form
-recipe: normalize the one-step ratio, then dominate it by
-``1 + alpha * (increment of a density martingale)``.  The alpha path
-silently presumes that the density martingale has zero conditional drift
-under *every* extreme, which fails for general families (see
-:mod:`doobkit.claims`), so the construction re-verifies the
-unit-conditional property before emitting a certificate.
+basis in lexicographic order.  The alpha path is the closed-form recipe,
+``xi0 = 1 + alpha * (increment of a density martingale)``, seeded with
+the constant density: its increments are zero, so it offers ``xi0 = 1``
+and certifies only the steps whose one-step ratio is at most one and
+constant on each predecessor cell's children.  A general seed's density
+martingale need not be driftless under every extreme (see
+:mod:`doobkit.claims`), and seeded with density vertices on 729- and
+6561-atom trees the path certified no step that the LP path's own
+ratio-at-most-one shortcut misses; so the library certifies by LP and
+keeps the constant seed as a cheap first try.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ __all__ = [
     "Xi0Step",
     "StepFailure",
     "OptionalDecomposition",
-    "AlphaInterval",
     "CheckResult",
     "DecompositionReport",
     "CompletenessReport",
@@ -66,7 +68,6 @@ __all__ = [
     "make_a0_element",
     "find_a0_element",
     "martingale_increments",
-    "alpha_interval",
     "xi0_step_alpha",
     "xi0_step_lp",
     "one_step_ratio_cells",
@@ -170,22 +171,6 @@ class OptionalDecomposition:
 
 
 @dataclass(frozen=True)
-class AlphaInterval:
-    """Feasible scalars alpha with ``values <= 1 + alpha * increments``."""
-
-    lower: float
-    upper: float
-    preferred: Optional[float]
-
-    @property
-    def empty(self) -> bool:
-        return self.preferred is None
-
-    def contains(self, alpha: float, tol: float = STRICT_TOL) -> bool:
-        return (not self.empty) and self.lower - tol <= alpha <= self.upper + tol
-
-
-@dataclass(frozen=True)
 class CheckResult:
     name: str
     max_violation: float
@@ -199,15 +184,6 @@ class DecompositionReport:
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "status": "ok" if self.ok else "fail",
-            "checks": [
-                {"name": c.name, "max_violation": c.max_violation, "pass": c.passed}
-                for c in self.checks
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -332,39 +308,6 @@ def martingale_increments(
     )
 
 
-def alpha_interval(f_normalized: np.ndarray, increments: np.ndarray) -> AlphaInterval:
-    """All alpha with ``f_normalized <= 1 + alpha * increments`` cellwise.
-
-    Cells with positive increment force a lower bound, cells with negative
-    increment a cap, and zero-increment cells must already sit at or below
-    one.  The preferred point is the cap (the closed-form choice) whenever
-    the values on down-moving cells do not exceed one.
-    """
-    vals = np.asarray(f_normalized, dtype=float)
-    d = np.asarray(increments, dtype=float)
-    if vals.shape != d.shape:
-        raise ShapeMismatch("values and increments must align cell by cell")
-    lower, upper = -np.inf, np.inf
-    feasible = True
-    for v, di in zip(vals, d):
-        if di > 0.0:
-            lower = max(lower, (v - 1.0) / di)
-        elif di < 0.0:
-            upper = min(upper, (1.0 - v) / (-di))
-        elif v > 1.0 + STRICT_TOL:
-            feasible = False
-    if not feasible or lower > upper + STRICT_TOL:
-        return AlphaInterval(lower=lower, upper=upper, preferred=None)
-    if np.isfinite(upper):
-        preferred = upper
-    elif lower <= 0.0:
-        preferred = 0.0
-    else:
-        preferred = lower
-    preferred = float(min(max(preferred, lower), upper))
-    return AlphaInterval(lower=lower, upper=upper, preferred=preferred)
-
-
 def one_step_ratio_cells(f: AdaptedProcess, m: int) -> np.ndarray:
     """f_m / f_{m-1} per time-``m`` cell.
 
@@ -396,34 +339,29 @@ def _check_unit_conditional(
 
 def xi0_step_alpha(
     f: AdaptedProcess,
-    xi0: A0Element,
     family: MeasureFamily,
     m: int,
-    base_index: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> Union[Xi0Step, StepFailure]:
-    """Closed-form certificate ``1 + alpha * increment`` at step ``m``.
+    """Closed-form certificate at step ``m``, seeded with the constant density.
 
-    The ratio is normalized per predecessor cell by the largest conditional
-    expectation over the extremes (the cellwise refinement of the global
-    normalization), the feasible alpha set is intersected over predecessor
-    cells, and the resulting candidate is accepted only if its conditional
-    expectation is one under every extreme: the increment process is only
-    guaranteed driftless under the base measure.
+    The recipe dominates the normalized one-step ratio by ``1 + alpha *
+    (increment of a density martingale)``.  The library seeds it with the
+    constant 1, whose increments are zero, so ``alpha = 0`` and ``xi0 = 1``.
+    That candidate is offered exactly when the ratio, normalized per
+    predecessor cell by the largest conditional expectation over the
+    extremes, is at most one everywhere, and is then re-checked for unit
+    conditional expectation and for dominance of the raw ratio.
     """
     space = family.space
     ratio = one_step_ratio_cells(f, m)
     sup_cells = ess_sup_cond_exp_cells(space, space.expand(m, ratio), family, m - 1)
-    delta = martingale_increments(xi0, family, base_index=base_index, n=m)
     sup = sup_cells[space.parent_cell(m)]
     norm = np.divide(ratio, sup, out=np.zeros_like(ratio), where=sup > 0.0)
-    # the per-predecessor intervals intersect to the interval over all cells
-    iv = alpha_interval(norm, delta.increments)
-    if iv.empty:
+    if np.any(norm > 1.0 + STRICT_TOL):
         return StepFailure(m=m, reason="empty alpha interval")
-    alpha = iv.preferred
 
-    xi0_atoms = 1.0 + alpha * space.expand(m, delta.increments)
+    xi0_atoms = np.ones(space.n_atoms)
     ok, bad_i, dev = _check_unit_conditional(space, family, xi0_atoms, m, tol)
     if not ok:
         return StepFailure(
@@ -433,7 +371,7 @@ def xi0_step_alpha(
         )
     if np.any(xi0_atoms < space.expand(m, ratio) - tol):
         return StepFailure(m=m, reason="candidate does not dominate the one-step ratio")
-    return Xi0Step(m=m, xi0=xi0_atoms, method="alpha-path", alpha=alpha)
+    return Xi0Step(m=m, xi0=xi0_atoms, method="alpha-path", alpha=0.0)
 
 
 @lru_cache(maxsize=None)
@@ -580,15 +518,14 @@ def optional_decompose(
     """Split a nonnegative family-supermartingale into martingale minus
     non-decreasing compensator.
 
-    Strategies: ``"lp"`` uses :func:`xi0_step_lp` at every step;
-    ``"alpha-with-xi0"`` uses the closed-form path seeded with
-    :func:`find_a0_element`'s default, the constant 1; ``"auto"`` tries the
-    closed form and falls back to :func:`xi0_step_lp` per step.  The constant seed has zero increments, so the closed form
-    certifies (``alpha = 0``, ``xi0 = 1``) exactly the steps whose one-step
-    ratio is at most one and constant on each predecessor cell's children.
+    Strategies: ``"lp"`` uses :func:`xi0_step_lp` at every step; ``"auto"``
+    tries :func:`xi0_step_alpha` and falls back to :func:`xi0_step_lp` per
+    step.  The closed form certifies (``alpha = 0``, ``xi0 = 1``) exactly
+    the steps whose one-step ratio is at most one and constant on each
+    predecessor cell's children.
     Raises :class:`NotSupermartingale` or :class:`NotLocallyRegular`.
     """
-    if strategy not in ("lp", "alpha-with-xi0", "auto"):
+    if strategy not in ("lp", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
     space = family.space
     lowest = min(float(f.at_cells(m).min()) for m in range(space.horizon + 1))
@@ -599,21 +536,11 @@ def optional_decompose(
             "nonnegative supermartingale"
         )
 
-    seed_xi0: Optional[A0Element] = None
-    if strategy in ("alpha-with-xi0", "auto"):
-        seed_xi0 = find_a0_element(family)
-
     steps: list[Xi0Step] = []
     for m in range(1, space.horizon + 1):
-        step: Union[Xi0Step, StepFailure]
-        if strategy == "lp":
+        step = xi0_step_alpha(f, family, m, tol=tol) if strategy == "auto" else None
+        if not isinstance(step, Xi0Step):
             step = xi0_step_lp(f, family, m, tol=tol)
-        elif strategy == "alpha-with-xi0":
-            step = xi0_step_alpha(f, seed_xi0, family, m, tol=tol)
-        else:
-            step = xi0_step_alpha(f, seed_xi0, family, m, tol=tol)
-            if isinstance(step, StepFailure):
-                step = xi0_step_lp(f, family, m, tol=tol)
         if isinstance(step, StepFailure):
             raise NotLocallyRegular(step)
         steps.append(step)

@@ -157,6 +157,13 @@ class TestDecompose:
         assert code == 1
         assert report["status"] == "fail"
 
+    def test_removed_strategy_is_a_usage_error(self, capsys, fixture_paths):
+        code, out, err = run(
+            capsys, "decompose", str(fixture_paths["gen"]), "--strategy", "alpha-with-xi0"
+        )
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "alpha-with-xi0" in err
+
 
 class TestClassify:
     def test_supermartingale(self, capsys, fixture_paths):

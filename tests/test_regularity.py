@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from doobkit import (
     AdaptedProcess,
@@ -16,7 +14,6 @@ from doobkit import (
     StepFailure,
     Xi0Step,
     a0_membership,
-    alpha_interval,
     build_space,
     classify,
     completeness_check,
@@ -217,85 +214,30 @@ class TestMartingaleIncrements:
             assert set(delta.neg_cells) | set(delta.pos_cells) == set(range(space.n_cells(n)))
 
 
-class TestAlphaInterval:
-    def test_two_bounds_coincide(self):
-        iv = alpha_interval(np.array([0.8, 1.2]), np.array([-0.5, 0.5]))
-        assert (iv.lower, iv.upper) == (pytest.approx(0.4), pytest.approx(0.4))
-        assert iv.preferred == pytest.approx(0.4)
-
-    def test_already_dominated(self):
-        iv = alpha_interval(np.array([1.0, 1.0]), np.array([-0.5, 0.5]))
-        assert iv.preferred == 0.0
-        assert (iv.lower, iv.upper) == (0.0, 0.0)
-
-    def test_empty(self):
-        iv = alpha_interval(np.array([1.2, 1.2]), np.array([0.5, -0.5]))
-        assert iv.empty
-
-    def test_zero_increment_cell_gates_feasibility(self):
-        assert alpha_interval(np.array([1.1]), np.array([0.0])).empty
-        assert not alpha_interval(np.array([0.9]), np.array([0.0])).empty
-
-    @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 100_000))
-    def test_membership_scan(self, seed):
-        # alpha inside the interval dominates at every cell; alpha outside
-        # fails somewhere; nothing strictly dominates when the interval is empty
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(1, 6))
-        vals = rng.uniform(0.0, 1.5, size=k)
-        d = np.round(rng.uniform(-1, 1, size=k), 3)
-        iv = alpha_interval(vals, d)
-        for alpha in np.linspace(-3.0, 3.0, 41):
-            strictly = bool(np.all(vals <= 1.0 + alpha * d - 1e-9))
-            if iv.empty:
-                assert not strictly
-            elif iv.contains(alpha, tol=0.0):
-                assert np.all(vals <= 1.0 + alpha * d + 1e-9)
-            elif alpha < iv.lower - 1e-6 or alpha > iv.upper + 1e-6:
-                assert not strictly
-
-
 class TestXi0StepAlpha:
     def test_constant_martingale_any_alpha(self, space_b, family_b):
         f = _proc(space_b, [3.0], [3.0, 3.0], [3.0, 3.0, 3.0, 3.0])
-        el = make_a0_element(family_b, np.ones(4))
-        step = xi0_step_alpha(f, el, family_b, 1)
+        step = xi0_step_alpha(f, family_b, 1)
         assert isinstance(step, Xi0Step)
         np.testing.assert_allclose(step.xi0, 1.0, atol=0)
 
     def test_deterministic_drop(self, space_b, family_b):
         f = _proc(space_b, [2.0], [1.0, 1.0], [0.5, 0.5, 0.5, 0.5])
-        el = make_a0_element(family_b, np.ones(4))
-        step = xi0_step_alpha(f, el, family_b, 1)
+        step = xi0_step_alpha(f, family_b, 1)
         assert isinstance(step, Xi0Step)
         assert step.alpha == 0.0
         np.testing.assert_allclose(step.xi0, 1.0, atol=0)
 
-    def test_nonzero_alpha_success(self, space_b, family_b):
-        # a density constant on the time-1 cells has measure-invariant
-        # conditional expectations on FIXTURE-B, so its increments certify a
-        # genuine drop: ratio (1.2, .6), normalizer .9, alpha = 5/6
-        el = make_a0_element(family_b, np.array([1.4, 1.4, 0.6, 0.6]))
-        f = _proc(space_b, [1.0], [1.2, 0.6], [1.2, 1.2, 0.6, 0.6])
-        assert classify(f, family_b).is_supermartingale
-        step = xi0_step_alpha(f, el, family_b, 1)
-        assert isinstance(step, Xi0Step)
-        assert step.alpha == pytest.approx(5.0 / 6.0, abs=1e-12)
-        np.testing.assert_allclose(step.xi0, [4 / 3, 4 / 3, 2 / 3, 2 / 3], atol=1e-12)
-        for p in family_b:
-            e = cond_exp_cells(space_b, step.xi0, p, 0)
-            assert abs(e[0] - 1.0) <= 1e-12
-
-    def test_unit_conditional_check_rejects(self, space_b, family_b, xi_b):
-        # the density martingale under the uniform base drifts under the
-        # tilted extreme, so a nonzero alpha certificate must be refused
-        f = _proc(space_b, [1.0], [1.0, 1.0], [1.05, 0.8, 1.05, 0.8])
-        assert classify(f, family_b).is_supermartingale
-        el = make_a0_element(family_b, xi_b)
-        step = xi0_step_alpha(f, el, family_b, 2)
+    def test_dominance_refusal(self, space_b, family_b):
+        # a constant rise of 5e-7 in ratio is a martingale within tolerance,
+        # and normalizes to one, but the constant certificate sits below it
+        f0 = 1e-3
+        f1 = f0 * (1 + 5e-7)
+        f = _proc(space_b, [f0], [f1, f1], [f1] * 4)
+        assert classify(f, family_b).kind == "martingale"
+        step = xi0_step_alpha(f, family_b, 1)
         assert isinstance(step, StepFailure)
-        assert "extreme" in step.reason
+        assert step.reason == "candidate does not dominate the one-step ratio"
 
     def test_unit_conditional_tie_reports_lower_extreme(self, space_b):
         # E{xi0} is exactly 1.125, 1.25 and 1.25: extremes 1 and 2 tie
@@ -304,35 +246,32 @@ class TestXi0StepAlpha:
         assert _check_unit_conditional(space_b, family, xi0, 1, 1e-9) == (False, 1, 0.25)
 
     def test_matches_per_cell_intervals(self):
-        # seeds at random-objective density vertices, so increments are nonzero
-        empty = certified = moved = 0
+        # the constant seed has zero increments: an interval that is not
+        # empty gives alpha 0 and the constant certificate, unless refused later
+        empty = certified = 0
         for seed in range(60):
             rng = np.random.default_rng(seed)
             space = random_space(rng, max_atoms=8, max_periods=3)
             family = random_family(rng, space)
             f, _, _ = random_supermartingale(rng, space, family)
-            el = find_a0_element(family, objective=rng.normal(size=space.n_atoms))
             for m in range(1, space.horizon + 1):
                 ratio = one_step_ratio_cells(f, m)
                 sup = np.vstack(
                     [cond_exp_cells(space, space.expand(m, ratio), p, m - 1) for p in family]
                 ).max(axis=0)
-                inc = martingale_increments(el, family, 0, m).increments
-                alpha = per_cell_alpha(space, m, ratio, sup, inc)
-                step = xi0_step_alpha(f, el, family, m)
+                alpha = per_cell_alpha(space, m, ratio, sup, np.zeros_like(ratio))
+                step = xi0_step_alpha(f, family, m)
                 if alpha is None:
                     assert isinstance(step, StepFailure), (seed, m)
                     assert step.reason == "empty alpha interval", (seed, m)
                     empty += 1
                 elif isinstance(step, Xi0Step):
-                    assert np.float64(step.alpha).tobytes() == np.float64(alpha).tobytes()
-                    xi0 = 1.0 + alpha * space.expand(m, inc)
-                    assert step.xi0.tobytes() == xi0.tobytes(), (seed, m)
+                    assert alpha == 0.0 and step.alpha == 0.0, (seed, m)
+                    assert step.xi0.tobytes() == np.ones(space.n_atoms).tobytes(), (seed, m)
                     certified += 1
-                    moved += alpha != 0.0
                 else:  # refused by the checks after the interval
                     assert step.reason != "empty alpha interval", (seed, m)
-        assert empty and certified and moved
+        assert empty and certified
 
 
 class TestXi0StepLp:
@@ -481,6 +420,11 @@ class TestOptionalDecompose:
         with pytest.raises(NotSupermartingale):
             optional_decompose(f, family_b)
 
+    def test_unknown_strategy(self, space_b, family_b):
+        f = _proc(space_b, [2.0], [1.0, 1.0], [0.5, 0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="alpha-with-xi0"):
+            optional_decompose(f, family_b, strategy="alpha-with-xi0")
+
     @pytest.mark.parametrize("strategy", ["lp", "auto"])
     def test_round_trip_random_instances(self, strategy):
         rng = np.random.default_rng(23)
@@ -569,6 +513,23 @@ class TestCompletenessCheck:
         delta = martingale_increments(el, family_b, base_index=0, n=1)
         report = completeness_check(family_b, delta, 1)
         assert report.vacuous and report.fraction_inside == 1.0
+
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_pair_inside_the_hull(self, base):
+        # both extremes put mass .5 on each time-1 cell, so the two-point
+        # measure of the increments (-1, 1) is the contraction itself
+        space = build_space(3, [[[0, 1, 2]], [[0, 1], [2]]])
+        fam = MeasureFamily(
+            space=space,
+            extremes=(Measure(np.array([0.2, 0.3, 0.5])), Measure(np.array([0.3, 0.2, 0.5]))),
+        )
+        el = make_a0_element(fam, np.array([0.0, 0.0, 2.0]))
+        delta = martingale_increments(el, fam, base_index=base, n=1)
+        np.testing.assert_array_equal(delta.increments, [-1.0, 1.0])
+        report = completeness_check(fam, delta, 1)
+        assert not report.vacuous
+        assert report.fraction_inside == 1.0
+        assert report.pairs == ((0, 1, 0.0),)
 
     def test_two_point_with_zero_mass_sits_at_hull_floor(self):
         from doobkit import Measure, build_space
