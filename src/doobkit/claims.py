@@ -430,7 +430,7 @@ def _shrink(claim: str, instance: AuditInstance, tol: float) -> AuditInstance:
             if candidate is None:
                 continue
             try:
-                if audit(claim, candidate, tol=tol).verdict == "counterexample":
+                if _EVALUATORS[claim](candidate)[0] > tol:
                     current = candidate
                     improved = True
                     break
@@ -523,17 +523,17 @@ def search_counterexample(
             continue
         tried += 1
         try:
-            result = audit(claim, instance, tol=tol)
+            violation = _EVALUATORS[claim](instance)[0]
         except ClaimPreconditionUnmet:
             continue
-        if result.verdict == "counterexample":
+        if violation > tol:
             shrunk = _shrink(claim, instance, tol)
-            final = audit(claim, shrunk, tol=tol)
+            violation, detail = _EVALUATORS[claim](shrunk)
             return AuditResult(
                 claim=claim,
                 verdict="counterexample",
-                violation=final.violation,
-                detail=final.detail,
+                violation=violation,
+                detail=detail,
                 witness=shrunk.as_dict(),
                 budget_used=tried,
             )

@@ -38,6 +38,7 @@ import numpy as np
 from .lp import LinearProgram, NumericalBreakdown, solve
 from .space import (
     DEFAULT_TOL,
+    MIN_PROB,
     STRICT_TOL,
     AdaptedProcess,
     FilteredSpace,
@@ -46,7 +47,6 @@ from .space import (
     cell_sums,
     cond_exp_cells,
     ess_sup_cond_exp_cells,
-    mixture,
     node_laws,
 )
 
@@ -570,7 +570,9 @@ def verify_decomposition(
     Checks reconstruction, the compensator's start and monotonicity, the
     martingale property under the extremes and sampled mixtures, the match
     between one-step drift and expected compensator growth, and that the
-    compensator increments recenter to zero under each extreme.
+    compensator increments recenter to zero under each extreme.  The
+    mixtures are one seeded Dirichlet draw of ``n_mixtures`` weight rows,
+    checked in the same conditional expectation per level as the extremes.
     """
     space = family.space
     mart, comp = decomposition.martingale, decomposition.compensator
@@ -590,35 +592,33 @@ def verify_decomposition(
         )
     add("reconstruction", recon)
     add("compensator-starts-at-zero", float(np.abs(comp.at_cells(0)).max()))
-    growth = 0.0
+    # extremes first; each mixture row summed in mixture()'s order, then normalized
+    probs, k = family.probs, len(family)
+    weights = np.random.default_rng(seed).dirichlet(np.ones(k), size=n_mixtures)
+    rows = np.zeros((k + n_mixtures, space.n_atoms))
+    rows[:k] = probs
+    mixes = rows[k:]
+    for i in range(k):
+        mixes += weights[:, i : i + 1] * probs[i]
+    mixes /= mixes.sum(axis=1, keepdims=True)
+    sums_ok = (np.abs(mixes.sum(axis=1) - 1.0) <= STRICT_TOL).all()
+    if not (np.isfinite(mixes).all() and mixes.min(initial=np.inf) > MIN_PROB and sums_ok):
+        raise ValueError(f"mixtures must be finite, above {MIN_PROB} and sum to 1")
+    growth = mart_ext = mart_mix = drift = centered = 0.0
     for m in range(1, space.horizon + 1):
-        delta = comp.at_atoms(m) - comp.at_atoms(m - 1)
-        growth = max(growth, float((-delta).max()))
-    add("compensator-monotone", max(growth, 0.0))
-
-    def mart_defect(probs: np.ndarray) -> float:
-        worst = 0.0
-        for m in range(1, space.horizon + 1):
-            e = cond_exp_cells(space, mart.at_atoms(m), probs, m - 1)
-            worst = max(worst, float(np.abs(e - mart.at_cells(m - 1)).max(initial=0.0)))
-        return worst
-
-    probs = family.probs
-    add("martingale-extremes", mart_defect(probs))
-    rng = np.random.default_rng(seed)
-    mixes = [mixture(family, rng.dirichlet(np.ones(len(family)))).probs for _ in range(n_mixtures)]
-    add("martingale-mixtures", mart_defect(np.reshape(mixes, (n_mixtures, space.n_atoms))))
-
-    drift = 0.0
-    centered = 0.0
-    for m in range(1, space.horizon + 1):
-        df = f.at_atoms(m - 1) - f.at_atoms(m)
         dg = comp.at_atoms(m) - comp.at_atoms(m - 1)
-        lhs = cond_exp_cells(space, df, probs, m - 1)
+        growth = max(growth, float((-dg).max()))
+        gap = np.abs(cond_exp_cells(space, mart.at_atoms(m), rows, m - 1) - mart.at_cells(m - 1))
+        mart_ext = max(mart_ext, float(gap[:k].max(initial=0.0)))
+        mart_mix = max(mart_mix, float(gap[k:].max(initial=0.0)))
+        lhs = cond_exp_cells(space, f.at_atoms(m - 1) - f.at_atoms(m), probs, m - 1)
         rhs = cond_exp_cells(space, dg, probs, m - 1)
         drift = max(drift, float(np.abs(lhs - rhs).max()))
         psi = dg - rhs[:, space.atom_to_cell(m - 1)]
         centered = max(centered, float(np.abs(cond_exp_cells(space, psi, probs, m - 1)).max()))
+    add("compensator-monotone", max(growth, 0.0))
+    add("martingale-extremes", mart_ext)
+    add("martingale-mixtures", mart_mix)
     add("drift-matches-compensator-growth", drift)
     add("centered-compensator-residuals", centered, bound=STRICT_TOL)
     return DecompositionReport(checks=tuple(checks))

@@ -12,7 +12,10 @@ masses, node laws, nullspace draws and pricing rows come from one
 ``.sum()`` per cell and one SVD per node.  Hedge positions come from one
 least-squares solve per node, and the hedge's capital from one
 ``restrict`` per time and price slice.  Pasting-stable families come from
-one dict of cell probabilities per combination of node laws.
+one dict of cell probabilities per combination of node laws.  The
+decomposition report comes from one ``mixture()`` per Dirichlet draw and one
+conditional-expectation pass over the extremes and another over the
+mixtures; the counterexample search re-audits every shrink candidate.
 """
 
 from __future__ import annotations
@@ -21,9 +24,11 @@ from itertools import combinations, product
 
 import numpy as np
 
+from doobkit.claims import AuditResult, ClaimPreconditionUnmet, _sample_instance, _smaller, audit
 from doobkit.lp import LinearProgram, solve
 from doobkit.pricing import NotRepresentable
 from doobkit.regularity import StepFailure, Xi0Step, _check_unit_conditional, one_step_ratio_cells
+from doobkit.space import STRICT_TOL, ShapeMismatch, cond_exp_cells, mixture
 
 
 def brute_cond_exp(space, xi, probs, m):
@@ -303,6 +308,106 @@ def per_node_xi0_lp(f, family, m, tol=1e-9):
     if not ok:  # the LP enforces these rows only up to its own tolerance
         return StepFailure(m=m, reason=f"LP residual {dev} under extreme {bad_i}", certificate=dev)
     return Xi0Step(m=m, xi0=xi0_atoms, method="lp-path", alpha=None)
+
+
+def per_mixture_verify(f, decomposition, family, tol=1e-9, n_mixtures=20, seed=0):
+    """``(name, max_violation, passed)`` of each check of
+    ``verify_decomposition``, with one ``mixture()`` per Dirichlet draw and
+    the martingale property checked over the extremes and the mixtures in
+    two separate passes."""
+    space = family.space
+    mart, comp = decomposition.martingale, decomposition.compensator
+    checks = []
+
+    def add(name, violation, bound=tol):
+        checks.append((name, float(violation), violation <= bound))
+
+    try:
+        recon = max(
+            float(np.abs(f.at_atoms(m) - (mart.at_atoms(m) - comp.at_atoms(m))).max())
+            for m in range(space.horizon + 1)
+        )
+    except ShapeMismatch as exc:
+        return [(f"shapes ({exc})", np.inf, False)]
+    add("reconstruction", recon)
+    add("compensator-starts-at-zero", float(np.abs(comp.at_cells(0)).max()))
+    growth = 0.0
+    for m in range(1, space.horizon + 1):
+        delta = comp.at_atoms(m) - comp.at_atoms(m - 1)
+        growth = max(growth, float((-delta).max()))
+    add("compensator-monotone", max(growth, 0.0))
+
+    def mart_defect(probs):
+        worst = 0.0
+        for m in range(1, space.horizon + 1):
+            e = cond_exp_cells(space, mart.at_atoms(m), probs, m - 1)
+            worst = max(worst, float(np.abs(e - mart.at_cells(m - 1)).max(initial=0.0)))
+        return worst
+
+    probs = family.probs
+    add("martingale-extremes", mart_defect(probs))
+    rng = np.random.default_rng(seed)
+    mixes = [mixture(family, rng.dirichlet(np.ones(len(family)))).probs for _ in range(n_mixtures)]
+    add("martingale-mixtures", mart_defect(np.reshape(mixes, (n_mixtures, space.n_atoms))))
+
+    drift = 0.0
+    centered = 0.0
+    for m in range(1, space.horizon + 1):
+        df = f.at_atoms(m - 1) - f.at_atoms(m)
+        dg = comp.at_atoms(m) - comp.at_atoms(m - 1)
+        lhs = cond_exp_cells(space, df, probs, m - 1)
+        rhs = cond_exp_cells(space, dg, probs, m - 1)
+        drift = max(drift, float(np.abs(lhs - rhs).max()))
+        psi = dg - rhs[:, space.atom_to_cell(m - 1)]
+        centered = max(centered, float(np.abs(cond_exp_cells(space, psi, probs, m - 1)).max()))
+    add("drift-matches-compensator-growth", drift)
+    add("centered-compensator-residuals", centered, bound=STRICT_TOL)
+    return checks
+
+
+def audit_based_search(claim, budget, seed, max_atoms=8, max_periods=3, max_extremes=3, tol=1e-9):
+    """``search_counterexample`` with every candidate, hit and shrunk
+    instance run through ``audit``, witness dictionary and all."""
+    rng = np.random.default_rng(seed)
+    tried = 0
+    for _ in range(budget):
+        instance = _sample_instance(claim, rng, max_atoms, max_periods, max_extremes)
+        if instance is None:
+            continue
+        tried += 1
+        try:
+            result = audit(claim, instance, tol=tol)
+        except ClaimPreconditionUnmet:
+            continue
+        if result.verdict == "counterexample":
+            current, improved = instance, True
+            while improved:
+                improved = False
+                for candidate in _smaller(current):
+                    if candidate is None:
+                        continue
+                    try:
+                        if audit(claim, candidate, tol=tol).verdict == "counterexample":
+                            current, improved = candidate, True
+                            break
+                    except ClaimPreconditionUnmet:
+                        continue
+            final = audit(claim, current, tol=tol)
+            return AuditResult(
+                claim=claim,
+                verdict="counterexample",
+                violation=final.violation,
+                detail=final.detail,
+                witness=current.as_dict(),
+                budget_used=tried,
+            )
+    return AuditResult(
+        claim=claim,
+        verdict="pass",
+        violation=0.0,
+        detail=f"no violation over {tried} sampled instances",
+        budget_used=tried,
+    )
 
 
 def dual_mixture_price(p1, p2, payoff, grid: int = 2001) -> float:

@@ -17,6 +17,8 @@ from doobkit import (
 from doobkit import claims
 from doobkit.claims import CLAIM_IDS, envelope_process
 
+from .oracles import audit_based_search
+
 
 @pytest.fixture()
 def instance_b(family_b, xi_b):
@@ -192,6 +194,14 @@ class TestSearch:
         assert a.verdict == b.verdict == "counterexample"
         assert a.violation == b.violation
         assert a.witness == b.witness
+
+    @pytest.mark.parametrize("claim", CLAIM_IDS)
+    def test_matches_audit_based_search(self, claim):
+        # two seeds of the default search, which shrink a hit, and a
+        # singleton-family search, which runs its whole budget without one
+        for seed, kw in ((0, {}), (1, {}), (5, {"max_extremes": 1})):
+            got = search_counterexample(claim, budget=30, seed=seed, **kw)
+            assert got.as_dict() == audit_based_search(claim, budget=30, seed=seed, **kw).as_dict()
 
     def test_singleton_restriction_passes(self):
         result = search_counterexample("lemma-q5", budget=50, seed=5, max_extremes=1)

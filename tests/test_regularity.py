@@ -11,6 +11,7 @@ from doobkit import (
     NotInA0,
     NotLocallyRegular,
     NotSupermartingale,
+    OptionalDecomposition,
     StepFailure,
     Xi0Step,
     a0_membership,
@@ -38,7 +39,7 @@ from doobkit.generators import (
     random_supermartingale,
 )
 
-from .oracles import brute_cell_masses, per_cell_alpha, per_node_xi0_lp
+from .oracles import brute_cell_masses, per_cell_alpha, per_mixture_verify, per_node_xi0_lp
 from .trees import tree_draw
 
 
@@ -461,7 +462,54 @@ class TestOptionalDecompose:
             assert verify_decomposition(f, dec, family).ok
 
 
+def _same_as_per_mixture_verify(f, dec, family, n_mixtures, seed=0):
+    report = verify_decomposition(f, dec, family, n_mixtures=n_mixtures, seed=seed)
+    got = [(c.name, c.max_violation, c.passed) for c in report.checks]
+    assert got == per_mixture_verify(f, dec, family, n_mixtures=n_mixtures, seed=seed)
+
+
+def _jittered(dec, rng):
+    """The decomposition with noise on its martingale, so that the martingale
+    checks read well above zero."""
+    space = dec.martingale.space
+    noisy = tuple(
+        dec.martingale.at_cells(m) + rng.normal(scale=1e-3, size=space.n_cells(m))
+        for m in range(space.horizon + 1)
+    )
+    return OptionalDecomposition(
+        martingale=AdaptedProcess(space=space, per_time=noisy),
+        compensator=dec.compensator,
+        steps=dec.steps,
+    )
+
+
 class TestVerifyDecomposition:
+    def test_matches_per_mixture_oracle_on_every_shape(self):
+        # draw until every (atoms, periods, extremes) shape of at most 8
+        # atoms, 3 periods and 3 extremes has come up
+        rng = np.random.default_rng(0)
+        shapes = set()
+        i = 0
+        while len(shapes) < 7 * 3 * 3:
+            i += 1
+            assert i < 1000, sorted(shapes)
+            space = random_space(rng, max_atoms=8, max_periods=3)
+            family = random_family(rng, space, max_extremes=3)
+            shapes.add((space.n_atoms, space.horizon, len(family)))
+            f, _, _ = random_supermartingale(rng, space, family)
+            dec = optional_decompose(f, family)
+            n_mixtures = (0, 1, 20)[i % 3]
+            _same_as_per_mixture_verify(f, dec, family, n_mixtures, seed=i)
+            _same_as_per_mixture_verify(f, _jittered(dec, rng), family, n_mixtures, seed=i)
+
+    @pytest.mark.parametrize("b, depth, k", [(3, 6, 2), (5, 3, 3)])
+    @pytest.mark.parametrize("n_mixtures", [0, 1, 20])
+    def test_matches_per_mixture_oracle_on_trees(self, b, depth, k, n_mixtures):
+        family, f, _, _ = tree_draw(b, depth, k, 0)
+        dec = optional_decompose(f, family)
+        _same_as_per_mixture_verify(f, dec, family, n_mixtures)
+        _same_as_per_mixture_verify(f, _jittered(dec, np.random.default_rng(b)), family, n_mixtures)
+
     def test_passes_on_constructed(self, space_b, family_b):
         f = _proc(space_b, [2.0], [1.5, 1.2], [1.5, 1.5, 0.9, 0.9])
         assert classify(f, family_b).is_supermartingale
@@ -479,8 +527,6 @@ class TestVerifyDecomposition:
                 dec.compensator.at_cells(2) - np.array([0.5, 0.0, 0.0, 0.0]),
             ),
         )
-        from doobkit import OptionalDecomposition
-
         tampered = OptionalDecomposition(
             martingale=dec.martingale, compensator=bad_comp, steps=dec.steps
         )
