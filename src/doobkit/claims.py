@@ -420,8 +420,12 @@ def _smaller(instance: AuditInstance) -> Iterator[Optional[AuditInstance]]:
         yield _drop_atom(instance, atom)
 
 
-def _shrink(claim: str, instance: AuditInstance, tol: float) -> AuditInstance:
-    """Greedy removal of extremes then atoms while the violation persists."""
+def _shrink(
+    claim: str, instance: AuditInstance, found: tuple[float, str], tol: float
+) -> tuple[AuditInstance, tuple[float, str]]:
+    """Greedy removal of extremes then atoms while the violation persists;
+    returns the last violating instance and its ``(violation, detail)``,
+    ``found`` being the one of ``instance``."""
     current = instance
     improved = True
     while improved:
@@ -430,13 +434,14 @@ def _shrink(claim: str, instance: AuditInstance, tol: float) -> AuditInstance:
             if candidate is None:
                 continue
             try:
-                if _EVALUATORS[claim](candidate)[0] > tol:
-                    current = candidate
-                    improved = True
-                    break
+                outcome = _EVALUATORS[claim](candidate)
             except ClaimPreconditionUnmet:
                 continue
-    return current
+            if outcome[0] > tol:
+                current, found = candidate, outcome
+                improved = True
+                break
+    return current, found
 
 
 def _terminal_unit_density(
@@ -523,12 +528,11 @@ def search_counterexample(
             continue
         tried += 1
         try:
-            violation = _EVALUATORS[claim](instance)[0]
+            outcome = _EVALUATORS[claim](instance)
         except ClaimPreconditionUnmet:
             continue
-        if violation > tol:
-            shrunk = _shrink(claim, instance, tol)
-            violation, detail = _EVALUATORS[claim](shrunk)
+        if outcome[0] > tol:
+            shrunk, (violation, detail) = _shrink(claim, instance, outcome, tol)
             return AuditResult(
                 claim=claim,
                 verdict="counterexample",

@@ -126,26 +126,34 @@ def random_martingale(
 
     Per node the child values must satisfy one linear equation per extreme;
     a random nullspace direction is added to the constant continuation.  The
-    nullspaces come from one SVD per child count and level; the directions
-    are drawn node by node in ascending order.
+    nullspaces come from one SVD per child count and level.  Each level takes
+    one normal draw, split node by node in ascending order, and adds the
+    directions with one batched product per child count and rank.
     """
     levels = [np.array([float(start)])]
     for m in range(1, space.horizon + 1):
-        prev = levels[-1]
-        nodes = []
+        # (parents, children, nullspace rows, their count) per child count and rank
+        draws = []
         for parents, children, law in node_laws(space, family.probs, m):
             # nullspace of the conditional-probability rows
             _, s, vt = np.linalg.svd(law, full_matrices=True)
-            rank = np.sum(s > 1e-12, axis=1)
-            nodes.extend(zip(parents.tolist(), children, vt, rank.tolist()))
-        vals = np.empty(space.n_cells(m))
-        for b, children, vt, rank in sorted(nodes, key=lambda node: node[0]):
-            x = np.full(children.shape[0], prev[b])
-            null = vt[rank:]
-            if null.shape[0]:
-                coeffs = rng.normal(scale=spread, size=null.shape[0])
-                x = x + null.T @ coeffs
-            vals[children] = x
+            rank = (s > 1e-12).sum(axis=1)
+            c = children.shape[1]
+            ranks = set(rank.tolist())
+            for r in ranks - {c}:
+                # a group of one rank, the usual case, is taken whole
+                at = slice(None) if len(ranks) == 1 else (rank == r).nonzero()[0]
+                draws.append((parents[at], children[at], vt[at, r:], c - r))
+        vals = levels[-1][space.parent_cell(m)]
+        if draws:
+            # row b takes node b's coefficients, so the draw fills them in node order
+            drawn = np.zeros((space.n_cells(m - 1), max(d for *_, d in draws)), dtype=bool)
+            for parents, _, _, d in draws:
+                drawn[parents, :d] = True
+            coeffs = np.zeros(drawn.shape)
+            coeffs[drawn] = rng.normal(scale=spread, size=np.count_nonzero(drawn))
+            for parents, children, null, d in draws:
+                vals[children] += (null.transpose(0, 2, 1) @ coeffs[parents, :d, None])[..., 0]
         levels.append(vals)
     return AdaptedProcess(space=space, per_time=tuple(levels))
 

@@ -581,15 +581,18 @@ def verify_decomposition(
     def add(name: str, violation: float, bound: float = tol) -> None:
         checks.append(CheckResult(name=name, max_violation=float(violation), passed=violation <= bound))
 
-    try:
-        recon = max(
-            float(np.abs(f.at_atoms(m) - (mart.at_atoms(m) - comp.at_atoms(m))).max())
-            for m in range(space.horizon + 1)
-        )
-    except ShapeMismatch as exc:
-        return DecompositionReport(
-            checks=(CheckResult(name=f"shapes ({exc})", max_violation=np.inf, passed=False),)
-        )
+    elsewhere = [
+        name
+        for name, proc in (("f", f), ("martingale", mart), ("compensator", comp))
+        if proc.space is not space and proc.space != space
+    ]
+    if elsewhere:
+        name = f"shapes (not on the family's space: {', '.join(elsewhere)})"
+        return DecompositionReport(checks=(CheckResult(name=name, max_violation=np.inf, passed=False),))
+    recon = max(
+        float(np.abs(f.at_atoms(m) - (mart.at_atoms(m) - comp.at_atoms(m))).max())
+        for m in range(space.horizon + 1)
+    )
     add("reconstruction", recon)
     add("compensator-starts-at-zero", float(np.abs(comp.at_cells(0)).max()))
     # extremes first; each mixture row summed in mixture()'s order, then normalized

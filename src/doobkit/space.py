@@ -15,8 +15,10 @@ demand, so measurability cannot silently break.
 Every module reads the filtration's nodes from one table per space: for
 each time, the cell of each atom, the first atom of each cell, the parent
 of each cell, the children of each parent, and the atoms of each cell and
-children of each parent grouped by count.  Each of these arrays is built
-on first use and cached read-only on the space.
+children of each parent grouped by count.  :func:`build_space` seeds the
+cell of each atom at every time, from the owner lists it checks the
+partitions with; every other array is built on first use.  All are cached
+read-only on the space.
 
 No other module sums probability mass over cells.  :func:`cell_sums` adds
 each cell in numpy's pairwise order, bit for bit the cell's own ``.sum()``
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -93,9 +96,9 @@ Partition = tuple[Cell, ...]
 
 
 def _canonical_partition(cells: Iterable[Iterable[int]]) -> Partition:
-    # cells sorted by least atom so cell indices are stable across runs
-    normalized = [tuple(sorted(int(a) for a in cell)) for cell in cells]
-    return tuple(sorted(normalized, key=lambda c: c[0] if c else -1))
+    # cells sorted by least atom so cell indices are stable across runs (disjoint
+    # cells compare by their least atom; others fail the cover check)
+    return tuple(sorted([tuple(sorted(map(int, cell))) for cell in cells]))
 
 
 @dataclass(frozen=True)
@@ -187,12 +190,29 @@ class FilteredSpace:
 # node-table builders: one time level each, called once per space and level
 
 
+def _owners(part: Partition, n_atoms: int, m: int) -> list[int]:
+    """The cell of each atom in the time-``m`` partition ``part``; raises
+    :class:`BadCover` unless its cells hold each of the atoms exactly once."""
+    if not all(part):
+        raise BadCover(f"time {m}: empty cell")
+    owner = [-1] * n_atoms
+    # n in-range atoms leave no -1 behind iff none is listed twice
+    if (
+        sum(map(len, part)) == n_atoms
+        and part[0][0] >= 0
+        and max(map(itemgetter(-1), part)) < n_atoms
+    ):
+        for j, cell in enumerate(part):
+            for a in cell:
+                owner[a] = j
+    if -1 in owner:
+        raise BadCover(f"time {m}: cells do not partition the {n_atoms} atoms exactly once")
+    return owner
+
+
 def _atom_cell(space: FilteredSpace, m: int) -> np.ndarray:
-    out = [0] * space.n_atoms
-    for j, cell in enumerate(space.partitions[m]):
-        for a in cell:
-            out[a] = j
-    return np.array(out, dtype=np.intp)
+    # build_space seeds this entry; a space made without it builds it here
+    return np.array(_owners(space.partitions[m], space.n_atoms, m), dtype=np.intp)
 
 
 def _first_atom(space: FilteredSpace, m: int) -> np.ndarray:
@@ -244,30 +264,28 @@ def build_space(n_atoms: int, partitions: Sequence[Iterable[Iterable[int]]]) -> 
     if len(partitions) < 2:
         raise SpaceError("need partitions for times 0..N with N >= 1")
     canon = tuple(_canonical_partition(p) for p in partitions)
-
-    for m, part in enumerate(canon):
-        seen: list[int] = []
-        for cell in part:
-            if not cell:
-                raise BadCover(f"time {m}: empty cell")
-            seen.extend(cell)
-        if sorted(seen) != list(range(n_atoms)):
-            raise BadCover(
-                f"time {m}: cells do not partition the {n_atoms} atoms exactly once"
-            )
+    owners = [_owners(part, n_atoms, m) for m, part in enumerate(canon)]
 
     if len(canon[0]) != 1:
         raise TrivialRootMissing("partition 0 must be the single cell of all atoms")
 
+    for m in range(1, len(canon)):
+        coarse = owners[m - 1]
+        # each atom of a refining cell has the owner of the cell's first atom
+        parent = [coarse[cell[0]] for cell in canon[m]]
+        if list(map(parent.__getitem__, owners[m])) != coarse:
+            for cell in canon[m]:
+                straddled = {coarse[a] for a in cell}
+                if len(straddled) > 1:
+                    raise NonRefining(
+                        f"time {m}: cell {cell} straddles time-{m - 1} cells {sorted(straddled)}"
+                    )
+
     space = FilteredSpace(n_atoms=n_atoms, partitions=canon)
-    for m in range(1, space.horizon + 1):
-        coarse = space.atom_to_cell(m - 1)
-        for cell in canon[m]:
-            owners = {int(coarse[a]) for a in cell}
-            if len(owners) != 1:
-                raise NonRefining(
-                    f"time {m}: cell {cell} straddles time-{m - 1} cells {sorted(owners)}"
-                )
+    for m, owner in enumerate(owners):
+        seeded = np.array(owner, dtype=np.intp)
+        seeded.setflags(write=False)
+        space._table[_atom_cell, m] = seeded
     return space
 
 

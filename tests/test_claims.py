@@ -203,6 +203,27 @@ class TestSearch:
             got = search_counterexample(claim, budget=30, seed=seed, **kw)
             assert got.as_dict() == audit_based_search(claim, budget=30, seed=seed, **kw).as_dict()
 
+    @pytest.mark.parametrize("claim", CLAIM_IDS)
+    def test_shrunk_instance_is_not_evaluated_again(self, claim, monkeypatch):
+        # the search reports the last shrink step's evaluation, where the
+        # audit-based search audits the shrunk instance once more
+        calls = []
+        evaluate = claims._EVALUATORS[claim]
+
+        def counted(instance):
+            calls.append(instance)
+            return evaluate(instance)
+
+        monkeypatch.setitem(claims._EVALUATORS, claim, counted)
+        for seed, kw in ((0, {}), (1, {}), (5, {"max_extremes": 1})):
+            calls.clear()
+            want = audit_based_search(claim, budget=30, seed=seed, **kw)
+            audited = len(calls)
+            calls.clear()
+            got = search_counterexample(claim, budget=30, seed=seed, **kw)
+            assert got.as_dict() == want.as_dict()
+            assert len(calls) == audited - (got.verdict == "counterexample")
+
     def test_singleton_restriction_passes(self):
         result = search_counterexample("lemma-q5", budget=50, seed=5, max_extremes=1)
         assert result.verdict == "pass"

@@ -31,7 +31,7 @@ from doobkit import (
 )
 from doobkit import regularity
 from doobkit.claims import envelope_process
-from doobkit.regularity import MartingaleDelta, _check_unit_conditional
+from doobkit.regularity import CheckResult, MartingaleDelta, _check_unit_conditional
 from doobkit.generators import (
     product_family,
     random_family,
@@ -541,6 +541,24 @@ class TestVerifyDecomposition:
         report = verify_decomposition(f, dec, family_b, n_mixtures=0)
         mixed = [c for c in report.checks if c.name == "martingale-mixtures"]
         assert report.ok and len(mixed) == 1 and mixed[0].max_violation == 0.0
+
+    def test_processes_off_the_family_space_fail_shapes(self):
+        fam9, f9, _, _ = tree_draw(3, 2, 2, 0)
+        fam27, f27, _, _ = tree_draw(3, 3, 2, 0)
+        dec9 = optional_decompose(f9, fam9)
+        for f, family, off in (
+            (f27, fam9, "f"),
+            (f9, fam27, "f, martingale, compensator"),
+        ):
+            report = verify_decomposition(f, dec9, family)
+            assert not report.ok
+            assert report.checks == (
+                CheckResult(
+                    name=f"shapes (not on the family's space: {off})",
+                    max_violation=np.inf,
+                    passed=False,
+                ),
+            )
 
     def test_centered_residuals_tight(self):
         rng = np.random.default_rng(41)

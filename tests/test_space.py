@@ -1,5 +1,6 @@
 """Filtered spaces, measures, and the conditional-expectation calculus."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -21,6 +22,7 @@ from doobkit import (
 )
 from doobkit.generators import random_family, random_space
 from doobkit.space import (
+    _atom_cell,
     cell_sums,
     compose_laws,
     cond_exp_cells,
@@ -39,6 +41,12 @@ from .oracles import (
 from .trees import tree_draw, tree_space
 
 XI = np.array([1.0, 3.0, 2.0, 6.0])
+NOT_A_COVER = "cells do not partition the 3 atoms exactly once"
+NO_ROOT = "partition 0 must be the single cell of all atoms"
+
+
+def _exactly(message):
+    return f"^{re.escape(message)}$"
 
 
 class TestBuildSpace:
@@ -57,20 +65,71 @@ class TestBuildSpace:
         assert space.cells(2) == ((0,), (1,), (2,), (3,))
 
     def test_bad_cover(self):
-        with pytest.raises(BadCover):
+        with pytest.raises(BadCover, match=_exactly(f"time 0: {NOT_A_COVER}")):
             build_space(3, [[[0, 1]], [[0], [1], [2]]])
 
     def test_overlap_is_bad_cover(self):
-        with pytest.raises(BadCover):
+        with pytest.raises(BadCover, match=_exactly(f"time 1: {NOT_A_COVER}")):
             build_space(3, [[[0, 1, 2]], [[0, 1], [1, 2]]])
 
     def test_trivial_root_missing(self):
-        with pytest.raises(TrivialRootMissing):
+        with pytest.raises(TrivialRootMissing, match=_exactly(NO_ROOT)):
             build_space(3, [[[0], [1, 2]], [[0], [1], [2]]])
 
     def test_non_refining(self):
-        with pytest.raises(NonRefining):
+        with pytest.raises(NonRefining, match=_exactly("time 2: cell (1, 2) straddles time-1 cells [0, 1]")):
             build_space(4, [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1, 2], [3]]])
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [[0, 1], [3]],  # atom out of range, one missing
+            [[-1, 1], [2]],  # negative atom, one missing
+            [[-1, 0], [1]],  # negative atom in place of the missing one
+            [[0, 0, 1], [2]],  # atom listed twice in one cell
+            [[0, 1], [2, 5]],  # one atom too many
+            [],  # no cells at all
+        ],
+    )
+    def test_out_of_range_or_repeated_atoms_are_bad_cover(self, cells):
+        with pytest.raises(BadCover, match=_exactly(f"time 1: {NOT_A_COVER}")):
+            build_space(3, [[[0, 1, 2]], cells])
+
+    @pytest.mark.parametrize(
+        "n_atoms, partitions, error, message",
+        [
+            # an empty cell is named before the cover of its own level
+            (3, [[[0, 1, 2]], [[], [0, 1]]], BadCover, "time 1: empty cell"),
+            # a level's cover is checked before a later level's empty cell
+            (3, [[[0, 1, 2]], [[0], [1]], [[0], [1], [2], []]], BadCover, f"time 1: {NOT_A_COVER}"),
+            # every cover is checked before the root
+            (3, [[[0], [1, 2]], [[0], [1]]], BadCover, f"time 1: {NOT_A_COVER}"),
+            (3, [[[0], [1, 2]], [[], [0], [1], [2]]], BadCover, "time 1: empty cell"),
+            # the root before refinement
+            (4, [[[0, 1], [2, 3]], [[0, 2], [1, 3]]], TrivialRootMissing, NO_ROOT),
+            # the first straddling cell of the first such level, its owners sorted
+            (
+                6,
+                [[[0, 1, 2, 3, 4, 5]], [[0, 1], [2, 3], [4, 5]], [[4, 2, 0], [5, 3, 1]]],
+                NonRefining,
+                "time 2: cell (0, 2, 4) straddles time-1 cells [0, 1, 2]",
+            ),
+            (
+                6,
+                [
+                    [[0, 1, 2, 3, 4, 5]],
+                    [[3, 4, 5], [0, 1, 2]],
+                    [[0, 3], [1, 2], [4], [5]],
+                    [[0], [3], [1, 4], [2, 5]],
+                ],
+                NonRefining,
+                "time 2: cell (0, 3) straddles time-1 cells [0, 1]",
+            ),
+        ],
+    )
+    def test_first_fault_wins(self, n_atoms, partitions, error, message):
+        with pytest.raises(error, match=_exactly(message)):
+            build_space(n_atoms, partitions)
 
 
 class TestNodeTable:
@@ -102,6 +161,16 @@ class TestNodeTable:
                 else:
                     with pytest.raises(ShapeMismatch, match=f"cell {bad} spans"):
                         space.restrict(m, rough)
+
+    def test_build_space_seeds_atom_to_cell(self):
+        spaces = [*self._spaces(), tree_space(3, 6), tree_space(9, 3)]
+        for space in spaces:
+            for m in range(space.horizon + 1):
+                seeded = space._table[_atom_cell, m]
+                assert seeded.tolist() == brute_atom_to_cell(space, m)
+                assert not seeded.flags.writeable
+                # read from the table, not built again
+                assert space.atom_to_cell(m) is seeded
 
     def test_interleaved_children(self):
         space = build_space(4, self.INTERLEAVED)
