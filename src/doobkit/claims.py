@@ -52,6 +52,7 @@ from .space import (
     MeasureFamily,
     ShapeMismatch,
     SpaceError,
+    _as_rv,
     build_space,
     cell_sums,
     cond_exp_cells,
@@ -152,9 +153,8 @@ class AuditResult:
 def envelope_process(family: MeasureFamily, xi: np.ndarray) -> AdaptedProcess:
     """The upper envelope of conditional expectations, as an adapted process."""
     space = family.space
-    levels = [
-        ess_sup_cond_exp_cells(space, xi, family, m) for m in range(space.horizon + 1)
-    ]
+    rows = np.broadcast_to(_as_rv(space, xi), family.probs.shape)  # checked once, not per level
+    levels = [ess_sup_cond_exp_cells(space, rows, family, m) for m in range(space.horizon + 1)]
     return AdaptedProcess(space=space, per_time=tuple(levels))
 
 

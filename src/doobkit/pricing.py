@@ -10,8 +10,8 @@ constraint is imposed under every extreme separately; when the terminal
 partition separates atoms the readings coincide.
 
 Two modes: the free mode optimizes over the whole density set, the
-generator mode over the simplex spanned by finitely many given densities.
-The generator price always dominates the free price.  When the family's
+generator mode over the simplex spanned by finitely many given densities,
+its price certified by its own primal-dual pair.  When the family's
 extremes are martingale measures for a price process and the generators
 are the normalized price slices, the optimal dominator is itself a
 tradable martingale, and a self-financed strategy superhedging the claim
@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .lp import LinearProgram, NumericalBreakdown, solve
-from .regularity import A0Element, NotInA0, make_a0_element
+from .regularity import A0Element
 from .space import (
     DEFAULT_TOL,
     MIN_PROB,
@@ -257,6 +257,26 @@ def _domination_rows(space: FilteredSpace, family: MeasureFamily, keep: np.ndarr
     return rows.reshape(-1, space.n_atoms)
 
 
+def _expectation_bound(claim: np.ndarray, family: MeasureFamily) -> float:
+    """Largest expectation of the claim over the extremes, one ``np.dot`` each."""
+    return max(p.expect(claim) for p in family)
+
+
+def _generator_stack(generators: Sequence, family: MeasureFamily) -> np.ndarray:
+    """The generators as ``(G, n)`` rows, checked in one pass to be finite,
+    nonnegative and of expectation one under every extreme."""
+    n = family.space.n_atoms
+    xis = [g.xi if isinstance(g, A0Element) else np.asarray(g, dtype=float) for g in generators]
+    if not xis:
+        raise ValueError("need at least one generator")
+    # a row of the wrong length is NaN and fails; only finite rows reach the product
+    stack = np.vstack([xi if xi.shape == (n,) else np.full(n, np.nan) for xi in xis])
+    ok = np.isfinite(stack).all() and np.all(stack >= -STRICT_TOL)
+    if not (ok and np.all(np.abs(family.probs @ stack.T - 1.0) <= STRICT_TOL)):
+        raise GeneratorNotInA0("expectation is not one under every extreme")
+    return stack
+
+
 def fair_price_a0(
     claim: np.ndarray, family: MeasureFamily, tol: float = DEFAULT_TOL
 ) -> PricingResult:
@@ -301,7 +321,7 @@ def fair_price_a0(
     dominator = space.expand(
         space.horizon, cond_exp_cells(space, h, family.extremes[0], space.horizon)
     )
-    lower = max(p.expect(np.asarray(claim, dtype=float)) for p in family)
+    lower = _expectation_bound(claim, family)
     if price < lower - 1e-8:  # would contradict the LP constraints
         raise NumericalBreakdown(f"price {price} fell below the expectation bound {lower}")
     density = h / price if price > tol else None
@@ -332,25 +352,21 @@ def fair_price_generators(
     is the claim per extreme and cell.  Column g of C is the terminal
     conditional expectation of generator g under each extreme in turn,
     from one :func:`~doobkit.space.cond_exp_cells` call over every
-    (generator, extreme) pair.  The weights are the dual's duals
-    and the price is its optimal value.  Since the simplex sits inside the
-    full density set, the price can only exceed the free-mode price; that
-    ordering is verified.
+    (generator, extreme) pair.  The weights are the dual's duals and the
+    price is its optimal value.
+
+    The price is certified by its own primal-dual pair, each residual at
+    most ``1e-9 * max(1, |b|, |C|)``: ``C w >= b``, ``C^T y <= 1`` with
+    ``y >= 0``, and ``sum(w)`` and ``b . y`` both equal to the price, which
+    weak duality then makes optimal.  A failed check raises
+    :class:`~doobkit.lp.NumericalBreakdown` naming it.
     """
     space = family.space
     claim_cells = _claim_cells(space, claim)
-    elems: list[A0Element] = []
-    for g in generators:
-        xi = g.xi if isinstance(g, A0Element) else np.asarray(g, dtype=float)
-        try:
-            elems.append(make_a0_element(family, xi))
-        except NotInA0 as exc:
-            raise GeneratorNotInA0(str(exc)) from exc
-    if not elems:
-        raise ValueError("need at least one generator")
-    k, n_gens = len(family), len(elems)
+    stack = _generator_stack(generators, family)
+    k, n_gens = len(family), stack.shape[0]
     # row g * k + j is generator g under extreme j, so columns run extreme-major
-    xis = np.repeat(np.vstack([e.xi for e in elems]), k, axis=0)
+    xis = np.repeat(stack, k, axis=0)
     cond = cond_exp_cells(space, xis, np.tile(family.probs, (n_gens, 1)), space.horizon)
     cols = cond.reshape(n_gens, -1).T
     b_ge = np.tile(claim_cells, k)
@@ -361,23 +377,23 @@ def fair_price_generators(
         )
     if dual.status != "optimal":  # y = 0 is feasible, so only round-off gets here
         raise NumericalBreakdown(f"generator pricing dual came back {dual.status}")
-    weights = np.maximum(dual.y_ge, 0.0)
-    price = -dual.value
-    n_cells = space.n_cells(space.horizon)
-    dominator = space.expand(space.horizon, (cols @ weights)[:n_cells])
+    y, weights, price = dual.x, np.maximum(dual.y_ge, 0.0), -dual.value
+    dominated = cols @ weights
+    scale = 1e-9 * max(1.0, np.abs(b_ge).max(), np.abs(cols).max())
+    residuals = {
+        "domination": np.max(b_ge - dominated, initial=0.0),
+        "dual feasibility": max(np.max(cols.T @ y - 1.0, initial=0.0), -y.min(initial=0.0)),
+        # both objectives against the price reported, so it is the one certified
+        "gap": max(abs(weights.sum() - price), abs(b_ge @ y - price)),
+    }
+    for check, residual in residuals.items():
+        if not residual <= scale:  # a NaN residual fails too
+            raise NumericalBreakdown(f"generator price failed its {check} check: "
+                                     f"residual {residual:.3e} above {scale:.3e}")
+    dominator = space.expand(space.horizon, dominated[: space.n_cells(space.horizon)])
     gamma = weights / weights.sum() if price > tol else None
-    free = fair_price_a0(claim, family, tol=tol)
-    if price < free.fair_price - 1e-9:  # the simplex is a subset
-        raise NumericalBreakdown(
-            f"generator price {price} undercuts the free price {free.fair_price}"
-        )
-    return PricingResult(
-        fair_price=price,
-        dominator=dominator,
-        mode="generators",
-        gamma=gamma,
-        lower_bound=free.lower_bound,
-    )
+    return PricingResult(fair_price=price, dominator=dominator, mode="generators",
+                         gamma=gamma, lower_bound=_expectation_bound(claim, family))
 
 
 def closed_form_call(s0: float, strike: float, terminal_high: float) -> float:

@@ -1,9 +1,11 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from doobkit import AdaptedProcess, MarketModel, Measure, MeasureFamily, build_space
+from doobkit import AdaptedProcess, MarketModel, Measure, MeasureFamily, build_space, pricing
+from doobkit.lp import solve
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -16,6 +18,37 @@ def fixture_paths():
         "arbitrage": FIXTURES / "arbitrage.json",
         "gen": FIXTURES / "genN-g.json",
     }
+
+
+# halving the largest weight uncovers a row it held tight; raising a dual entry
+# by 2 breaks the dual row of the constant slice, whose column is all ones
+def _lower_a_weight(out):
+    w = out.y_ge.copy()
+    w[np.argmax(w)] /= 2.0
+    return replace(out, y_ge=w)
+
+
+def _raise_a_dual_entry(out):
+    y = out.x.copy()
+    y[0] += 2.0
+    return replace(out, x=y)
+
+
+#: per certificate check of the generator price, an optimal outcome spoilt to fail it
+SPOILS = {
+    "domination": _lower_a_weight,
+    "dual feasibility": _raise_a_dual_entry,
+    "gap": lambda out: replace(out, value=out.value - 1.0),
+}
+
+
+@pytest.fixture()
+def spoil_pricing_lp(monkeypatch):
+    """``spoil(check)`` makes every pricing LP come back optimal but spoilt
+    for that check of the generator-price certificate."""
+    def spoil(check):
+        monkeypatch.setattr(pricing, "solve", lambda lp: SPOILS[check](solve(lp)))
+    return spoil
 
 
 @pytest.fixture()

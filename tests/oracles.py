@@ -16,6 +16,8 @@ one dict of cell probabilities per combination of node laws.  The
 decomposition report comes from one ``mixture()`` per Dirichlet draw and one
 conditional-expectation pass over the extremes and another over the
 mixtures; the counterexample search re-audits every shrink candidate.
+Generator pricing's stacked density check is held to one
+``make_a0_element`` call per generator.
 """
 
 from __future__ import annotations
@@ -27,7 +29,15 @@ import numpy as np
 from doobkit.claims import AuditResult, ClaimPreconditionUnmet, _sample_instance, _smaller, audit
 from doobkit.lp import LinearProgram, solve
 from doobkit.pricing import NotRepresentable
-from doobkit.regularity import StepFailure, Xi0Step, _check_unit_conditional, one_step_ratio_cells
+from doobkit.regularity import (
+    A0Element,
+    NotInA0,
+    StepFailure,
+    Xi0Step,
+    _check_unit_conditional,
+    make_a0_element,
+    one_step_ratio_cells,
+)
 from doobkit.space import STRICT_TOL, ShapeMismatch, cond_exp_cells, mixture
 
 
@@ -408,6 +418,18 @@ def audit_based_search(claim, budget, seed, max_atoms=8, max_periods=3, max_extr
         detail=f"no violation over {tried} sampled instances",
         budget_used=tried,
     )
+
+
+def per_generator_check(family, generators):
+    """The message of the first generator that ``make_a0_element`` refuses,
+    checking one generator at a time, or None when it takes them all."""
+    for g in generators:
+        xi = g.xi if isinstance(g, A0Element) else np.asarray(g, dtype=float)
+        try:
+            make_a0_element(family, xi)
+        except NotInA0 as exc:
+            return str(exc)
+    return None
 
 
 def dual_mixture_price(p1, p2, payoff, grid: int = 2001) -> float:

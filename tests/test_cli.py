@@ -305,6 +305,21 @@ class TestNumericalBreakdown:
         assert "Traceback" not in err
         assert err.count("\n") == 1 and err.startswith("doobkit: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["price", "--claim", "call90", "--mode", "generators", "--generators", "S"],
+        ["hedge", "--claim", "call90"],
+    ])
+    @pytest.mark.parametrize("check", ["domination", "dual feasibility", "gap"])
+    def test_uncertified_generator_price(self, capsys, fixture_paths, spoil_pricing_lp,
+                                         argv, check):
+        spoil_pricing_lp(check)
+        code, out, err = run(capsys, argv[0], str(fixture_paths["a"]), *argv[1:])
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("doobkit: ")
+        assert f"{check} check" in err
+
 
 class TestTolerance:
     def test_env_var_overrides_default(self, capsys, fixture_paths, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from doobkit import (
+    A0Element,
     AdaptedProcess,
     BadBounds,
     LinearProgram,
@@ -16,6 +17,7 @@ from doobkit import (
     MeasureFamily,
     NotMeasurable,
     NotRepresentable,
+    NumericalBreakdown,
     build_space,
     closed_form_call,
     closed_form_put,
@@ -27,6 +29,7 @@ from doobkit import (
     martingale_representation,
     optional_decompose,
     price_slice_generators,
+    pricing,
     solve,
     superhedge_strategy,
     verify_decomposition,
@@ -38,6 +41,7 @@ from doobkit.pricing import _domination_rows
 from .oracles import (
     dual_mixture_price,
     global_floor_emm,
+    per_generator_check,
     per_node_domination_rows,
     per_node_representation,
     stopped_levels,
@@ -125,6 +129,83 @@ class TestFairPriceGenerators:
     def test_rejects_non_density_generator(self, family_a, call_a):
         with pytest.raises(GeneratorNotInA0):
             fair_price_generators(call_a, [np.array([1.0, 1.0, 2.0])], family_a)
+
+
+def _null_direction(family):
+    """A unit vector on which every extreme has zero expectation, if any."""
+    _, sv, vt = np.linalg.svd(family.probs)
+    return vt[-1] if vt.shape[0] > np.count_nonzero(sv > 1e-12) else None
+
+
+class TestGeneratorStack:
+    """The one-pass density check of the generators against one
+    ``make_a0_element`` per generator."""
+
+    def test_matches_per_generator_loop(self):
+        rng = np.random.default_rng(17)
+        taken = refused = 0
+        for _ in range(30):
+            space = random_space(rng, max_atoms=8, max_periods=2)
+            family = random_family(rng, space)
+            n = space.n_atoms
+            claim = _terminal_claim(rng, space)
+            good = [np.ones(n)] + [
+                find_a0_element(family, objective=rng.normal(size=n)).xi for _ in range(2)
+            ]
+            good[2] = A0Element(xi=good[2])
+            odd = {
+                "nan": np.where(np.arange(n) == n // 2, np.nan, 1.0),
+                "inf": np.where(np.arange(n) == n - 1, np.inf, 1.0),
+                "off unit": np.full(n, 1.0 + 1e-6),
+                "just off unit": np.full(n, 1.0 + 3e-12),
+                "just on unit": np.full(n, 1.0 + 4e-13),
+                "too long": np.ones(n + 1),
+            }
+            d = _null_direction(family)
+            if d is not None:  # unit expectations, yet one entry below zero
+                odd["negative"] = 1.0 - 1.1 * d / np.abs(d).max()
+                odd["just negative"] = 1.0 - (1.0 + 5e-13) * d / np.abs(d).max()
+            for xi in odd.values():
+                for pos in (0, 1, len(good)):
+                    gens = good[:pos] + [xi] + good[pos:]
+                    want = per_generator_check(family, gens)
+                    if want is None:
+                        taken += 1
+                        fair_price_generators(claim, gens, family)
+                    else:
+                        refused += 1
+                        with pytest.raises(GeneratorNotInA0) as info:
+                            fair_price_generators(claim, gens, family)
+                        assert str(info.value) == want
+        assert taken >= 50 and refused >= 300
+
+
+class TestGeneratorCertificate:
+    """The generator price is checked against its own primal-dual pair."""
+
+    @pytest.mark.parametrize("check", ["domination", "dual feasibility", "gap"])
+    def test_spoilt_outcome_is_refused_by_name(self, spoil_pricing_lp, check):
+        family, market, claim = tree_market(3, 3, 2, 0)
+        spoil_pricing_lp(check)
+        for verb in (
+            lambda: fair_price_generators(claim, price_slice_generators(market), family),
+            lambda: superhedge_strategy(claim, market, family),
+        ):
+            with pytest.raises(NumericalBreakdown, match=f"failed its {check} check"):
+                verb()
+
+    def test_one_lp_and_no_free_price(self, monkeypatch, family_a, market_a, call_a):
+        lps = []
+        monkeypatch.setattr(pricing, "solve", lambda lp: lps.append(lp) or solve(lp))
+
+        def free_price(*args, **kwargs):
+            raise AssertionError("the free price was solved")
+
+        monkeypatch.setattr(pricing, "fair_price_a0", free_price)
+        fair_price_generators(call_a, price_slice_generators(market_a), family_a)
+        assert len(lps) == 1
+        superhedge_strategy(call_a, market_a, family_a)
+        assert len(lps) == 2
 
 
 class TestClosedForms:
@@ -559,6 +640,8 @@ class TestSmallFormAgainstFullForm:
             result = fair_price_generators(claim, gens, family)
             assert full.status == "optimal"
             assert result.fair_price == pytest.approx(full.value, abs=1e-9)
+            assert result.fair_price >= free.fair_price - 1e-9  # the simplex is a subset
+            assert result.lower_bound == free.lower_bound
             if result.fair_price > 1e-9:
                 assert np.all(result.gamma >= 0.0)
                 mix = result.fair_price * sum(w * g for w, g in zip(result.gamma, gens))
@@ -639,6 +722,14 @@ class TestTreeRegressions:
         strat = superhedge_strategy(claim, market, family)
         assert strat.initial_capital() == pytest.approx(gen.fair_price, abs=0)
         assert np.all(strat.capital.at_atoms(strat.capital.horizon) >= claim - 1e-9)
+
+    @pytest.mark.parametrize("b,depth,k", [(3, 3, 2), (3, 4, 2), (3, 5, 2), (3, 6, 2), (9, 3, 3)])
+    def test_generator_price_dominates_the_free_price(self, b, depth, k):
+        family, market, claim = tree_market(b, depth, k, 0)
+        free = fair_price_a0(claim, family)
+        gen = fair_price_generators(claim, price_slice_generators(market), family)
+        assert gen.fair_price >= free.fair_price - 1e-9
+        assert gen.lower_bound == free.lower_bound
 
     def test_prices_at_243_atoms_match_highs(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
