@@ -23,7 +23,8 @@ generators:
 
 - free price: ``(k + k * M') x (n + 1)``; the domination of a one-atom
   terminal cell is a lower bound on that atom, taken in by a shift;
-- generator price: the dual, ``G x (k * M)``, whose duals are the weights;
+- generator price: the dual over a working set of the ``k * M`` primal
+  rows, ``G x |W|``, grown by row generation; its duals are the weights;
 - martingale measure: none, a product of closed-form one-step laws.
 """
 
@@ -335,6 +336,17 @@ def fair_price_a0(
     )
 
 
+def _largest(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` entries of the ascending ``rows`` with the largest
+    ``values``, ties to the lower row, in ascending order."""
+    if rows.size <= count:
+        return rows
+    v = values[rows]
+    cut = np.partition(v, -count)[-count]
+    above = rows[v > cut]
+    return np.union1d(above, rows[v == cut][: count - above.size])
+
+
 def fair_price_generators(
     claim: np.ndarray,
     generators: Sequence[Union[A0Element, np.ndarray]],
@@ -347,16 +359,28 @@ def fair_price_generators(
     generators whose terminal conditional expectation dominates the claim
     under every extreme.  That program has ``k * M`` rows for G columns (k
     extremes, M terminal cells, G generators), so it is solved through its
-    dual, ``G x (k * M)``: maximize ``b . y`` over ``y >= 0`` with
-    ``C^T y <= 1``, where C maps weights to conditional expectations and b
-    is the claim per extreme and cell.  Column g of C is the terminal
-    conditional expectation of generator g under each extreme in turn,
-    from one :func:`~doobkit.space.cond_exp_cells` call over every
-    (generator, extreme) pair.  The weights are the dual's duals and the
-    price is its optimal value.
+    dual: maximize ``b . y`` over ``y >= 0`` with ``C^T y <= 1``, where C
+    maps weights to conditional expectations and b is the claim per extreme
+    and cell.  Column g of C is the terminal conditional expectation of
+    generator g under each extreme in turn, from one
+    :func:`~doobkit.space.cond_exp_cells` call over every (generator,
+    extreme) pair.  The weights are the dual's duals and the price is its
+    optimal value.
 
-    The price is certified by its own primal-dual pair, each residual at
-    most ``1e-9 * max(1, |b|, |C|)``: ``C w >= b``, ``C^T y <= 1`` with
+    A basic optimum needs at most G of the ``k * M`` rows, so the dual is
+    posed over a working set W of rows, ``G x |W|``, grown by row
+    generation.  W starts as the G rows of largest claim (ties to the lower
+    row) and is kept in ascending row order, so when it holds every row
+    the program is the dense dual.  After each solve, ``C w`` is checked on
+    every row; the rows outside W short of the claim by more than the
+    certificate's tolerance join it, largest shortfall first and at most 4G
+    per round, until none does.  Each round adds a row, so the loop ends.
+    The price is the optimum of the whole program up to round-off; where
+    the optimal weights are not unique, the working set may pick another.
+
+    The price is certified by its own primal-dual pair over all the rows,
+    ``y`` being the last dual solution with zeros outside W, each residual
+    at most ``1e-9 * max(1, |b|, |C|)``: ``C w >= b``, ``C^T y <= 1`` with
     ``y >= 0``, and ``sum(w)`` and ``b . y`` both equal to the price, which
     weak duality then makes optimal.  A failed check raises
     :class:`~doobkit.lp.NumericalBreakdown` naming it.
@@ -370,16 +394,27 @@ def fair_price_generators(
     cond = cond_exp_cells(space, xis, np.tile(family.probs, (n_gens, 1)), space.horizon)
     cols = cond.reshape(n_gens, -1).T
     b_ge = np.tile(claim_cells, k)
-    dual = solve(LinearProgram(-b_ge, a_ge=-cols.T, b_ge=-np.ones(n_gens)))
-    if dual.status == "unbounded":
-        raise PricingInfeasible(
-            "no nonnegative combination of the generators dominates the claim"
-        )
-    if dual.status != "optimal":  # y = 0 is feasible, so only round-off gets here
-        raise NumericalBreakdown(f"generator pricing dual came back {dual.status}")
-    y, weights, price = dual.x, np.maximum(dual.y_ge, 0.0), -dual.value
-    dominated = cols @ weights
     scale = 1e-9 * max(1.0, np.abs(b_ge).max(), np.abs(cols).max())
+    work = _largest(b_ge, np.arange(b_ge.size), n_gens)
+    while True:
+        dual = solve(LinearProgram(-b_ge[work], a_ge=-cols[work].T, b_ge=-np.ones(n_gens)))
+        if dual.status == "unbounded":  # a ray over the working rows is a ray of the whole dual
+            raise PricingInfeasible(
+                "no nonnegative combination of the generators dominates the claim"
+            )
+        if dual.status != "optimal":  # y = 0 is feasible, so only round-off gets here
+            raise NumericalBreakdown(f"generator pricing dual came back {dual.status}")
+        weights = np.maximum(dual.y_ge, 0.0)
+        dominated = cols @ weights
+        short = b_ge - dominated
+        short[work] = -np.inf
+        join = _largest(short, np.flatnonzero(short > scale), 4 * n_gens)
+        if not join.size:
+            break
+        work = np.union1d(work, join)
+    y = np.zeros(b_ge.size)
+    y[work] = dual.x
+    price = -dual.value
     residuals = {
         "domination": np.max(b_ge - dominated, initial=0.0),
         "dual feasibility": max(np.max(cols.T @ y - 1.0, initial=0.0), -y.min(initial=0.0)),
@@ -517,14 +552,16 @@ def martingale_representation(
     return positions
 
 
+def _slice_rows(market: MarketModel) -> np.ndarray:
+    """The normalized price slices S_m / S_0 for m = 0..N as ``(N + 1, n)`` rows."""
+    return np.vstack([market.S.at_atoms(m) / market.s0 for m in range(market.space.horizon + 1)])
+
+
 def price_slice_generators(market: MarketModel) -> list[A0Element]:
     """The normalized price slices S_m / S_0 for m = 0..N (so slice 0 is the
     constant 1); each is a unit-expectation density when every extreme is a
     martingale measure."""
-    space = market.space
-    return [
-        A0Element(xi=market.S.at_atoms(m) / market.s0) for m in range(space.horizon + 1)
-    ]
+    return [A0Element(xi=row) for row in _slice_rows(market)]
 
 
 def superhedge_strategy(
@@ -547,7 +584,7 @@ def superhedge_strategy(
     bad = np.flatnonzero(~(drift <= tol))  # a NaN drift fails too
     if bad.size:
         raise FamilyNotEmm(f"extreme {bad[0]} has price drift {drift[bad[0]]:.3e}")
-    pricing = fair_price_generators(claim, price_slice_generators(market), family, tol=tol)
+    pricing = fair_price_generators(claim, _slice_rows(market), family, tol=tol)
     price = pricing.fair_price
     # generator i is the slice of time i
     slice_weight = np.zeros(space.horizon + 1) if pricing.gamma is None else pricing.gamma

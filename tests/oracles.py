@@ -17,7 +17,9 @@ decomposition report comes from one ``mixture()`` per Dirichlet draw and one
 conditional-expectation pass over the extremes and another over the
 mixtures; the counterexample search re-audits every shrink candidate.
 Generator pricing's stacked density check is held to one
-``make_a0_element`` call per generator.
+``make_a0_element`` call per generator, and its working-set dual to one
+dense solve over every (extreme, terminal cell) row, with columns from one
+``np.bincount`` pair per generator and extreme.
 """
 
 from __future__ import annotations
@@ -430,6 +432,31 @@ def per_generator_check(family, generators):
         except NotInA0 as exc:
             return str(exc)
     return None
+
+
+def generator_rows(claim, generators, family):
+    """``(cols, bound)`` of the generator price's primal ``cols @ w >=
+    bound``: row ``j * M + c`` is extreme j on terminal cell c, column g the
+    conditional expectation of generator g there, one ``np.bincount`` pair
+    per generator and extreme."""
+    space = family.space
+    cell = space.atom_to_cell(space.horizon)
+    xis = [g.xi if isinstance(g, A0Element) else np.asarray(g, dtype=float) for g in generators]
+    cols = np.column_stack([
+        np.concatenate([np.bincount(cell, weights=p * xi) / np.bincount(cell, weights=p)
+                        for p in family.probs])
+        for xi in xis
+    ])
+    return cols, np.tile(space.restrict(space.horizon, claim), len(family))
+
+
+def dense_generator_price(claim, generators, family):
+    """The generator price by one dense solve of its dual over all ``k * M``
+    rows: maximize ``bound . y`` over ``y >= 0`` with ``cols^T y <= 1``."""
+    cols, bound = generator_rows(claim, generators, family)
+    dual = solve(LinearProgram(-bound, a_ge=-cols.T, b_ge=-np.ones(cols.shape[1])))
+    assert dual.status == "optimal"
+    return -dual.value
 
 
 def dual_mixture_price(p1, p2, payoff, grid: int = 2001) -> float:

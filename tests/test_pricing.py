@@ -39,7 +39,9 @@ from doobkit.generators import random_family, random_space, random_supermartinga
 from doobkit.pricing import _domination_rows
 
 from .oracles import (
+    dense_generator_price,
     dual_mixture_price,
+    generator_rows,
     global_floor_emm,
     per_generator_check,
     per_node_domination_rows,
@@ -193,6 +195,18 @@ class TestGeneratorCertificate:
         ):
             with pytest.raises(NumericalBreakdown, match=f"failed its {check} check"):
                 verb()
+
+    @pytest.mark.parametrize("check", ["domination", "dual feasibility", "gap"])
+    def test_spoilt_rounds_end(self, monkeypatch, spoil_pricing_lp, check):
+        # a spoilt outcome may keep rows joining, but each round adds one
+        family, market, claim = tree_market(3, 3, 2, 0)
+        rows = len(family) * family.space.n_cells(family.space.horizon)
+        spoil_pricing_lp(check)
+        spoilt, lps = pricing.solve, []
+        monkeypatch.setattr(pricing, "solve", lambda lp: lps.append(lp) or spoilt(lp))
+        with pytest.raises(NumericalBreakdown, match=f"failed its {check} check"):
+            fair_price_generators(claim, price_slice_generators(market), family)
+        assert 1 <= len(lps) <= rows + 1
 
     def test_one_lp_and_no_free_price(self, monkeypatch, family_a, market_a, call_a):
         lps = []
@@ -554,6 +568,7 @@ class TestKernelAgainstPerNodeOracles:
             assert result.gamma.sum() == pytest.approx(1.0, abs=1e-12), where
             mix = result.fair_price * sum(w * g.xi for w, g in zip(result.gamma, gens))
             assert np.all(dom @ mix >= bound - 1e-9), where
+            _assert_matches_dense_dual(result, claim, gens, family, where)
 
     def test_hedge_matches_per_node_oracles(self):
         rng = np.random.default_rng(32)
@@ -604,6 +619,122 @@ class TestKernelAgainstPerNodeOracles:
         assert (info.value.m, info.value.cell, info.value.residual) == (2, 1, 1.0)
 
 
+def _assert_matches_dense_dual(result, claim, gens, family, where):
+    """The working-set price against one dense solve over every row: the
+    same price, simplex weights, and a weighted combination that dominates
+    the claim under every extreme."""
+    cols, bound = generator_rows(claim, gens, family)
+    want = dense_generator_price(claim, gens, family)
+    assert result.fair_price == pytest.approx(want, rel=1e-12, abs=1e-12), where
+    scale = 1e-9 * max(1.0, np.abs(bound).max(), np.abs(cols).max())
+    if result.gamma is None:  # a zero price: the zero combination dominates
+        assert bound.max() <= scale, where
+        return
+    assert np.all(result.gamma >= 0.0), where
+    assert result.gamma.sum() == pytest.approx(1.0, abs=1e-12), where
+    assert np.all(cols @ (result.fair_price * result.gamma) >= bound - scale), where
+
+
+def _recipe_claims(market, seed):
+    """Call, put, straddle, digital and seeded uniform claims on ``S_N``."""
+    s = market.S.at_atoms(market.space.horizon)
+    return {
+        "call": np.maximum(s - 100.0, 0.0),
+        "put": np.maximum(100.0 - s, 0.0),
+        "straddle": np.abs(s - 100.0),
+        "digital": (s > 105.0).astype(float),
+        "uniform": np.random.default_rng(seed).uniform(0.0, 3.0, size=s.size),
+    }
+
+
+def _posed(monkeypatch):
+    """A list that grows by every LP the pricing module poses."""
+    lps = []
+    monkeypatch.setattr(pricing, "solve", lambda lp: lps.append(lp) or solve(lp))
+    return lps
+
+
+class TestRowGeneration:
+    """The generator price solved over a working set of rows against the
+    dense dual over all ``k * M`` of them."""
+
+    @pytest.mark.parametrize("b,depth,k", [(3, 4, 2), (3, 6, 2), (3, 8, 2), (5, 4, 3), (9, 4, 3)])
+    def test_recipe_trees(self, monkeypatch, b, depth, k):
+        family, market, _ = tree_market(b, depth, k, 0)
+        gens = price_slice_generators(market)
+        lps = _posed(monkeypatch)
+        for name, claim in _recipe_claims(market, b * depth).items():
+            result = fair_price_generators(claim, gens, family)
+            _assert_matches_dense_dual(result, claim, gens, family, f"{b}^{depth} {name}")
+        assert all(lp.a_ge.shape[0] == len(gens) for lp in lps)
+
+    @pytest.mark.parametrize("b,depth,k,rounds", [(3, 4, 2, 2), (5, 4, 3, 3)])
+    def test_digital_claims_take_several_rounds(self, monkeypatch, b, depth, k, rounds):
+        family, market, _ = tree_market(b, depth, k, 0)
+        claim = _recipe_claims(market, 0)["digital"]
+        lps = _posed(monkeypatch)
+        fair_price_generators(claim, price_slice_generators(market), family)
+        shapes = [lp.a_ge.shape for lp in lps]
+        assert len(shapes) == rounds
+        # the first round poses the G rows of largest claim; later ones add rows
+        assert shapes[0] == (market.space.horizon + 1,) * 2
+        assert all(earlier[1] < later[1] for earlier, later in zip(shapes, shapes[1:]))
+
+    def test_first_working_set_is_the_largest_claims(self, monkeypatch):
+        # ties among the digital's ones go to the lower row
+        family, market, _ = tree_market(3, 4, 2, 0)
+        claim = _recipe_claims(market, 0)["digital"]
+        lps = _posed(monkeypatch)
+        gens = price_slice_generators(market)
+        fair_price_generators(claim, gens, family)
+        _, bound = generator_rows(claim, gens, family)
+        first = np.sort(np.argsort(-bound, kind="stable")[: len(gens)])
+        assert np.array_equal(lps[0].objective, -bound[first])
+
+    def test_every_row_in_the_working_set_is_the_dense_dual(self, monkeypatch, family_a,
+                                                            market_a, call_a):
+        # G = k * M: the one program posed is the dense dual, bit for bit
+        gens = price_slice_generators(market_a) * 3
+        lps = _posed(monkeypatch)
+        fair_price_generators(call_a, gens, family_a)
+        cols, bound = generator_rows(call_a, gens, family_a)
+        assert len(lps) == 1
+        assert np.array_equal(lps[0].objective, -bound)
+        assert np.array_equal(lps[0].a_ge, -cols.T)
+
+
+@pytest.fixture(scope="class")
+def market_59049():
+    return tree_market(3, 10, 2, 0)
+
+
+class TestNorthStar:
+    """The generator verbs at 59,049 atoms, where the dense dual took 40 s."""
+
+    def test_hedge_poses_small_programs(self, monkeypatch, market_59049):
+        family, market, claim = market_59049
+        lps = _posed(monkeypatch)
+        strat = superhedge_strategy(claim, market, family)
+        scale = max(1.0, claim.max())
+        assert strat.initial_capital() >= max(p.expect(claim) for p in family) - 1e-9 * scale
+        assert np.all(strat.capital.at_atoms(strat.capital.horizon) >= claim - 1e-9 * scale)
+        assert strat.self_financing_residual(market) <= 1e-9 * scale
+        rows = len(family) * market.space.n_cells(market.space.horizon)
+        shapes = [lp.a_ge.shape for lp in lps]
+        assert shapes and all(g == market.space.horizon + 1 for g, _ in shapes)
+        assert all(cols < 0.01 * rows for _, cols in shapes)
+
+    def test_price_matches_highs(self, market_59049):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        family, market, claim = market_59049
+        gens = price_slice_generators(market)
+        cols, bound = generator_rows(claim, gens, family)
+        highs = linprog(np.ones(len(gens)), A_ub=-cols, b_ub=-bound, method="highs")
+        assert highs.status == 0
+        got = fair_price_generators(claim, gens, family).fair_price
+        assert got == pytest.approx(highs.fun, rel=1e-12)
+
+
 class TestSmallFormAgainstFullForm:
     """The shifted free LP and the dual generator LP against the programs
     written out in full (every extreme, every terminal cell) and posed
@@ -640,6 +771,7 @@ class TestSmallFormAgainstFullForm:
             result = fair_price_generators(claim, gens, family)
             assert full.status == "optimal"
             assert result.fair_price == pytest.approx(full.value, abs=1e-9)
+            _assert_matches_dense_dual(result, claim, gens, family, "small form")
             assert result.fair_price >= free.fair_price - 1e-9  # the simplex is a subset
             assert result.lower_bound == free.lower_bound
             if result.fair_price > 1e-9:
