@@ -36,7 +36,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .lp import LinearProgram, NumericalBreakdown, solve
-from .regularity import A0Element
+from .regularity import A0Element, a0_membership
 from .space import (
     DEFAULT_TOL,
     MIN_PROB,
@@ -239,8 +239,10 @@ def _claim_cells(space: FilteredSpace, claim: np.ndarray) -> np.ndarray:
         raise NotMeasurable(f"claim has shape {claim.shape}, space has {space.n_atoms} atoms")
     if np.any(claim < -STRICT_TOL):
         raise ValueError("claim must be nonnegative")
+    if not np.isfinite(claim).all():
+        raise ValueError("claim must be finite")
     try:
-        return space.restrict(space.horizon, claim, atol=0.0)
+        return space.restrict(space.horizon, claim)
     except ShapeMismatch as exc:
         raise NotMeasurable(str(exc)) from exc
 
@@ -258,22 +260,16 @@ def _domination_rows(space: FilteredSpace, family: MeasureFamily, keep: np.ndarr
     return rows.reshape(-1, space.n_atoms)
 
 
-def _expectation_bound(claim: np.ndarray, family: MeasureFamily) -> float:
-    """Largest expectation of the claim over the extremes, one ``np.dot`` each."""
-    return max(p.expect(claim) for p in family)
-
-
 def _generator_stack(generators: Sequence, family: MeasureFamily) -> np.ndarray:
-    """The generators as ``(G, n)`` rows, checked in one pass to be finite,
-    nonnegative and of expectation one under every extreme."""
+    """The generators as ``(G, n)`` rows, checked in one
+    :func:`~doobkit.regularity.a0_membership` pass."""
     n = family.space.n_atoms
     xis = [g.xi if isinstance(g, A0Element) else np.asarray(g, dtype=float) for g in generators]
     if not xis:
         raise ValueError("need at least one generator")
-    # a row of the wrong length is NaN and fails; only finite rows reach the product
+    # a row of the wrong length is NaN and fails
     stack = np.vstack([xi if xi.shape == (n,) else np.full(n, np.nan) for xi in xis])
-    ok = np.isfinite(stack).all() and np.all(stack >= -STRICT_TOL)
-    if not (ok and np.all(np.abs(family.probs @ stack.T - 1.0) <= STRICT_TOL)):
+    if not a0_membership(family, stack):
         raise GeneratorNotInA0("expectation is not one under every extreme")
     return stack
 
@@ -322,7 +318,7 @@ def fair_price_a0(
     dominator = space.expand(
         space.horizon, cond_exp_cells(space, h, family.extremes[0], space.horizon)
     )
-    lower = _expectation_bound(claim, family)
+    lower = float((family.probs @ claim).max())
     if price < lower - 1e-8:  # would contradict the LP constraints
         raise NumericalBreakdown(f"price {price} fell below the expectation bound {lower}")
     density = h / price if price > tol else None
@@ -344,7 +340,7 @@ def _largest(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     v = values[rows]
     cut = np.partition(v, -count)[-count]
     above = rows[v > cut]
-    return np.union1d(above, rows[v == cut][: count - above.size])
+    return np.sort(np.concatenate([above, rows[v == cut][: count - above.size]]))
 
 
 def fair_price_generators(
@@ -411,7 +407,7 @@ def fair_price_generators(
         join = _largest(short, np.flatnonzero(short > scale), 4 * n_gens)
         if not join.size:
             break
-        work = np.union1d(work, join)
+        work = np.sort(np.concatenate([work, join]))  # join lies outside work
     y = np.zeros(b_ge.size)
     y[work] = dual.x
     price = -dual.value
@@ -428,7 +424,7 @@ def fair_price_generators(
     dominator = space.expand(space.horizon, dominated[: space.n_cells(space.horizon)])
     gamma = weights / weights.sum() if price > tol else None
     return PricingResult(fair_price=price, dominator=dominator, mode="generators",
-                         gamma=gamma, lower_bound=_expectation_bound(claim, family))
+                         gamma=gamma, lower_bound=float((family.probs @ claim).max()))
 
 
 def closed_form_call(s0: float, strike: float, terminal_high: float) -> float:
@@ -480,8 +476,8 @@ def find_emm(market: MarketModel) -> EmmResult:
         tot = np.bincount(parent, weights=d)
         # moves signed against the drift: the least is the far move, below 0 iff a floor exists
         against = d * np.sign(tot)[parent]
-        least = np.full(c.shape, np.inf)
-        np.minimum.at(least, parent, against)
+        order, starts = space.children_table(m)
+        least = np.minimum.reduceat(against[order], starts[:-1])
         den = c * least - np.abs(tot)
         eps = np.divide(least, den, out=np.where(tot == 0.0, 1.0 / c, 0.0), where=least < 0.0)
         left = np.divide(-np.abs(tot), den, out=np.zeros(c.shape), where=least < 0.0)  # 1 - c eps
@@ -591,11 +587,12 @@ def superhedge_strategy(
 
     # dominator martingale: price * sum_i gamma_i * S_{min(i, m)} / S_0;
     # level 0 is the price itself so the initial capital is exact
+    slices = [market.S.at_atoms(j) for j in range(space.horizon + 1)]
     levels = [np.array([price])]
     for m in range(1, space.horizon + 1):
         acc = np.zeros(space.n_atoms)
         for i in range(space.horizon + 1):
-            acc += slice_weight[i] * market.S.at_atoms(min(i, m))
+            acc += slice_weight[i] * slices[min(i, m)]
         levels.append(price * space.restrict(m, acc) / market.s0)
     mart = AdaptedProcess(space=space, per_time=tuple(levels))
 

@@ -24,6 +24,9 @@ martingale need not be driftless under every extreme (see
 6561-atom trees the path certified no step that the LP path's own
 ratio-at-most-one shortcut misses; so the library certifies by LP and
 keeps the constant seed as a cheap first try.
+
+Membership of the density set A0 is decided only by :func:`a0_membership`,
+for one density or a stack of them, from one product with the extremes.
 """
 
 from __future__ import annotations
@@ -237,19 +240,20 @@ def classify(f: AdaptedProcess, family: MeasureFamily, tol: float = DEFAULT_TOL)
 
 
 def a0_membership(family: MeasureFamily, xi: np.ndarray, tol: float = STRICT_TOL) -> bool:
-    """True iff ``xi`` is nonnegative with expectation one under every
-    extreme (and then, by linearity, under every mixture)."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (family.space.n_atoms,):
+    """True iff ``xi``, one row or a ``(G, n)`` stack of rows, is finite, at
+    least ``-tol``, and of expectation within ``tol`` of one under every
+    extreme (and then, by linearity, under every mixture); the expectations
+    of every row come from one ``family.probs @ rows.T`` product."""
+    rows = np.asarray(xi, dtype=float)
+    if rows.ndim not in (1, 2) or rows.shape[-1] != family.space.n_atoms:
         return False
-    if np.any(xi < -tol):
-        return False
-    return all(abs(p.expect(xi) - 1.0) <= tol for p in family)
+    ok = np.isfinite(rows).all() and np.all(rows >= -tol)
+    return bool(ok and np.all(np.abs(family.probs @ rows.T - 1.0) <= tol))
 
 
 def make_a0_element(family: MeasureFamily, xi: np.ndarray) -> A0Element:
     """Validated construction; raises :class:`NotInA0` on failure."""
-    if not a0_membership(family, xi):
+    if np.ndim(xi) != 1 or not a0_membership(family, xi):
         raise NotInA0("expectation is not one under every extreme")
     return A0Element(xi=np.asarray(xi, dtype=float))
 

@@ -10,7 +10,9 @@ list of extreme points whose convex hull is the uncertainty set.
 
 Random variables are plain float arrays with one entry per atom.  Adapted
 processes store one value per cell per time and are expanded to atoms on
-demand, so measurability cannot silently break.
+demand, so measurability cannot silently break; a per-atom array becomes
+per-cell values only through :meth:`FilteredSpace.restrict`, which asks
+every atom to equal its cell's first atom exactly, with no tolerance.
 
 Every module reads the filtration's nodes from one table per space: for
 each time, the cell of each atom, the first atom of each cell, the parent
@@ -168,23 +170,22 @@ class FilteredSpace:
             )
         return cell_values[self.atom_to_cell(m)]
 
-    def restrict(self, m: int, atom_values: np.ndarray, atol: float = 0.0) -> np.ndarray:
-        """Collapse a per-atom array that is constant on time-``m`` cells."""
+    def restrict(self, m: int, atom_values: np.ndarray) -> np.ndarray:
+        """Collapse a per-atom array that is constant on time-``m`` cells: each
+        atom must equal its cell's first exactly, so a NaN is refused anywhere."""
         atom_values = np.asarray(atom_values, dtype=float)
         if atom_values.shape != (self.n_atoms,):
             raise ShapeMismatch(f"expected {self.n_atoms} atom values, got {atom_values.shape}")
         cell = self.atom_to_cell(m)
-        hi = np.full(self.n_cells(m), -np.inf)
-        lo = np.full(self.n_cells(m), np.inf)
-        np.maximum.at(hi, cell, atom_values)
-        np.minimum.at(lo, cell, atom_values)
-        bad = np.flatnonzero(hi - lo > atol)
-        if bad.size:
-            j = bad[0]
+        values = atom_values[self._level(_first_atom, m)]
+        bad = atom_values != values[cell]
+        if bad.any():
+            j = int(cell[bad].min())
+            span = atom_values[list(self.partitions[m][j])]
             raise ShapeMismatch(
-                f"values are not measurable at time {m}: cell {j} spans [{lo[j]}, {hi[j]}]"
+                f"values are not measurable at time {m}: cell {j} spans [{span.min()}, {span.max()}]"
             )
-        return atom_values[self._level(_first_atom, m)]
+        return values
 
 
 # node-table builders: one time level each, called once per space and level
@@ -378,11 +379,9 @@ class AdaptedProcess:
         object.__setattr__(self, "per_time", tuple(vals))
 
     @classmethod
-    def from_atom_values(
-        cls, space: FilteredSpace, levels: Sequence[np.ndarray], atol: float = 0.0
-    ) -> "AdaptedProcess":
+    def from_atom_values(cls, space: FilteredSpace, levels: Sequence[np.ndarray]) -> "AdaptedProcess":
         """Build from per-atom arrays, verifying measurability at each time."""
-        per_time = tuple(space.restrict(m, lvl, atol=atol) for m, lvl in enumerate(levels))
+        per_time = tuple(space.restrict(m, lvl) for m, lvl in enumerate(levels))
         return cls(space=space, per_time=per_time)
 
     @property

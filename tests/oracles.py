@@ -16,8 +16,9 @@ one dict of cell probabilities per combination of node laws.  The
 decomposition report comes from one ``mixture()`` per Dirichlet draw and one
 conditional-expectation pass over the extremes and another over the
 mixtures; the counterexample search re-audits every shrink candidate.
-Generator pricing's stacked density check is held to one
-``make_a0_element`` call per generator, and its working-set dual to one
+Measurability is held to one comparison per atom with its cell's first,
+generator pricing's stacked density check to one atom-by-atom
+expectation per generator and extreme, and its working-set dual to one
 dense solve over every (extreme, terminal cell) row, with columns from one
 ``np.bincount`` pair per generator and extreme.
 """
@@ -33,11 +34,9 @@ from doobkit.lp import LinearProgram, solve
 from doobkit.pricing import NotRepresentable
 from doobkit.regularity import (
     A0Element,
-    NotInA0,
     StepFailure,
     Xi0Step,
     _check_unit_conditional,
-    make_a0_element,
     one_step_ratio_cells,
 )
 from doobkit.space import STRICT_TOL, ShapeMismatch, cond_exp_cells, mixture
@@ -78,13 +77,13 @@ def brute_parent_cell(space, m):
     ]
 
 
-def brute_restrict(space, m, atom_values, atol):
+def brute_restrict(space, m, atom_values):
     """(value at each cell's smallest atom, None), or (None, first cell whose
-    values span more than ``atol``)."""
+    values are not all equal)."""
     out = []
     for j, cell in enumerate(space.partitions[m]):
         vals = [atom_values[a] for a in cell]
-        if max(vals) - min(vals) > atol:
+        if any(v != vals[0] for v in vals):  # a NaN differs from itself
             return None, j
         out.append(atom_values[min(cell)])
     return out, None
@@ -423,14 +422,19 @@ def audit_based_search(claim, budget, seed, max_atoms=8, max_periods=3, max_extr
 
 
 def per_generator_check(family, generators):
-    """The message of the first generator that ``make_a0_element`` refuses,
-    checking one generator at a time, or None when it takes them all."""
+    """The message of ``GeneratorNotInA0`` when some generator is not a
+    density (of the wrong length, not finite, below ``-STRICT_TOL`` or of
+    expectation off one by more than ``STRICT_TOL`` under some extreme),
+    checking one generator at a time with one atom-by-atom sum per extreme;
+    None when every generator is one."""
+    n = family.space.n_atoms
     for g in generators:
         xi = g.xi if isinstance(g, A0Element) else np.asarray(g, dtype=float)
-        try:
-            make_a0_element(family, xi)
-        except NotInA0 as exc:
-            return str(exc)
+        ok = xi.shape == (n,) and all(np.isfinite(v) and v >= -STRICT_TOL for v in xi)
+        if not ok or any(
+            abs(sum(q * v for q, v in zip(p.probs, xi)) - 1.0) > STRICT_TOL for p in family
+        ):
+            return "expectation is not one under every extreme"
     return None
 
 

@@ -141,7 +141,7 @@ def _null_direction(family):
 
 class TestGeneratorStack:
     """The one-pass density check of the generators against one
-    ``make_a0_element`` per generator."""
+    atom-by-atom check per generator."""
 
     def test_matches_per_generator_loop(self):
         rng = np.random.default_rng(17)
@@ -481,6 +481,31 @@ class TestSuperhedge:
             assert strat.capital_residual(market) <= 1e-10
             assert np.all(strat.capital.at_atoms(strat.capital.horizon) >= claim - 1e-9)
             done += 1
+
+
+class TestNonFiniteClaims:
+    """A NaN behind the first atom of a terminal cell is refused by every
+    pricing verb, not priced as that cell's first atom."""
+
+    @pytest.fixture()
+    def coarse(self):
+        space = build_space(4, [[[0, 1, 2, 3]], [[0, 1], [2, 3]]])
+        s = AdaptedProcess(space=space, per_time=(np.array([100.0]), np.array([90.0, 110.0])))
+        # each extreme gives both terminal cells mass 1/2, so both are martingale measures
+        probs = ([0.25, 0.25, 0.25, 0.25], [0.1, 0.4, 0.3, 0.2])
+        family = MeasureFamily(space=space, extremes=tuple(Measure(np.array(p)) for p in probs))
+        return MarketModel(S=s), family
+
+    @pytest.mark.parametrize("claim", [[1.0, np.nan, 2.0, 2.0], [1.0, 1.0, 2.0, np.nan]])
+    @pytest.mark.parametrize("verb", [
+        lambda claim, market, family: fair_price_a0(claim, family),
+        lambda claim, market, family: fair_price_generators(claim, [np.ones(4)], family),
+        lambda claim, market, family: superhedge_strategy(claim, market, family),
+    ], ids=["a0", "generators", "hedge"])
+    def test_nan_is_refused(self, coarse, verb, claim):
+        market, family = coarse
+        with pytest.raises(ValueError, match="^claim must be finite$"):
+            verb(np.array(claim), market, family)
 
 
 class TestMarketModel:

@@ -151,11 +151,10 @@ class TestNodeTable:
                     for b in range(space.n_cells(m - 1)):
                         assert space.children(m, b).tolist() == brute_children(space, m, b)
                 measurable = space.expand(m, rng.normal(size=space.n_cells(m)))
-                assert space.restrict(m, measurable).tolist() == brute_restrict(
-                    space, m, measurable, 0.0
-                )[0]
+                want, _ = brute_restrict(space, m, measurable)
+                assert space.restrict(m, measurable).tolist() == want
                 rough = rng.normal(size=space.n_atoms)
-                _, bad = brute_restrict(space, m, rough, 0.0)
+                _, bad = brute_restrict(space, m, rough)
                 if bad is None:
                     assert space.restrict(m, rough).tolist() == rough.tolist()
                 else:
@@ -197,15 +196,26 @@ class TestNodeTable:
         )
 
     def test_restrict_tolerance_edges(self, space_b):
-        # cells (0, 1) and (2, 3); a span of exactly atol is measurable
-        np.testing.assert_array_equal(
-            space_b.restrict(1, [2.0, 2.0, 1.0, 1.25], atol=0.25), [2.0, 1.0]
-        )
-        with pytest.raises(ShapeMismatch) as exc:
-            space_b.restrict(1, [2.0, 2.0, 1.0, 1.5], atol=0.25)
-        assert str(exc.value) == "values are not measurable at time 1: cell 1 spans [1.0, 1.5]"
+        # cells (0, 1) and (2, 3); measurability is exact equality
+        np.testing.assert_array_equal(space_b.restrict(1, [2.0, 2.0, 1.0, 1.0]), [2.0, 1.0])
+        np.testing.assert_array_equal(space_b.restrict(1, [0.0, -0.0, 1.0, 1.0]), [0.0, 1.0])
+        for rough in ([2.0, 2.0, 1.0, 1.5], [2.0, 2.0, 1.5, 1.0]):
+            with pytest.raises(ShapeMismatch) as exc:
+                space_b.restrict(1, rough)
+            assert str(exc.value) == "values are not measurable at time 1: cell 1 spans [1.0, 1.5]"
         with pytest.raises(ShapeMismatch, match="cell 0 spans"):
-            space_b.restrict(1, [2.0, 2.5, 1.0, 1.5], atol=0.25)
+            space_b.restrict(1, [2.0, 2.5, 1.0, 1.5])
+        up = np.nextafter(1.0, 2.0)  # one ulp apart is not measurable
+        with pytest.raises(ShapeMismatch) as exc:
+            space_b.restrict(1, [2.0, 2.0, 1.0, up])
+        assert str(exc.value) == f"values are not measurable at time 1: cell 1 spans [1.0, {up}]"
+
+    @pytest.mark.parametrize("atom", [1, 3])
+    def test_restrict_refuses_nan_behind_a_cells_first_atom(self, space_b, atom):
+        values = np.array([1.0, 1.0, 2.0, 2.0])
+        values[atom] = np.nan
+        with pytest.raises(ShapeMismatch, match=f"cell {atom // 2} spans"):
+            space_b.restrict(1, values)
 
 
 class TestCondExpKernel:
@@ -367,6 +377,11 @@ class TestAdaptedProcess:
         assert list(proc.at_cells(1)) == [1.0, 3.0]
         levels[1] = np.array([1.0, 2.0, 3.0, 3.0])  # straddles the first cell
         with pytest.raises(ShapeMismatch):
+            AdaptedProcess.from_atom_values(space_b, levels)
+
+    def test_from_atom_values_refuses_nan_behind_a_cells_first_atom(self, space_b):
+        levels = [np.full(4, 2.0), np.array([1.0, np.nan, 3.0, 3.0]), np.arange(4.0)]
+        with pytest.raises(ShapeMismatch, match="time 1: cell 0 spans"):
             AdaptedProcess.from_atom_values(space_b, levels)
 
 
