@@ -51,11 +51,10 @@ from .space import (
     Measure,
     MeasureFamily,
     ShapeMismatch,
-    SpaceError,
     _as_rv,
     build_space,
-    cell_sums,
     cond_exp_cells,
+    cond_exp_step,
     ess_sup_cond_exp_cells,
 )
 
@@ -210,7 +209,7 @@ def _eval_1q5(instance: AuditInstance) -> tuple[float, str]:
     env = envelope_process(instance.family, xi)
     worst, where = 0.0, ""
     for m in range(1, space.horizon + 1):
-        rows = cond_exp_cells(space, env.at_atoms(m), instance.family.probs, m - 1)
+        rows = cond_exp_step(space, instance.family.masses(m), env.at_cells(m), m)
         mags = np.abs(rows - env.at_cells(m - 1)).max(axis=1)
         i = int(np.argmax(mags))
         if mags[i] > worst:
@@ -237,10 +236,10 @@ def _eval_fmars5(instance: AuditInstance) -> tuple[float, str]:
                  f"between extremes {i} and {j}")
     # defects[b, m - 1, i]: time-m defect, under i, of the martingale under b; first worst wins
     defects = np.empty((k, space.horizon, k))
-    under = np.tile(family.probs, (k, 1))  # row b * k + i is extreme i
     for m in range(1, space.horizon + 1):
-        dens = np.repeat(conds[m][:, space.atom_to_cell(m)], k, axis=0)
-        rows = cond_exp_cells(space, dens, under, m - 1) - np.repeat(conds[m - 1], k, axis=0)
+        under = np.tile(family.masses(m), (k, 1))  # row b * k + i is extreme i
+        dens = np.repeat(conds[m], k, axis=0)
+        rows = cond_exp_step(space, under, dens, m) - np.repeat(conds[m - 1], k, axis=0)
         defects[:, m - 1] = np.abs(rows).max(axis=1).reshape(k, k)
     b, m, i = np.unravel_index(np.argmax(defects), defects.shape)
     if defects[b, m, i] > worst:
@@ -389,10 +388,7 @@ def _drop_atom(instance: AuditInstance, atom: int) -> Optional[AuditInstance]:
                 kept.append(j)
         partitions.append(cells)
         kept_cells.append(kept)
-    try:
-        new_space = build_space(space.n_atoms - 1, partitions)
-    except SpaceError:
-        return None
+    new_space = build_space(space.n_atoms - 1, partitions)
     mask = np.array([a != atom for a in range(space.n_atoms)])
     extremes = []
     for p in instance.family:
@@ -456,7 +452,7 @@ def _terminal_unit_density(
     out = lp_solve(
         LinearProgram(
             -rng.normal(size=space.n_cells(horizon)),
-            a_eq=cell_sums(space, family.probs, horizon),
+            a_eq=family.masses(horizon),
             b_eq=np.ones(len(family)),
         )
     )

@@ -46,9 +46,9 @@ from .space import (
     Measure,
     MeasureFamily,
     ShapeMismatch,
-    cell_sums,
     compose_laws,
     cond_exp_cells,
+    cond_exp_step,
 )
 
 __all__ = [
@@ -255,7 +255,7 @@ def _domination_rows(space: FilteredSpace, family: MeasureFamily, keep: np.ndarr
     cell = space.atom_to_cell(horizon)
     atoms = np.flatnonzero(keep[cell])
     rows = np.zeros((len(family), np.count_nonzero(keep), space.n_atoms))
-    cond = probs[:, atoms] / cell_sums(space, probs, horizon)[:, cell[atoms]]
+    cond = probs[:, atoms] / family.masses(horizon)[:, cell[atoms]]
     rows[:, (np.cumsum(keep) - 1)[cell[atoms]], atoms] = cond
     return rows.reshape(-1, space.n_atoms)
 
@@ -491,21 +491,20 @@ def find_emm(market: MarketModel) -> EmmResult:
     return EmmResult(measure=Measure(q) if found else None, min_slack=floor)
 
 
-def _drift_residuals(probs: np.ndarray, market: MarketModel) -> np.ndarray:
-    """Per row of the ``(k, n)`` array ``probs``, the largest cellwise
-    one-step drift of the price; one stacked conditional expectation per
-    level serves every row."""
+def _drift_residuals(family: MeasureFamily, market: MarketModel) -> np.ndarray:
+    """Per extreme, the largest cellwise one-step drift of the price; one
+    stacked one-step conditional expectation per level serves every extreme."""
     space = market.space
-    worst = np.zeros(probs.shape[0])
+    worst = np.zeros(len(family))
     for m in range(1, space.horizon + 1):
-        e = cond_exp_cells(space, market.S.at_atoms(m), probs, m - 1)
+        e = cond_exp_step(space, family.masses(m), market.S.at_cells(m), m)
         worst = np.maximum(worst, np.abs(e - market.S.at_cells(m - 1)).max(axis=1))
     return worst
 
 
 def verify_emm(q: Measure, market: MarketModel, tol: float = DEFAULT_TOL) -> EmmReport:
     """Largest cellwise one-step drift of the price under ``q``."""
-    worst = float(_drift_residuals(q.probs[None, :], market)[0])
+    worst = float(_drift_residuals(MeasureFamily(space=market.space, extremes=(q,)), market)[0])
     return EmmReport(max_residual=worst, passed=worst <= tol)
 
 
@@ -576,7 +575,7 @@ def superhedge_strategy(
     starts at the fair price and ends at or above the claim.
     """
     space = market.space
-    drift = _drift_residuals(family.probs, market)
+    drift = _drift_residuals(family, market)
     bad = np.flatnonzero(~(drift <= tol))  # a NaN drift fails too
     if bad.size:
         raise FamilyNotEmm(f"extreme {bad[0]} has price drift {drift[bad[0]]:.3e}")

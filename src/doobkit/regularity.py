@@ -47,9 +47,8 @@ from .space import (
     FilteredSpace,
     MeasureFamily,
     ShapeMismatch,
-    cell_sums,
     cond_exp_cells,
-    ess_sup_cond_exp_cells,
+    cond_exp_step,
     node_laws,
 )
 
@@ -107,7 +106,7 @@ class A0Element:
         xi = np.array(self.xi, dtype=float)  # copy before freezing
         xi.setflags(write=False)
         object.__setattr__(self, "xi", xi)
-        if np.any(xi < -STRICT_TOL) or not np.all(np.isfinite(xi)):
+        if not _finite_and_above(xi, STRICT_TOL):
             raise NotInA0("element must be nonnegative and finite")
 
 
@@ -223,7 +222,7 @@ def classify(f: AdaptedProcess, family: MeasureFamily, tol: float = DEFAULT_TOL)
     worst = (-np.inf, 0, 0, 0)
     max_abs = 0.0
     for m in range(1, space.horizon + 1):
-        defect = cond_exp_cells(space, f.at_atoms(m), family.probs, m - 1) - f.at_cells(m - 1)
+        defect = cond_exp_step(space, family.masses(m), f.at_cells(m), m) - f.at_cells(m - 1)
         # the first worst in (extreme, cell) order; a later time must beat it
         i, j = np.unravel_index(np.argmax(defect), defect.shape)
         if defect[i, j] > worst[0]:
@@ -239,6 +238,11 @@ def classify(f: AdaptedProcess, family: MeasureFamily, tol: float = DEFAULT_TOL)
     return Classification(kind=kind, worst_violation=violation)
 
 
+def _finite_and_above(rows: np.ndarray, tol: float) -> bool:
+    """The sign half of the density rule: every entry finite and at least ``-tol``."""
+    return bool(np.isfinite(rows).all() and np.all(rows >= -tol))
+
+
 def a0_membership(family: MeasureFamily, xi: np.ndarray, tol: float = STRICT_TOL) -> bool:
     """True iff ``xi``, one row or a ``(G, n)`` stack of rows, is finite, at
     least ``-tol``, and of expectation within ``tol`` of one under every
@@ -247,8 +251,7 @@ def a0_membership(family: MeasureFamily, xi: np.ndarray, tol: float = STRICT_TOL
     rows = np.asarray(xi, dtype=float)
     if rows.ndim not in (1, 2) or rows.shape[-1] != family.space.n_atoms:
         return False
-    ok = np.isfinite(rows).all() and np.all(rows >= -tol)
-    return bool(ok and np.all(np.abs(family.probs @ rows.T - 1.0) <= tol))
+    return _finite_and_above(rows, tol) and bool(np.all(np.abs(family.probs @ rows.T - 1.0) <= tol))
 
 
 def make_a0_element(family: MeasureFamily, xi: np.ndarray) -> A0Element:
@@ -331,12 +334,13 @@ def one_step_ratio_cells(f: AdaptedProcess, m: int) -> np.ndarray:
 def _check_unit_conditional(
     space: FilteredSpace,
     family: MeasureFamily,
-    xi0_atoms: np.ndarray,
+    values: np.ndarray,
     m: int,
     tol: float,
 ) -> tuple[bool, int, float]:
-    """Worst deviation of E{xi0 | F_{m-1}} from one, and the first extreme with it."""
-    dev = np.abs(cond_exp_cells(space, xi0_atoms, family.probs, m - 1) - 1.0).max(axis=1)
+    """Worst deviation of E{xi0 | F_{m-1}} from one, and the first extreme
+    with it, for ``xi0`` taking ``values`` on the time-``m`` cells."""
+    dev = np.abs(cond_exp_step(space, family.masses(m), values, m) - 1.0).max(axis=1)
     worst_i = int(np.argmax(dev))
     return dev[worst_i] <= tol, worst_i, float(dev[worst_i])
 
@@ -359,23 +363,22 @@ def xi0_step_alpha(
     """
     space = family.space
     ratio = one_step_ratio_cells(f, m)
-    sup_cells = ess_sup_cond_exp_cells(space, space.expand(m, ratio), family, m - 1)
-    sup = sup_cells[space.parent_cell(m)]
+    sup = cond_exp_step(space, family.masses(m), ratio, m).max(axis=0)[space.parent_cell(m)]
     norm = np.divide(ratio, sup, out=np.zeros_like(ratio), where=sup > 0.0)
     if np.any(norm > 1.0 + STRICT_TOL):
         return StepFailure(m=m, reason="empty alpha interval")
 
-    xi0_atoms = np.ones(space.n_atoms)
-    ok, bad_i, dev = _check_unit_conditional(space, family, xi0_atoms, m, tol)
+    values = np.ones_like(ratio)
+    ok, bad_i, dev = _check_unit_conditional(space, family, values, m, tol)
     if not ok:
         return StepFailure(
             m=m,
             reason=f"conditional expectation is {1 + dev:.12g}-ish under extreme {bad_i}, not 1",
             certificate=dev,
         )
-    if np.any(xi0_atoms < space.expand(m, ratio) - tol):
+    if np.any(values < ratio - tol):
         return StepFailure(m=m, reason="candidate does not dominate the one-step ratio")
-    return Xi0Step(m=m, xi0=xi0_atoms, method="alpha-path", alpha=0.0)
+    return Xi0Step(m=m, xi0=space.expand(m, values), method="alpha-path", alpha=0.0)
 
 
 @lru_cache(maxsize=None)
@@ -502,11 +505,10 @@ def xi0_step_lp(
                     certificate=out.infeasibility if out.status == "infeasible" else None,
                 )
             values[children] = out.x
-    xi0_atoms = space.expand(m, values)
-    ok, bad_i, dev = _check_unit_conditional(space, family, xi0_atoms, m, tol)
+    ok, bad_i, dev = _check_unit_conditional(space, family, values, m, tol)
     if not ok:  # the LP enforces these rows only up to its own tolerance
         return StepFailure(m=m, reason=f"LP residual {dev} under extreme {bad_i}", certificate=dev)
-    return Xi0Step(m=m, xi0=xi0_atoms, method="lp-path", alpha=None)
+    return Xi0Step(m=m, xi0=space.expand(m, values), method="lp-path", alpha=None)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +577,10 @@ def verify_decomposition(
     martingale property under the extremes and sampled mixtures, the match
     between one-step drift and expected compensator growth, and that the
     compensator increments recenter to zero under each extreme.  The
-    mixtures are one seeded Dirichlet draw of ``n_mixtures`` weight rows,
-    checked in the same conditional expectation per level as the extremes.
+    mixtures are one seeded Dirichlet draw of ``n_mixtures`` weight rows;
+    each level's mixture cell masses are the weighted extremes' masses over
+    the mixture's total, checked in the same one-step conditional
+    expectation as the extremes.
     """
     space = family.space
     mart, comp = decomposition.martingale, decomposition.compensator
@@ -594,35 +598,35 @@ def verify_decomposition(
         name = f"shapes (not on the family's space: {', '.join(elsewhere)})"
         return DecompositionReport(checks=(CheckResult(name=name, max_violation=np.inf, passed=False),))
     recon = max(
-        float(np.abs(f.at_atoms(m) - (mart.at_atoms(m) - comp.at_atoms(m))).max())
+        float(np.abs(f.at_cells(m) - (mart.at_cells(m) - comp.at_cells(m))).max())
         for m in range(space.horizon + 1)
     )
     add("reconstruction", recon)
     add("compensator-starts-at-zero", float(np.abs(comp.at_cells(0)).max()))
-    # extremes first; each mixture row summed in mixture()'s order, then normalized
-    probs, k = family.probs, len(family)
-    weights = np.random.default_rng(seed).dirichlet(np.ones(k), size=n_mixtures)
-    rows = np.zeros((k + n_mixtures, space.n_atoms))
-    rows[:k] = probs
-    mixes = rows[k:]
-    for i in range(k):
-        mixes += weights[:, i : i + 1] * probs[i]
-    mixes /= mixes.sum(axis=1, keepdims=True)
-    sums_ok = (np.abs(mixes.sum(axis=1) - 1.0) <= STRICT_TOL).all()
-    if not (np.isfinite(mixes).all() and mixes.min(initial=np.inf) > MIN_PROB and sums_ok):
-        raise ValueError(f"mixtures must be finite, above {MIN_PROB} and sum to 1")
+    weights = np.random.default_rng(seed).dirichlet(np.ones(len(family)), size=n_mixtures)
+    total = weights @ family.masses(0)
     growth = mart_ext = mart_mix = drift = centered = 0.0
     for m in range(1, space.horizon + 1):
-        dg = comp.at_atoms(m) - comp.at_atoms(m - 1)
+        # one level's mixture masses at a time
+        masses = family.masses(m)
+        mixes = weights @ masses
+        mixes /= total
+        sums_ok = (np.abs(mixes.sum(axis=1) - 1.0) <= STRICT_TOL).all()
+        if not (np.isfinite(mixes).all() and mixes.min(initial=np.inf) > MIN_PROB and sums_ok):
+            raise ValueError(f"mixtures must be finite, above {MIN_PROB} and sum to 1")
+        parent = space.parent_cell(m)
+        dg = comp.at_cells(m) - comp.at_cells(m - 1)[parent]
         growth = max(growth, float((-dg).max()))
-        gap = np.abs(cond_exp_cells(space, mart.at_atoms(m), rows, m - 1) - mart.at_cells(m - 1))
-        mart_ext = max(mart_ext, float(gap[:k].max(initial=0.0)))
-        mart_mix = max(mart_mix, float(gap[k:].max(initial=0.0)))
-        lhs = cond_exp_cells(space, f.at_atoms(m - 1) - f.at_atoms(m), probs, m - 1)
-        rhs = cond_exp_cells(space, dg, probs, m - 1)
+        now, before = mart.at_cells(m), mart.at_cells(m - 1)
+        gap = np.abs(cond_exp_step(space, masses, now, m) - before)
+        mart_ext = max(mart_ext, float(gap.max()))
+        gap = np.abs(cond_exp_step(space, mixes, now, m) - before)
+        mart_mix = max(mart_mix, float(gap.max(initial=0.0)))
+        lhs = cond_exp_step(space, masses, f.at_cells(m - 1)[parent] - f.at_cells(m), m)
+        rhs = cond_exp_step(space, masses, dg, m)
         drift = max(drift, float(np.abs(lhs - rhs).max()))
-        psi = dg - rhs[:, space.atom_to_cell(m - 1)]
-        centered = max(centered, float(np.abs(cond_exp_cells(space, psi, probs, m - 1)).max()))
+        psi = dg - rhs[:, parent]
+        centered = max(centered, float(np.abs(cond_exp_step(space, masses, psi, m)).max()))
     add("compensator-monotone", max(growth, 0.0))
     add("martingale-extremes", mart_ext)
     add("martingale-mixtures", mart_mix)
@@ -648,7 +652,7 @@ def completeness_check(
     if not delta.pos_cells:
         return CompletenessReport(level=n, fraction_inside=1.0, pairs=(), vacuous=True)
     # variables: (lambda_1..lambda_k, deviation); only the target moves per pair
-    cmat = cell_sums(family.space, family.probs, n).T  # cells x k
+    cmat = family.masses(n).T  # cells x k
     n_cells, k = cmat.shape
     a_ge = np.hstack([np.vstack([-cmat, cmat]), np.ones((2 * n_cells, 1))])
     a_eq = np.concatenate([np.ones(k), [0.0]])[None, :]

@@ -24,12 +24,21 @@ read-only on the space.
 
 No other module sums probability mass over cells.  :func:`cell_sums` adds
 each cell in numpy's pairwise order, bit for bit the cell's own ``.sum()``
-(neither ``np.bincount``, ``np.add.reduceat`` nor a 3-D reduction does),
+(neither ``np.bincount``, ``np.add.reduceat`` nor a reduction over a
+fancy-indexed 3-D gather does),
 and feeds :func:`node_laws` (inverted by :func:`compose_laws`),
 linear-program data and instance draws, whose optimal vertices and seeded
-draws can move with the last bit.  Conditional expectations
-(:func:`cond_exp_cells`) are ``np.bincount`` sums over the atom→cell map,
-for every measure of a family in one call.
+draws can move with the last bit.  A family caches its extremes' cell
+masses per time (``MeasureFamily.masses``), from :func:`cell_sums`.
+
+Conditional expectations follow one rule.  A variable given per atom (a
+density, a claim, an envelope's payoff) goes through :func:`cond_exp_cells`,
+``np.bincount`` sums over the atom→cell map for every measure of a family
+in one call.  The one-step expectation of an adapted value, time-``m``
+cell values given time ``m - 1``, goes through :func:`cond_exp_step`, which
+sums each parent's children from cell masses, such as the family's cached
+ones, and never visits an atom.  The two agree to round-off, not bit for
+bit.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ __all__ = [
     "node_laws",
     "compose_laws",
     "cond_exp_cells",
+    "cond_exp_step",
     "ess_sup_cond_exp_cells",
     "mixture",
 ]
@@ -232,7 +242,7 @@ def _grouped(owner: np.ndarray, n_owners: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _by_count(order: np.ndarray, starts: np.ndarray) -> tuple:
     """``(owners, members (owners, c))`` per member count ``c``, ascending."""
-    counts = np.diff(starts)
+    counts = starts[1:] - starts[:-1]  # np.diff costs a visible share on small levels
     out = []
     # np.unique would import numpy.ma, a visible share of a CLI call's start-up
     for c in np.flatnonzero(np.bincount(counts)).tolist():
@@ -351,6 +361,21 @@ class MeasureFamily:
         probs.setflags(write=False)
         return probs
 
+    @cached_property
+    def _masses(self) -> dict:
+        # not a dataclass field, like FilteredSpace._table
+        return {}
+
+    def masses(self, m: int) -> np.ndarray:
+        """The extremes' time-``m`` cell masses as a read-only ``(k, n_cells(m))``
+        array, from :func:`cell_sums`, built on first use."""
+        mass = self._masses.get(m)
+        if mass is None:
+            mass = cell_sums(self.space, self.probs, m)
+            mass.setflags(write=False)
+            self._masses[m] = mass
+        return mass
+
 
 @dataclass(frozen=True, eq=False)
 class AdaptedProcess:
@@ -401,12 +426,14 @@ class AdaptedProcess:
 
 def cell_sums(space: FilteredSpace, values: np.ndarray, m: int) -> np.ndarray:
     """Per-cell sums ``(k, n_cells)`` of the rows of a ``(k, n)`` array, each
-    bit for bit the cell's own ``.sum()``: one contiguous ``(cells, size)``
-    gather per row and cell size, summed along its last axis."""
-    out = np.empty((values.shape[0], space.n_cells(m)))
+    bit for bit the cell's own ``.sum()``: one C-contiguous ``(k * cells,
+    size)`` gather per cell size (``np.take``; fancy indexing lays the rows
+    out with other strides), summed along its last axis."""
+    k = values.shape[0]
+    out = np.empty((k, space.n_cells(m)))
     for cells, atoms in space._level(_cell_atoms, m):
-        for i, row in enumerate(values):
-            out[i, cells] = row[atoms].sum(axis=1)
+        gathered = np.take(values, atoms, axis=1).reshape(-1, atoms.shape[1])
+        out[:, cells] = gathered.sum(axis=1).reshape(k, -1)
     return out
 
 
@@ -466,6 +493,23 @@ def cond_exp_cells(
     mass = np.bincount(bins, weights=probs.ravel(), minlength=k * c)
     out = (num / mass).reshape(k, c)
     return out[0] if single else out
+
+
+def cond_exp_step(space: FilteredSpace, masses: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+    """One-step conditional expectation of values on the time-``m`` cells.
+
+    ``masses`` is ``(r, n_cells(m))``, one row of time-``m`` cell masses per
+    measure (such as ``MeasureFamily.masses(m)``), and ``values`` is one
+    ``(n_cells(m),)`` row shared by every measure or ``(r, n_cells(m))``
+    paired row by row.  Returns ``(r, n_cells(m - 1))``: over each parent's
+    children, the sum of ``mass * value`` over the sum of ``mass``, both in
+    ascending child order, so a constant comes back exactly.
+    """
+    r, c = masses.shape[0], space.n_cells(m - 1)
+    bins = (np.arange(r)[:, None] * c + space.parent_cell(m)).ravel()
+    num = np.bincount(bins, weights=(masses * values).ravel(), minlength=r * c)
+    mass = np.bincount(bins, weights=masses.ravel(), minlength=r * c)
+    return (num / mass).reshape(r, c)
 
 
 def _check_weights(weights: np.ndarray, k: int) -> np.ndarray:

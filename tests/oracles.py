@@ -14,8 +14,13 @@ least-squares solve per node, and the hedge's capital from one
 ``restrict`` per time and price slice.  Pasting-stable families come from
 one dict of cell probabilities per combination of node laws.  The
 decomposition report comes from one ``mixture()`` per Dirichlet draw and one
-conditional-expectation pass over the extremes and another over the
-mixtures; the counterexample search re-audits every shrink candidate.
+atom-level conditional-expectation pass over the extremes and another over
+the mixtures; the library conditions on cell masses instead, so the two
+agree to round-off (the same check names and verdicts, violations within
+1e-12, relative above 1), not bit for bit.  One-step conditional
+expectations on cell masses are checked against :func:`brute_cond_exp` of
+the cell values laid out on atoms.  The counterexample search re-audits
+every shrink candidate.
 Measurability is held to one comparison per atom with its cell's first,
 generator pricing's stacked density check to one atom-by-atom
 expectation per generator and extreme, and its working-set dual to one
@@ -314,11 +319,10 @@ def per_node_xi0_lp(f, family, m, tol=1e-9):
                 certificate=out.infeasibility if out.status == "infeasible" else None,
             )
         values[children] = out.x
-    xi0_atoms = space.expand(m, values)
-    ok, bad_i, dev = _check_unit_conditional(space, family, xi0_atoms, m, tol)
+    ok, bad_i, dev = _check_unit_conditional(space, family, values, m, tol)
     if not ok:  # the LP enforces these rows only up to its own tolerance
         return StepFailure(m=m, reason=f"LP residual {dev} under extreme {bad_i}", certificate=dev)
-    return Xi0Step(m=m, xi0=xi0_atoms, method="lp-path", alpha=None)
+    return Xi0Step(m=m, xi0=space.expand(m, values), method="lp-path", alpha=None)
 
 
 def per_mixture_verify(f, decomposition, family, tol=1e-9, n_mixtures=20, seed=0):

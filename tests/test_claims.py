@@ -16,6 +16,7 @@ from doobkit import (
 )
 from doobkit import claims
 from doobkit.claims import CLAIM_IDS, envelope_process
+from doobkit.generators import random_family, random_space
 
 from .oracles import audit_based_search
 
@@ -89,7 +90,7 @@ class TestPastingStableFamiliesPass:
     def test_envelope_claims_hold_on_product_families(self):
         # families assembled from independent per-node conditional choices
         # are stable under pasting, and there the envelope identities hold
-        from doobkit.generators import product_family, random_space
+        from doobkit.generators import product_family
 
         for seed in range(30):
             rng = np.random.default_rng(seed)
@@ -181,6 +182,29 @@ class TestWitnessRoundTrip:
         again = audit(claim, rebuilt)
         assert again.verdict == "counterexample"
         assert again.violation == pytest.approx(result.violation, abs=1e-10)
+
+
+class TestShrinkSteps:
+    def test_dropping_any_atom_leaves_a_space(self):
+        # three random spaces of every (atoms, periods) shape of at most 8
+        # atoms and 3 periods, each less every one of its atoms in turn
+        rng = np.random.default_rng(0)
+        for n_atoms in range(2, 9):
+            for horizon in (1, 2, 3):
+                for _ in range(3):
+                    space = random_space(rng, max_atoms=n_atoms, max_periods=horizon)
+                    while (space.n_atoms, space.horizon) != (n_atoms, horizon):
+                        space = random_space(rng, max_atoms=n_atoms, max_periods=horizon)
+                    xi = rng.uniform(0.0, 2.0, size=n_atoms)
+                    instance = AuditInstance(family=random_family(rng, space), xi=xi)
+                    for atom in range(n_atoms):
+                        smaller = claims._drop_atom(instance, atom)
+                        if n_atoms == 2:
+                            assert smaller is None
+                            continue
+                        assert smaller.space.n_atoms == n_atoms - 1
+                        assert smaller.space.horizon == horizon
+                        assert smaller.xi.tolist() == np.delete(xi, atom).tolist()
 
 
 class TestSearch:

@@ -241,9 +241,10 @@ class TestXi0StepAlpha:
         assert step.reason == "candidate does not dominate the one-step ratio"
 
     def test_unit_conditional_tie_reports_lower_extreme(self, space_b):
-        # E{xi0} is exactly 1.125, 1.25 and 1.25: extremes 1 and 2 tie
+        # xi0 is 1.5 and 1.0 on the time-1 cells, so E{xi0} is exactly
+        # 1.125, 1.25 and 1.25: extremes 1 and 2 tie
         family = _dyadic_family(space_b)
-        xi0 = np.array([1.5, 1.5, 1.0, 1.0])
+        xi0 = np.array([1.5, 1.0])
         assert _check_unit_conditional(space_b, family, xi0, 1, 1e-9) == (False, 1, 0.25)
 
     def test_matches_per_cell_intervals(self):
@@ -463,9 +464,14 @@ class TestOptionalDecompose:
 
 
 def _same_as_per_mixture_verify(f, dec, family, n_mixtures, seed=0):
+    """The same check names and verdicts as the oracle, and each violation
+    within 1e-12 of the oracle's, relative above 1: the library conditions
+    on cell masses, the oracle sums atoms, so they part by round-off."""
     report = verify_decomposition(f, dec, family, n_mixtures=n_mixtures, seed=seed)
-    got = [(c.name, c.max_violation, c.passed) for c in report.checks]
-    assert got == per_mixture_verify(f, dec, family, n_mixtures=n_mixtures, seed=seed)
+    want = per_mixture_verify(f, dec, family, n_mixtures=n_mixtures, seed=seed)
+    assert [(c.name, c.passed) for c in report.checks] == [(w[0], w[2]) for w in want]
+    for c, (_, violation, _) in zip(report.checks, want):
+        assert abs(c.max_violation - violation) <= 1e-12 * max(1.0, abs(violation)), c.name
 
 
 def _jittered(dec, rng):

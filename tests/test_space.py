@@ -26,6 +26,7 @@ from doobkit.space import (
     cell_sums,
     compose_laws,
     cond_exp_cells,
+    cond_exp_step,
     ess_sup_cond_exp_cells,
     node_laws,
 )
@@ -344,6 +345,86 @@ class TestCellKernel:
         for parents, children, _ in node_laws(family_b.space, family_b.probs, 2):
             for arr in (parents, children):
                 assert not arr.flags.writeable
+
+
+class TestOneStepCondExp:
+    """``cond_exp_step`` on cached cell masses against ``brute_cond_exp``
+    of the values laid out on atoms, under the family's rows, mixture rows
+    and tiled rows, within 1e-13 relative."""
+
+    def _families(self):
+        """Random draws whose cells hold several atoms, and the families of
+        the 3^6 (k = 2) and 5^3 (k = 3) trees."""
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            space = random_space(rng, max_atoms=40, max_periods=3)
+            yield random_family(rng, space), rng
+        for b, depth, k in ((3, 6, 2), (5, 3, 3)):
+            yield tree_draw(b, depth, k, 0)[0], np.random.default_rng(b)
+
+    @staticmethod
+    def _want(space, probs, values, m):
+        """Per time-``m - 1`` cell, from raw sums over atoms."""
+        xi = np.empty(space.n_atoms)
+        for value, cell in zip(values, space.cells(m)):
+            xi[list(cell)] = value
+        out = brute_cond_exp(space, xi, probs, m - 1)
+        return np.array([out[cell[0]] for cell in space.cells(m - 1)])
+
+    def test_family_rows(self):
+        multi = 0
+        for family, rng in self._families():
+            space = family.space
+            multi += max(map(len, space.cells(space.horizon))) > 1
+            for m in range(1, space.horizon + 1):
+                values = rng.uniform(0.5, 2.0, size=space.n_cells(m))
+                got = cond_exp_step(space, family.masses(m), values, m)
+                assert got.shape == (len(family), space.n_cells(m - 1))
+                for row, p in zip(got, family.probs):
+                    np.testing.assert_allclose(row, self._want(space, p, values, m), rtol=1e-13, atol=0)
+        assert multi > 20
+
+    def test_mixture_rows(self):
+        for family, rng in self._families():
+            space = family.space
+            weights = rng.dirichlet(np.ones(len(family)), size=5)
+            mixes = weights @ family.probs
+            for m in range(1, space.horizon + 1):
+                values = rng.uniform(0.5, 2.0, size=space.n_cells(m))
+                masses = weights @ family.masses(m) / (weights @ family.masses(0))
+                got = cond_exp_step(space, masses, values, m)
+                for row, p in zip(got, mixes):
+                    np.testing.assert_allclose(row, self._want(space, p, values, m), rtol=1e-13, atol=0)
+
+    def test_tiled_rows(self):
+        for family, rng in self._families():
+            space = family.space
+            k = len(family)
+            for m in range(1, space.horizon + 1):
+                values = rng.uniform(0.5, 2.0, size=(k * k, space.n_cells(m)))
+                got = cond_exp_step(space, np.tile(family.masses(m), (k, 1)), values, m)
+                for r in range(k * k):
+                    want = self._want(space, family.probs[r % k], values[r], m)
+                    np.testing.assert_allclose(got[r], want, rtol=1e-13, atol=0)
+
+    def test_constant_is_exact(self):
+        for family, rng in self._families():
+            space = family.space
+            weights = rng.dirichlet(np.ones(len(family)), size=5)
+            for m in range(1, space.horizon + 1):
+                ones = np.ones(space.n_cells(m))
+                for masses in (family.masses(m), weights @ family.masses(m)):
+                    assert np.all(cond_exp_step(space, masses, ones, m) == 1.0)
+
+    def test_masses_cached_read_only_and_per_cell_sums(self, family_b):
+        for family, _ in self._families():
+            space = family.space
+            for m in range(space.horizon + 1):
+                mass = family.masses(m)
+                assert family.masses(m) is mass and not mass.flags.writeable
+                assert mass.tobytes() == brute_cell_masses(space, family, m).tobytes()
+        with pytest.raises(ValueError):
+            family_b.masses(1)[0, 0] = 0.5
 
 
 class TestMeasure:
