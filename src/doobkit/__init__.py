@@ -5,7 +5,6 @@ instance-level audits of the envelope identities."""
 from .space import (
     AdaptedProcess,
     BadCover,
-    BadWeights,
     FilteredSpace,
     Measure,
     MeasureFamily,
@@ -16,7 +15,6 @@ from .space import (
     build_space,
     cond_exp_cells,
     ess_sup_cond_exp_cells,
-    mixture,
 )
 from .lp import LinearProgram, LpOutcome, NumericalBreakdown, solve
 from .regularity import (

@@ -51,11 +51,10 @@ from .space import (
     Measure,
     MeasureFamily,
     ShapeMismatch,
-    _as_rv,
+    _cond_exp_back,
     build_space,
     cond_exp_cells,
     cond_exp_step,
-    ess_sup_cond_exp_cells,
 )
 
 __all__ = [
@@ -149,12 +148,17 @@ class AuditResult:
         return out
 
 
+def _cond_exp_levels(family: MeasureFamily, xi: np.ndarray) -> list[np.ndarray]:
+    """``E_i[xi | F_m]`` under each extreme ``i``, as ``(k, n_cells(m))`` per
+    time ``m``: one atom pass at the horizon, then one step back per level."""
+    n = family.space.horizon
+    return _cond_exp_back(family, cond_exp_cells(family.space, xi, family.probs, n), n)
+
+
 def envelope_process(family: MeasureFamily, xi: np.ndarray) -> AdaptedProcess:
     """The upper envelope of conditional expectations, as an adapted process."""
-    space = family.space
-    rows = np.broadcast_to(_as_rv(space, xi), family.probs.shape)  # checked once, not per level
-    levels = [ess_sup_cond_exp_cells(space, rows, family, m) for m in range(space.horizon + 1)]
-    return AdaptedProcess(space=space, per_time=tuple(levels))
+    levels = [cond.max(axis=0) for cond in _cond_exp_levels(family, xi)]
+    return AdaptedProcess(space=family.space, per_time=tuple(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +176,12 @@ def _require_xi(instance: AuditInstance, nonnegative: bool) -> np.ndarray:
 
 def _eval_envelope_tower(instance: AuditInstance) -> tuple[float, str]:
     family = instance.family
-    space = instance.space
     env = envelope_process(family, _require_xi(instance, nonnegative=False))
     worst, where = 0.0, ""
-    for n in range(1, space.horizon + 1):
-        phi = env.at_atoms(n)
+    for n in range(1, instance.space.horizon + 1):
+        back = _cond_exp_back(family, env.at_cells(n), n)
         for m in range(n):
-            gaps = (cond_exp_cells(space, phi, family.probs, m) - env.at_cells(m)).max(axis=1)
+            gaps = (back[m] - env.at_cells(m)).max(axis=1)
             i = int(np.argmax(gaps))
             if gaps[i] > worst:
                 worst = float(gaps[i])
@@ -226,7 +229,7 @@ def _eval_fmars5(instance: AuditInstance) -> tuple[float, str]:
     space = instance.space
     k = len(family)
     # conds[m][b]: the density martingale under extreme b at time m
-    conds = [cond_exp_cells(space, xi, family.probs, m) for m in range(space.horizon + 1)]
+    conds = _cond_exp_levels(family, xi)
     # gaps[m, i, j]: how far the martingales under i and j part; the first worst wins
     gaps = np.stack([np.abs(c[:, None] - c[None, :]).max(axis=2) for c in conds])
     m, i, j = np.unravel_index(np.argmax(gaps), gaps.shape)
@@ -292,7 +295,7 @@ def _eval_mmars1(instance: AuditInstance) -> tuple[float, str]:
     for m in range(1, space.horizon + 1):
         if np.any(f.at_atoms(m) > f.at_atoms(m - 1) + STRICT_TOL):
             raise ClaimPreconditionUnmet("f must be pathwise non-increasing")
-    conds = [cond_exp_cells(space, xi, family.probs, m) for m in range(space.horizon + 1)]
+    conds = _cond_exp_levels(family, xi)
     worst, where = 0.0, ""
     for b in range(len(family)):
         levels = [f.at_cells(m) * conds[m][b] for m in range(space.horizon + 1)]

@@ -47,6 +47,7 @@ from .space import (
     FilteredSpace,
     MeasureFamily,
     ShapeMismatch,
+    _cond_exp_back,
     cond_exp_cells,
     cond_exp_step,
     node_laws,
@@ -300,14 +301,14 @@ def martingale_increments(
     xi0: A0Element, family: MeasureFamily, base_index: int, n: int
 ) -> MartingaleDelta:
     """Cellwise increments of the conditional expectations of ``xi0`` under
-    an explicitly chosen extreme, with the down/up cell split."""
+    an explicitly chosen extreme, with the down/up cell split: one atom pass
+    at the horizon, then one step back per level."""
     if n < 1:
         raise ValueError("increments need n >= 1")
     space = family.space
-    base = family.extremes[base_index]
-    now = cond_exp_cells(space, xi0.xi, base, n)
-    prev = cond_exp_cells(space, xi0.xi, base, n - 1)
-    d = now - prev[space.parent_cell(n)]
+    horizon = space.horizon
+    conds = _cond_exp_back(family, cond_exp_cells(space, xi0.xi, family.probs, horizon), horizon)
+    d = conds[n][base_index] - conds[n - 1][base_index][space.parent_cell(n)]
     neg = tuple(int(j) for j in range(d.shape[0]) if d[j] <= 0.0)
     pos = tuple(int(j) for j in range(d.shape[0]) if d[j] > 0.0)
     return MartingaleDelta(
@@ -479,7 +480,7 @@ def xi0_step_lp(
     if need.any():
         k = len(family)
         rest = []  # (cell, children, law) of the nodes left for the LP
-        for parents, children, law in node_laws(space, family.probs, m):
+        for parents, children, law in node_laws(space, family.masses(m), m):
             nodes = np.flatnonzero(need[parents])
             # a cell with fewer children than extremes has no basis: it stays for the LP
             if nodes.size and children.shape[1] >= k:

@@ -31,14 +31,19 @@ linear-program data and instance draws, whose optimal vertices and seeded
 draws can move with the last bit.  A family caches its extremes' cell
 masses per time (``MeasureFamily.masses``), from :func:`cell_sums`.
 
-Conditional expectations follow one rule.  A variable given per atom (a
-density, a claim, an envelope's payoff) goes through :func:`cond_exp_cells`,
-``np.bincount`` sums over the atom→cell map for every measure of a family
-in one call.  The one-step expectation of an adapted value, time-``m``
-cell values given time ``m - 1``, goes through :func:`cond_exp_step`, which
-sums each parent's children from cell masses, such as the family's cached
-ones, and never visits an atom.  The two agree to round-off, not bit for
-bit.
+Conditional expectations follow one rule: a variable given per atom (a
+density, a claim, an envelope's payoff) is conditioned on atoms once, at
+the horizon, by :func:`cond_exp_cells` (``np.bincount`` sums over the
+atom→cell map for every measure of a family in one call), and every lower
+level is one step back from the level above.  By the tower property under
+each measure, :func:`cond_exp_step` takes time-``m`` cell values to time
+``m - 1`` from cell masses, such as the family's cached ones, and never
+visits an atom; ``_cond_exp_back`` chains it from a time down to time 0.
+The envelope process, the ``lemma-q5``/``lemma-lkq4`` tower and the
+``thm-fmars5`` and ``thm-mmars1`` density martingales take that chain, as
+``classify``, the certificate checks and ``verify_decomposition`` take the
+one step.  A chained level and an atom pass at the same time agree to
+round-off, not bit for bit.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ __all__ = [
     "TrivialRootMissing",
     "BadCover",
     "NonRefining",
-    "BadWeights",
     "ShapeMismatch",
     "FilteredSpace",
     "Measure",
@@ -68,7 +72,6 @@ __all__ = [
     "cond_exp_cells",
     "cond_exp_step",
     "ess_sup_cond_exp_cells",
-    "mixture",
 ]
 
 #: default tolerance for soft equality checks across the package
@@ -93,10 +96,6 @@ class BadCover(SpaceError):
 
 class NonRefining(SpaceError):
     """A cell at time m+1 straddles two cells of time m."""
-
-
-class BadWeights(ValueError):
-    """Mixture weights are negative or do not sum to one."""
 
 
 class ShapeMismatch(ValueError):
@@ -323,9 +322,6 @@ class Measure:
     def __len__(self) -> int:
         return self.probs.shape[0]
 
-    def expect(self, xi: np.ndarray) -> float:
-        return float(np.dot(self.probs, np.asarray(xi, dtype=float)))
-
 
 @dataclass(frozen=True, eq=False)
 class MeasureFamily:
@@ -437,12 +433,12 @@ def cell_sums(space: FilteredSpace, values: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def node_laws(space: FilteredSpace, probs: np.ndarray, m: int) -> Iterator[tuple]:
+def node_laws(space: FilteredSpace, mass: np.ndarray, m: int) -> Iterator[tuple]:
     """``(parents, children, law)`` per child count ``c``, ascending: the
     time-``m - 1`` cells with ``c`` children, those children ``(nodes, c)``,
-    and their conditional laws under the rows of the ``(k, n)`` array
-    ``probs``, ``(nodes, k, c)``, each the child masses over their own sum."""
-    mass = cell_sums(space, probs, m)
+    and their conditional laws under the rows of the ``(k, n_cells(m))``
+    time-``m`` cell masses ``mass`` (such as ``MeasureFamily.masses(m)``),
+    ``(nodes, k, c)``, each the child masses over their own sum."""
     for parents, children in space._level(_node_children, m):
         law = np.empty((parents.shape[0], mass.shape[0], children.shape[1]))
         for i, row in enumerate(mass):
@@ -512,22 +508,16 @@ def cond_exp_step(space: FilteredSpace, masses: np.ndarray, values: np.ndarray, 
     return (num / mass).reshape(r, c)
 
 
-def _check_weights(weights: np.ndarray, k: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (k,):
-        raise BadWeights(f"expected {k} weights, got shape {w.shape}")
-    if np.any(w < 0) or abs(float(w.sum()) - 1.0) > STRICT_TOL:
-        raise BadWeights("weights must be nonnegative and sum to 1")
-    return w
-
-
-def mixture(family: MeasureFamily, weights: np.ndarray) -> Measure:
-    """Convex combination of the family's extremes."""
-    w = _check_weights(weights, len(family))
-    probs = np.zeros(family.space.n_atoms)
-    for wi, p in zip(w, family):
-        probs = probs + wi * p.probs
-    return Measure(probs / probs.sum())
+def _cond_exp_back(family: MeasureFamily, values: np.ndarray, n: int) -> list[np.ndarray]:
+    """The conditional expectations at times ``0..n`` of time-``n`` cell
+    values (one shared row or one row per extreme) under each extreme:
+    ``(k, n_cells(m))`` per time ``m < n``, each one :func:`cond_exp_step`
+    back from the next under the extremes' masses (the tower property), and
+    ``values`` itself at ``n``."""
+    levels = [values]
+    for m in range(n, 0, -1):
+        levels.append(cond_exp_step(family.space, family.masses(m), levels[-1], m))
+    return levels[::-1]
 
 
 def ess_sup_cond_exp_cells(

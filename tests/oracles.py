@@ -13,14 +13,17 @@ masses, node laws, nullspace draws and pricing rows come from one
 least-squares solve per node, and the hedge's capital from one
 ``restrict`` per time and price slice.  Pasting-stable families come from
 one dict of cell probabilities per combination of node laws.  The
-decomposition report comes from one ``mixture()`` per Dirichlet draw and one
-atom-level conditional-expectation pass over the extremes and another over
-the mixtures; the library conditions on cell masses instead, so the two
-agree to round-off (the same check names and verdicts, violations within
-1e-12, relative above 1), not bit for bit.  One-step conditional
-expectations on cell masses are checked against :func:`brute_cond_exp` of
-the cell values laid out on atoms.  The counterexample search re-audits
-every shrink candidate.
+decomposition report comes from one :func:`mixture` per Dirichlet draw and
+one atom-level conditional-expectation pass over the extremes and another
+over the mixtures; the library conditions on cell masses instead, so the
+two agree to round-off (the same check names and verdicts, violations
+within 1e-12, relative above 1), not bit for bit.  Mixtures and
+expectations are this module's own (:func:`mixture`, :func:`expect`): the
+library conditions each level one step back from the level above, with
+one atom pass at the horizon, and checks mixtures on cell masses.  Both
+the one step and the chain from the horizon are checked against
+:func:`brute_cond_exp` of the values laid out on atoms, at every level.
+The counterexample search re-audits every shrink candidate.
 Measurability is held to one comparison per atom with its cell's first,
 generator pricing's stacked density check to one atom-by-atom
 expectation per generator and extreme, and its working-set dual to one
@@ -44,7 +47,7 @@ from doobkit.regularity import (
     _check_unit_conditional,
     one_step_ratio_cells,
 )
-from doobkit.space import STRICT_TOL, ShapeMismatch, cond_exp_cells, mixture
+from doobkit.space import STRICT_TOL, Measure, ShapeMismatch, cond_exp_cells
 
 
 def brute_cond_exp(space, xi, probs, m):
@@ -58,6 +61,20 @@ def brute_cond_exp(space, xi, probs, m):
         for a in idx:
             out[a] = val
     return out
+
+
+def mixture(family, weights):
+    """The convex combination of the family's extremes with ``weights``,
+    added extreme by extreme and renormalized."""
+    probs = np.zeros(family.space.n_atoms)
+    for w, p in zip(weights, family):
+        probs = probs + w * p.probs
+    return Measure(probs / probs.sum())
+
+
+def expect(p, xi):
+    """The expectation of ``xi`` under the measure ``p``, as one dot product."""
+    return float(np.dot(p.probs, np.asarray(xi, dtype=float)))
 
 
 def brute_atom_to_cell(space, m):

@@ -18,7 +18,7 @@ from doobkit import claims
 from doobkit.claims import CLAIM_IDS, envelope_process
 from doobkit.generators import random_family, random_space
 
-from .oracles import audit_based_search
+from .oracles import audit_based_search, expect
 
 
 @pytest.fixture()
@@ -112,7 +112,7 @@ class TestSingletonFamiliesPass:
     def test_all_claims_pass_on_singletons(self, space_b, family_b):
         fam = MeasureFamily(space=space_b, extremes=(family_b.extremes[1],))
         xi = np.array([0.5, 1.5, 2.0, 0.4])
-        xi_a0 = xi / fam.extremes[0].expect(xi)
+        xi_a0 = xi / expect(fam.extremes[0], xi)
         flat = AdaptedProcess(
             space=space_b, per_time=(np.array([2.0]), np.full(2, 1.5), np.full(4, 1.0))
         )
@@ -182,6 +182,65 @@ class TestWitnessRoundTrip:
         again = audit(claim, rebuilt)
         assert again.verdict == "counterexample"
         assert again.violation == pytest.approx(result.violation, abs=1e-10)
+
+
+class TestOneAtomPass:
+    """Library code conditions a per-atom variable on atoms only at the
+    horizon; every lower level is one step back from cell masses."""
+
+    def test_cond_exp_cells_only_at_the_horizon(self, fixture_paths, monkeypatch):
+        import json
+
+        from doobkit import pricing, regularity, space
+
+        seen = []
+        original = space.cond_exp_cells
+
+        def spy(sp, xi, p, m):
+            seen.append((m, sp.horizon))
+            return original(sp, xi, p, m)
+
+        # every module that binds the name, and space's own callers
+        for module in (claims, pricing, regularity, space):
+            monkeypatch.setattr(module, "cond_exp_cells", spy)
+        instance = claims.instance_from_dict(json.loads(fixture_paths["b"].read_text()))
+        for claim in CLAIM_IDS:
+            audit(claim, instance)
+            search_counterexample(claim, budget=30, seed=0)
+        el = regularity.find_a0_element(instance.family, objective=np.arange(4.0))
+        for n in range(1, instance.space.horizon + 1):
+            regularity.martingale_increments(el, instance.family, base_index=1, n=n)
+        assert seen and all(m == horizon for m, horizon in seen)
+
+
+class TestSearchOutcomesPinned:
+    """``(verdict, budget_used)`` of the default search per claim at seeds
+    0-4, budget 300, as the per-level atom passes gave them."""
+
+    PINNED = {
+        "lemma-q5": [("counterexample", 2), ("counterexample", 2), ("counterexample", 2),
+                     ("counterexample", 17), ("counterexample", 2)],
+        "lemma-lkq4": [("counterexample", 2), ("counterexample", 2), ("counterexample", 2),
+                       ("counterexample", 17), ("counterexample", 2)],
+        "lemma-tmars5": [("counterexample", 2), ("counterexample", 2), ("counterexample", 2),
+                         ("counterexample", 17), ("counterexample", 2)],
+        "lemma-1q5": [("counterexample", 3), ("counterexample", 4), ("counterexample", 2),
+                      ("counterexample", 1), ("counterexample", 3)],
+        "thm-fmars5": [("counterexample", 2), ("counterexample", 2), ("counterexample", 2),
+                       ("counterexample", 1), ("counterexample", 3)],
+        "thm-mars12": [("counterexample", 3), ("counterexample", 4), ("counterexample", 5),
+                       ("counterexample", 3), ("counterexample", 3)],
+        "thm-mmars1": [("counterexample", 13), ("counterexample", 4), ("counterexample", 2),
+                       ("counterexample", 1), ("counterexample", 2)],
+    }
+
+    @pytest.mark.parametrize("claim", CLAIM_IDS)
+    def test_verdict_and_budget_used(self, claim):
+        got = []
+        for seed in range(5):
+            result = search_counterexample(claim, budget=300, seed=seed)
+            got.append((result.verdict, result.budget_used))
+        assert got == self.PINNED[claim]
 
 
 class TestShrinkSteps:

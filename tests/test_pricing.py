@@ -41,6 +41,7 @@ from doobkit.pricing import _domination_rows
 from .oracles import (
     dense_generator_price,
     dual_mixture_price,
+    expect,
     generator_rows,
     global_floor_emm,
     per_generator_check,
@@ -78,7 +79,7 @@ class TestFairPriceA0:
     def test_density_realizes_the_price(self, family_a, call_a):
         result = fair_price_a0(call_a, family_a)
         for p in family_a:
-            assert p.expect(result.density) == pytest.approx(1.0, abs=1e-9)
+            assert expect(p, result.density) == pytest.approx(1.0, abs=1e-9)
         assert np.all(result.fair_price * result.density >= call_a - 1e-9)
 
     def test_rejects_unmeasurable_claim(self, family_b):
@@ -92,7 +93,7 @@ class TestFairPriceA0:
             family = random_family(rng, space)
             claim = _terminal_claim(rng, space)
             result = fair_price_a0(claim, family)
-            lower = max(p.expect(claim) for p in family)
+            lower = max(expect(p, claim) for p in family)
             assert result.fair_price >= lower - 1e-8
 
     def test_monotone_and_homogeneous(self, family_a, call_a):
@@ -741,7 +742,7 @@ class TestNorthStar:
         lps = _posed(monkeypatch)
         strat = superhedge_strategy(claim, market, family)
         scale = max(1.0, claim.max())
-        assert strat.initial_capital() >= max(p.expect(claim) for p in family) - 1e-9 * scale
+        assert strat.initial_capital() >= max(expect(p, claim) for p in family) - 1e-9 * scale
         assert np.all(strat.capital.at_atoms(strat.capital.horizon) >= claim - 1e-9 * scale)
         assert strat.self_financing_residual(market) <= 1e-9 * scale
         rows = len(family) * market.space.n_cells(market.space.horizon)
@@ -869,7 +870,7 @@ class TestTreeRegressions:
 
     def test_prices_and_hedge_at_243_atoms(self):
         family, market, claim = tree_market(3, 5, 2, 0)
-        lower = max(p.expect(claim) for p in family)
+        lower = max(expect(p, claim) for p in family)
         free = fair_price_a0(claim, family)
         gen = fair_price_generators(claim, price_slice_generators(market), family)
         for result in (free, gen):

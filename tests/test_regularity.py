@@ -22,7 +22,6 @@ from doobkit import (
     find_a0_element,
     make_a0_element,
     martingale_increments,
-    mixture,
     one_step_ratio_cells,
     optional_decompose,
     verify_decomposition,
@@ -39,7 +38,14 @@ from doobkit.generators import (
     random_supermartingale,
 )
 
-from .oracles import brute_cell_masses, per_cell_alpha, per_mixture_verify, per_node_xi0_lp
+from .oracles import (
+    brute_cell_masses,
+    expect,
+    mixture,
+    per_cell_alpha,
+    per_mixture_verify,
+    per_node_xi0_lp,
+)
 from .trees import tree_draw
 
 
@@ -172,7 +178,7 @@ class TestFindA0Element:
         assert a0_membership(family_b, el.xi)
         # both expectation constraints are active at an optimal vertex
         for p in family_b:
-            assert p.expect(el.xi) == pytest.approx(1.0, abs=1e-12)
+            assert expect(p, el.xi) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_atom_singleton_vertex(self):
         from doobkit import Measure, build_space

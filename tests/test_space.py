@@ -11,18 +11,17 @@ from hypothesis import strategies as st
 from doobkit import (
     AdaptedProcess,
     BadCover,
-    BadWeights,
     Measure,
     MeasureFamily,
     NonRefining,
     ShapeMismatch,
     TrivialRootMissing,
     build_space,
-    mixture,
 )
-from doobkit.generators import random_family, random_space
+from doobkit.generators import product_family, random_family, random_space
 from doobkit.space import (
     _atom_cell,
+    _cond_exp_back,
     cell_sums,
     compose_laws,
     cond_exp_cells,
@@ -38,6 +37,7 @@ from .oracles import (
     brute_cond_exp,
     brute_parent_cell,
     brute_restrict,
+    mixture,
 )
 from .trees import tree_draw, tree_space
 
@@ -315,7 +315,7 @@ class TestCellKernel:
             for m in range(1, space.horizon + 1):
                 mass = brute_cell_masses(space, family, m)
                 seen = []
-                for parents, children, law in node_laws(space, family.probs, m):
+                for parents, children, law in node_laws(space, family.masses(m), m):
                     assert law.shape == (parents.size, len(family), children.shape[1])
                     for b, kids, rows in zip(parents.tolist(), children, law):
                         assert kids.tolist() == brute_children(space, m, b)
@@ -334,7 +334,7 @@ class TestCellKernel:
                 steps = []
                 for m in range(1, space.horizon + 1):
                     step = np.empty(space.n_cells(m))
-                    for _, children, law in node_laws(space, p[None, :], m):
+                    for _, children, law in node_laws(space, cell_sums(space, p[None, :], m), m):
                         step[children] = law[:, 0]
                     steps.append(step)
                 within = p / cell_sums(space, p[None, :], space.horizon)[0][terminal]
@@ -342,7 +342,7 @@ class TestCellKernel:
                 np.testing.assert_allclose(got, p, rtol=1e-14, atol=0)
 
     def test_groupings_read_only(self, family_b):
-        for parents, children, _ in node_laws(family_b.space, family_b.probs, 2):
+        for parents, children, _ in node_laws(family_b.space, family_b.masses(2), 2):
             for arr in (parents, children):
                 assert not arr.flags.writeable
 
@@ -427,6 +427,59 @@ class TestOneStepCondExp:
             family_b.masses(1)[0, 0] = 0.5
 
 
+class TestCondExpBack:
+    """``_cond_exp_back`` against ``brute_cond_exp`` at every level, within
+    1e-12 relative: from time-``n`` cell values shared by every extreme or
+    one row per extreme, and from a per-atom variable conditioned at the
+    horizon."""
+
+    def _families(self):
+        """Random and pasting-stable draws of up to four periods, and the
+        families of the 3^6 (k = 2) and 5^3 (k = 3) trees."""
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            space = random_space(rng, max_atoms=30, max_periods=4)
+            yield random_family(rng, space), rng
+            yield product_family(rng, random_space(rng, max_atoms=12, max_periods=4)), rng
+        for b, depth, k in ((3, 6, 2), (5, 3, 3)):
+            yield tree_draw(b, depth, k, 0)[0], np.random.default_rng(b)
+
+    @staticmethod
+    def _check(family, xi, levels, n):
+        """``levels[m][i]`` is E_i[xi | F_m] for every m <= n and extreme i
+        (a shared row at n stands for every extreme)."""
+        space = family.space
+        shape = family.probs.shape
+        assert len(levels) == n + 1
+        for m, level in enumerate(levels):
+            assert m == n or level.shape == (shape[0], space.n_cells(m))
+            rows = np.broadcast_to(level, (shape[0], space.n_cells(m)))
+            first = [cell[0] for cell in space.cells(m)]
+            for row, p, x in zip(rows, family.probs, np.broadcast_to(xi, shape)):
+                want = brute_cond_exp(space, x, p, m)[first]
+                np.testing.assert_allclose(row, want, rtol=1e-12, atol=0)
+
+    def test_from_cell_values(self):
+        for family, rng in self._families():
+            space = family.space
+            k = len(family)
+            for n in range(1, space.horizon + 1):
+                cells = space.atom_to_cell(n)
+                for values in (rng.uniform(0.0, 2.0, size=space.n_cells(n)),
+                               rng.uniform(0.0, 2.0, size=(k, space.n_cells(n)))):
+                    levels = _cond_exp_back(family, values, n)
+                    assert levels[n] is values
+                    self._check(family, values[..., cells], levels, n)
+
+    def test_from_atoms_at_the_horizon(self):
+        for family, rng in self._families():
+            space = family.space
+            n = space.horizon
+            xi = rng.uniform(0.0, 2.0, size=space.n_atoms)
+            top = cond_exp_cells(space, xi, family.probs, n)
+            self._check(family, xi, _cond_exp_back(family, top, n), n)
+
+
 class TestMeasure:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -509,12 +562,6 @@ class TestMixture:
 
     def test_sums_to_one(self, family_b):
         assert abs(mixture(family_b, [0.3, 0.7]).probs.sum() - 1.0) < 1e-15
-
-    def test_bad_weights(self, family_b):
-        with pytest.raises(BadWeights):
-            mixture(family_b, [0.5, 0.6])
-        with pytest.raises(BadWeights):
-            mixture(family_b, [-0.1, 1.1])
 
 
 class TestEssSup:
