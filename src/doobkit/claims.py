@@ -37,10 +37,10 @@ from .lp import NumericalBreakdown
 from .regularity import (
     NotInA0,
     StepFailure,
+    _least_dominators,
     a0_membership,
     classify,
     find_a0_element,
-    xi0_step_lp,
 )
 from .scenario import ClaimSpec, scenario_to_dict
 from .space import (
@@ -261,11 +261,8 @@ def _eval_mars12(instance: AuditInstance) -> tuple[float, str]:
     if not _is_measurable(space, xi):
         raise ClaimPreconditionUnmet("claim needs xi measurable at the horizon")
     env = envelope_process(family, xi)
-    failures: list[StepFailure] = []
-    for m in range(1, space.horizon + 1):
-        step = xi0_step_lp(env, family, m)
-        if isinstance(step, StepFailure):
-            failures.append(step)
+    steps = _least_dominators(env, family, range(1, space.horizon + 1))
+    failures = [step for step in steps if isinstance(step, StepFailure)]
     regular = not failures
     exps = family.probs @ xi
     spread = float(exps.max() - exps.min())
@@ -278,7 +275,7 @@ def _eval_mars12(instance: AuditInstance) -> tuple[float, str]:
         return (
             mag,
             f"expectations agree but step {failures[0].m} has no certificate "
-            f"(infeasibility {mag:.6g})",
+            f"(Farkas value {mag:.6g})",
         )
     return spread, f"certificates exist at every step but expectations spread by {spread:.6g}"
 
@@ -293,7 +290,7 @@ def _eval_mmars1(instance: AuditInstance) -> tuple[float, str]:
         raise ClaimPreconditionUnmet("claim needs a pathwise non-increasing process f")
     f = instance.f
     for m in range(1, space.horizon + 1):
-        if np.any(f.at_atoms(m) > f.at_atoms(m - 1) + STRICT_TOL):
+        if np.any(f.at_cells(m) > f.at_cells(m - 1)[space.parent_cell(m)] + STRICT_TOL):
             raise ClaimPreconditionUnmet("f must be pathwise non-increasing")
     conds = _cond_exp_levels(family, xi)
     worst, where = 0.0, ""

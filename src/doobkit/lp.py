@@ -1,14 +1,14 @@
-"""Dense two-phase simplex kernel.
+"""Dense two-phase simplex kernel, and a batched one for many small programs.
 
-Minimizes a linear objective over equality and >= constraints with
-variables bounded below by 0.  Pivots follow Bland's smallest-index rule,
-so the method terminates on degenerate desk-scale problems.
+:func:`solve` minimizes a linear objective over equality and >= constraints
+with variables bounded below by 0.  Pivots follow Bland's smallest-index
+rule, so the method terminates on degenerate desk-scale problems.
 
 The tableau keeps the artificial columns through both phases, which makes
 the dual vector readable off the final tableau: the artificial block holds
 the running basis inverse.  Every optimal outcome carries its recovered
 duals and the residuals of the primal, weak-duality and complementary
-slackness checks.
+slackness checks.  :func:`solve_least_sums` settles a stack of one shape.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["LinearProgram", "LpOutcome", "NumericalBreakdown", "solve"]
+__all__ = ["LinearProgram", "LpOutcome", "NumericalBreakdown", "solve", "solve_least_sums"]
 
 PIVOT_TOL = 1e-12
 FEAS_TOL = 1e-9
@@ -253,3 +253,55 @@ def solve(lp: LinearProgram) -> LpOutcome:
         duality_gap=float(value - dual_obj),
         comp_slackness=comp,
     )
+
+
+def solve_least_sums(law: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the least-sum ``g >= 0`` with ``law @ g = rhs``, for
+    ``(nodes, k, c)`` laws and ``(nodes, k)`` right-hand sides.
+
+    The nodes run the simplex on their duals in lockstep: ``max rhs . y``
+    subject to ``law.T @ y <= 1``, ``y = y+ - y-``, from the slack basis, so
+    with no phase 1.  The entering column is the first with reduced cost
+    below ``-PIVOT_TOL`` (Bland), the leaving row has the least ratio, ties
+    going to the smallest basic index.  At an optimum ``g`` is the slacks'
+    reduced costs.  A node whose entering column has no entry above
+    ``PIVOT_TOL`` has no ``g``; the column's ray ``d`` has ``law.T @ d <= 0``
+    and ``rhs . d > 0``, a Farkas certificate.  Returns ``(g, ray)``, with
+    ``g`` NaN and ``ray`` zero on the rows where they do not exist.
+    """
+    nodes, k, c = law.shape
+    w = 2 * k + c  # columns y+, y-, slacks; column w is the right-hand side
+    tab = np.zeros((nodes, c + 1, w + 1))
+    tab[:, :c, : 2 * k] = np.concatenate([law, -law], axis=1).transpose(0, 2, 1)
+    tab[:, :c, 2 * k : w] = np.eye(c)
+    tab[:, :c, w] = 1.0
+    tab[:, c, : 2 * k] = np.hstack([-rhs, rhs])  # the reduced costs of min -rhs . y
+    basis = np.tile(np.arange(2 * k, w), (nodes, 1))
+    live = np.arange(nodes)
+    g, ray = np.full((nodes, c), np.nan), np.zeros((nodes, k))
+    for _ in range(_MAX_ITERS):
+        if not live.size:
+            return g, ray
+        entering = tab[:, c, :w] < -PIVOT_TOL
+        col = entering.argmax(axis=1)
+        colvals = tab[np.arange(live.size), :c, col]
+        done, can = ~entering.any(axis=1), colvals > PIVOT_TOL
+        stuck = ~done & ~can.any(axis=1)
+        if done.any() or stuck.any():
+            g[live[done]] = tab[done, c, 2 * k : w]
+            # along the ray the entering variable rises by one, the basic ones by -colvals
+            step = np.zeros((int(stuck.sum()), w))
+            step[np.arange(step.shape[0]), col[stuck]] = 1.0
+            np.put_along_axis(step, basis[stuck], -colvals[stuck], axis=1)
+            ray[live[stuck]] = step[:, :k] - step[:, k : 2 * k]
+            keep = ~(done | stuck)
+            tab, basis, live = tab[keep], basis[keep], live[keep]
+            continue
+        rows = np.arange(live.size)
+        ratio = np.divide(tab[:, :c, w], colvals, out=np.full(colvals.shape, np.inf), where=can)
+        row = np.where(ratio <= ratio.min(1, keepdims=True) + PIVOT_TOL, basis, w).argmin(1)
+        pivot = tab[rows, row] / colvals[rows, row][:, None]
+        tab -= tab[rows, :, col][:, :, None] * pivot[:, None, :]
+        tab[rows, row] = pivot
+        basis[rows, row] = col
+    raise NumericalBreakdown("batched simplex failed to terminate")

@@ -11,10 +11,10 @@ F_{m-1} equals one under every extreme.
 
 Two certificate constructions are provided.  The LP path takes, per
 predecessor cell, the least-sum values that dominate the one-step ratio
-with conditional expectation one; it finds them by basis enumeration per
-level, with the cellwise LP for the nodes it cannot settle, and always
-finds a certificate when one exists.  Equal least sums go to the first
-basis in lexicographic order.  The alpha path is the closed-form recipe,
+with conditional expectation one, and always finds a certificate when one
+exists: one batched simplex on the cells' duals settles every cell with the
+same number of children, and a cell without one is reported with a Farkas
+ray of its dual.  The alpha path is the closed-form recipe,
 ``xi0 = 1 + alpha * (increment of a density martingale)``, seeded with
 the constant density: its increments are zero, so it offers ``xi0 = 1``
 and certifies only the steps whose one-step ratio is at most one and
@@ -32,13 +32,11 @@ for one density or a stack of them, from one product with the extremes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lp import LinearProgram, NumericalBreakdown, solve
+from .lp import LinearProgram, NumericalBreakdown, solve, solve_least_sums
 from .space import (
     DEFAULT_TOL,
     MIN_PROB,
@@ -156,7 +154,9 @@ class Xi0Step:
 
 @dataclass(frozen=True, eq=False)
 class StepFailure:
-    """Why a certificate could not be produced at one step."""
+    """Why a certificate could not be produced at one step: ``certificate``
+    is the Farkas value of a cell without a dominator (see
+    :func:`xi0_step_lp`) or the residual that refused an LP answer."""
 
     m: int
     reason: str
@@ -382,69 +382,53 @@ def xi0_step_alpha(
     return Xi0Step(m=m, xi0=space.expand(m, values), method="alpha-path", alpha=0.0)
 
 
-@lru_cache(maxsize=None)
-def _bases(c: int, k: int) -> np.ndarray:
-    """Every ``k``-subset of ``range(c)`` as a row, in lexicographic order
-    (read-only: one array serves every caller)."""
-    bases = np.array(list(combinations(range(c), k)), dtype=np.intp)
-    bases.setflags(write=False)
-    return bases
+def _least_dominators(
+    f: AdaptedProcess, family: MeasureFamily, steps: Sequence[int]
+) -> list[Union[np.ndarray, StepFailure]]:
+    """Per listed step, the least-sum dominator's values on the time-``m``
+    cells, or the :class:`StepFailure` of its lowest cell without one: the
+    cells of every step whose children's ratio exceeds one go to
+    :func:`~doobkit.lp.solve_least_sums`, one call per child count."""
+    space = family.space
+    ratios = [one_step_ratio_cells(f, m) for m in steps]
+    values: list = [np.ones_like(ratio) for ratio in ratios]
+    groups: dict[int, list] = {}  # child count -> (step index, cells, children, law)
+    for s, m in enumerate(steps):
+        if not (ratios[s] > 1.0 + 1e-13).any():
+            continue
+        for parents, children, law in node_laws(space, family.masses(m), m):
+            nodes = np.flatnonzero(ratios[s][children].max(axis=1) > 1.0 + 1e-13)
+            if nodes.size:
+                part = (s, parents[nodes], children[nodes], law[nodes])
+                groups.setdefault(children.shape[1], []).append(part)
+    failed = []  # (step index, cell, certificate) of every cell without a dominator
+    for parts in groups.values():
+        law = np.concatenate([part[3] for part in parts])
+        r = np.concatenate([ratios[s][children] for s, _, children, _ in parts])
+        rhs = 1.0 - (law @ r[:, :, None])[:, :, 0]
+        g, ray = solve_least_sums(law, rhs)
+        lo = 0
+        for s, cells, children, _ in parts:
+            hi = lo + cells.shape[0]
+            values[s][children] = r[lo:hi] + g[lo:hi]
+            for j in lo + np.flatnonzero(np.isnan(g[lo:hi, 0])):
+                certificate = float(rhs[j] @ ray[j] / np.abs(ray[j]).max())
+                failed.append((s, int(cells[j - lo]), certificate))
+            lo = hi
+    for s, cell, certificate in sorted(failed, reverse=True):  # each step's lowest cell last
+        reason = f"no unit-conditional dominator over cell {cell} at time {steps[s] - 1}"
+        values[s] = StepFailure(m=steps[s], reason=reason, cell=cell, certificate=certificate)
+    return values
 
 
-#: most k x k systems one stacked solve takes on, so memory stays flat in
-#: the number of bases while tiny levels still take a single call
-_STACK = 4096
-
-
-def _cheapest_bases(law: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per node, the least-sum basic solution ``g >= 0`` of ``law @ g = rhs``.
-
-    ``law`` is ``(nodes, k, c)`` and ``rhs`` is ``(nodes, k)``.  Every basis
-    of ``k`` columns is solved for all nodes at once, a run of bases per
-    stacked solve; a basis counts at a node when it is invertible,
-    ``g_B >= 0`` and its residual is at most 1e-12.  Only a strictly smaller
-    sum replaces the kept basis, so ties go to the first basis in
-    lexicographic order.  A node whose rows of ``law`` are dependent up to
-    round-off counts no basis.  Returns ``g`` (``(nodes, c)``, zero off the
-    basis) and a mask of the nodes where some basis counted.
-    """
-    nodes, k, c = law.shape
-    best = np.full(nodes, np.inf)
-    if k > 1:
-        # rows of C equal up to round-off (extremes sharing a node law) make
-        # every basis near-singular and its least sum meaningless: a NaN
-        # best is never beaten, so such a node is never found
-        gram = law @ law.transpose(0, 2, 1)
-        scale = np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
-        best[np.linalg.det(gram) <= 1e-12 * scale] = np.nan
-    bases = _bases(c, k)
-    run = max(1, _STACK // nodes)
-    pick = np.zeros(nodes, dtype=np.intp)
-    g_pick = np.zeros((nodes, k))
-    for lo in range(0, bases.shape[0], run):
-        a = law[:, :, bases[lo : lo + run]].transpose(0, 2, 1, 3)  # (nodes, run, k, k)
-        try:
-            g = np.linalg.solve(a, rhs[:, None, :, None])[..., 0]
-        except np.linalg.LinAlgError:
-            # exactly singular somewhere: solve the others only
-            ok = np.linalg.det(a) != 0.0
-            b = np.broadcast_to(rhs[:, None, :, None], a.shape[:3] + (1,))
-            g = np.full(a.shape[:3], np.nan)
-            g[ok] = np.linalg.solve(a[ok], b[ok])[..., 0]
-        resid = np.abs((a @ g[..., None])[..., 0] - rhs[:, None, :]).max(axis=2)
-        total = np.where((g >= 0.0).all(axis=2) & (resid <= 1e-12), g.sum(axis=2), np.inf)
-        low = total.min(axis=1)
-        rows = np.flatnonzero(low < best)
-        if rows.size:
-            j = total[rows].argmin(axis=1)  # the first of equal sums
-            best[rows] = low[rows]
-            pick[rows] = lo + j
-            g_pick[rows] = g[rows, j]
-    found = np.isfinite(best)
-    out = np.zeros((nodes, c))
-    rows = np.flatnonzero(found)
-    out[rows[:, None], bases[pick[rows]]] = g_pick[rows]
-    return out, found
+def _lp_step(
+    family: MeasureFamily, m: int, values: np.ndarray, tol: float
+) -> Union[Xi0Step, StepFailure]:
+    """The step with ``values`` on its cells, if they pass the unit-conditional check."""
+    ok, bad_i, dev = _check_unit_conditional(family.space, family, values, m, tol)
+    if not ok:  # the kernel meets these rows only up to its pivot tolerance
+        return StepFailure(m=m, reason=f"LP residual {dev} under extreme {bad_i}", certificate=dev)
+    return Xi0Step(m=m, xi0=family.space.expand(m, values), method="lp-path", alpha=None)
 
 
 def xi0_step_lp(
@@ -459,57 +443,16 @@ def xi0_step_lp(
 
     Feasibility at every cell of every step is equivalent to the existence
     of the decomposition.  A cell whose children's ratio is at most one gets
-    the constant 1 outright.  Every other cell solves
-    ``min sum(g)`` subject to ``C g = 1 - C r``, ``g >= 0``, for
-    ``x = r + g``, where ``C`` holds the children's conditional laws under
-    the ``k`` extremes.  An optimum sits on a basis of ``k`` children, so
-    the cells are settled by basis enumeration per level: every basis is
-    solved for all cells with the same number of children at once, and the
-    least sum wins, the first basis in lexicographic order on ties.  The
-    cells it cannot settle (fewer children than extremes, singular or
-    degenerate ``C``, infeasible) go to the cellwise LP in ascending cell
-    order, whose first failure is reported with its infeasibility
-    certificate.  Either way the step is returned only after its conditional
-    expectations are checked against one.
+    the constant 1; every other cell solves ``min sum(g)`` subject to
+    ``C g = 1 - C r``, ``g >= 0``, for ``x = r + g`` (``C`` the children's
+    laws under the extremes) by :func:`~doobkit.lp.solve_least_sums`, whose
+    pivots pick ``xi0`` among tied least sums.  The lowest cell without a
+    dominator is reported with the certificate ``(1 - C r) . d / max|d|``
+    of its dual's Farkas ray ``d``.  A step is returned only after its
+    conditional expectations are checked against one.
     """
-    space = family.space
-    ratio = one_step_ratio_cells(f, m)
-    need = np.zeros(space.n_cells(m - 1), dtype=bool)
-    need[space.parent_cell(m)[ratio > 1.0 + 1e-13]] = True
-    values = np.ones_like(ratio)
-    if need.any():
-        k = len(family)
-        rest = []  # (cell, children, law) of the nodes left for the LP
-        for parents, children, law in node_laws(space, family.masses(m), m):
-            nodes = np.flatnonzero(need[parents])
-            # a cell with fewer children than extremes has no basis: it stays for the LP
-            if nodes.size and children.shape[1] >= k:
-                r = ratio[children[nodes]]
-                rhs = 1.0 - (law[nodes] @ r[:, :, None])[:, :, 0]
-                # C >= 0, so a negative right-hand side leaves no g >= 0
-                hopeful = np.flatnonzero(rhs.min(axis=1) >= -1e-12)
-                if hopeful.size:
-                    g, found = _cheapest_bases(law[nodes[hopeful]], rhs[hopeful])
-                    done = hopeful[found]
-                    values[children[nodes[done]]] = r[done] + g[found]
-                    nodes = np.delete(nodes, done)
-            rest += [(int(parents[j]), children[j], law[j]) for j in nodes]
-        for b, children, cond in sorted(rest, key=lambda node: node[0]):
-            c, r = children.shape[0], ratio[children]
-            lp = LinearProgram(np.ones(c), a_eq=cond, b_eq=np.ones(k), a_ge=np.eye(c), b_ge=r)
-            out = solve(lp)
-            if out.status != "optimal":
-                return StepFailure(
-                    m=m,
-                    reason=f"no unit-conditional dominator over cell {b} at time {m - 1}",
-                    cell=b,
-                    certificate=out.infeasibility if out.status == "infeasible" else None,
-                )
-            values[children] = out.x
-    ok, bad_i, dev = _check_unit_conditional(space, family, values, m, tol)
-    if not ok:  # the LP enforces these rows only up to its own tolerance
-        return StepFailure(m=m, reason=f"LP residual {dev} under extreme {bad_i}", certificate=dev)
-    return Xi0Step(m=m, xi0=space.expand(m, values), method="lp-path", alpha=None)
+    found = _least_dominators(f, family, [m])[0]
+    return found if isinstance(found, StepFailure) else _lp_step(family, m, found, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +468,11 @@ def optional_decompose(
     """Split a nonnegative family-supermartingale into martingale minus
     non-decreasing compensator.
 
-    Strategies: ``"lp"`` uses :func:`xi0_step_lp` at every step; ``"auto"``
-    tries :func:`xi0_step_alpha` and falls back to :func:`xi0_step_lp` per
-    step.  The closed form certifies (``alpha = 0``, ``xi0 = 1``) exactly
-    the steps whose one-step ratio is at most one and constant on each
-    predecessor cell's children.
+    Strategies: ``"lp"`` takes the certificate of :func:`xi0_step_lp` at
+    every step; ``"auto"`` tries :func:`xi0_step_alpha` first.  The closed
+    form certifies (``alpha = 0``, ``xi0 = 1``) exactly the steps whose
+    one-step ratio is at most one and constant on each predecessor cell's
+    children.  The LP steps are settled by one kernel call per child count.
     Raises :class:`NotSupermartingale` or :class:`NotLocallyRegular`.
     """
     if strategy not in ("lp", "auto"):
@@ -543,24 +486,31 @@ def optional_decompose(
             "nonnegative supermartingale"
         )
 
-    steps: list[Xi0Step] = []
-    for m in range(1, space.horizon + 1):
-        step = xi0_step_alpha(f, family, m, tol=tol) if strategy == "auto" else None
-        if not isinstance(step, Xi0Step):
-            step = xi0_step_lp(f, family, m, tol=tol)
+    steps: dict[int, Xi0Step] = {}
+    values: dict[int, np.ndarray] = {}  # each step's xi0 on its time-m cells
+    if strategy == "auto":
+        for m in range(1, space.horizon + 1):
+            step = xi0_step_alpha(f, family, m, tol=tol)
+            if isinstance(step, Xi0Step):
+                steps[m], values[m] = step, np.ones(space.n_cells(m))
+    rest = [m for m in range(1, space.horizon + 1) if m not in steps]
+    # ascending, so the first failure raised is the first failing step
+    for m, found in zip(rest, _least_dominators(f, family, rest)):
+        step = found if isinstance(found, StepFailure) else _lp_step(family, m, found, tol)
         if isinstance(step, StepFailure):
             raise NotLocallyRegular(step)
-        steps.append(step)
+        steps[m], values[m] = step, found
 
-    mart_levels = [f.at_atoms(0)]
-    for step in steps:
-        prev_f = f.at_atoms(step.m - 1)
-        mart_levels.append(mart_levels[-1] + prev_f * (step.xi0 - 1.0))
-    comp_levels = [mart_levels[m] - f.at_atoms(m) for m in range(space.horizon + 1)]
-    martingale = AdaptedProcess.from_atom_values(space, mart_levels)
-    compensator = AdaptedProcess.from_atom_values(space, comp_levels)
+    # M_m = M_{m-1} + f_{m-1} (xi0_m - 1) and g_m = M_m - f_m, per cell
+    mart = [f.at_cells(0)]
+    for m in range(1, space.horizon + 1):
+        parent = space.parent_cell(m)
+        mart.append(mart[-1][parent] + f.at_cells(m - 1)[parent] * (values[m] - 1.0))
+    comp = [mart[m] - f.at_cells(m) for m in range(space.horizon + 1)]
     return OptionalDecomposition(
-        martingale=martingale, compensator=compensator, steps=tuple(steps)
+        martingale=AdaptedProcess(space=space, per_time=tuple(mart)),
+        compensator=AdaptedProcess(space=space, per_time=tuple(comp)),
+        steps=tuple(steps[m] for m in range(1, space.horizon + 1)),
     )
 
 

@@ -6,7 +6,8 @@ enumeration, the free-mode price comes from the one-parameter family of
 signed two-measure mixtures evaluated at its endpoints and on a grid, the
 filtration's nodes come from scans of the partition tuples, the
 closed-form alpha comes from one interval per predecessor cell, the
-unit-conditional dominator comes from one simplex LP per predecessor cell,
+unit-conditional dominator comes from one simplex LP per predecessor cell
+and, node by node, from enumerating every basis of the node's children,
 the martingale measure from one dense floor LP over every atom, and cell
 masses, node laws, nullspace draws and pricing rows come from one
 ``.sum()`` per cell and one SVD per node.  Hedge positions come from one
@@ -340,6 +341,44 @@ def per_node_xi0_lp(f, family, m, tol=1e-9):
     if not ok:  # the LP enforces these rows only up to its own tolerance
         return StepFailure(m=m, reason=f"LP residual {dev} under extreme {bad_i}", certificate=dev)
     return Xi0Step(m=m, xi0=space.expand(m, values), method="lp-path", alpha=None)
+
+
+def least_sum_bases(law, rhs):
+    """Per node, the least-sum basic solution ``g >= 0`` of ``law @ g = rhs``
+    by enumerating every basis of ``k`` of the ``c`` columns, for
+    ``(nodes, k, c)`` laws and ``(nodes, k)`` right-hand sides.
+
+    A basis counts at a node when it is invertible, ``g_B >= 0`` and its
+    residual is at most 1e-12.  A node whose rows of ``law`` are dependent
+    up to round-off (a Gram determinant at most 1e-12 of its diagonal's
+    product), or that has fewer columns than rows, counts no basis: its
+    least sum is then not decided here.  Returns ``(g, found)``: ``g`` is
+    ``(nodes, c)``, zero off the kept basis, and ``found`` masks the nodes
+    where some basis counted.
+    """
+    nodes, k, c = law.shape
+    out = np.zeros((nodes, c))
+    found = np.zeros(nodes, dtype=bool)
+    if c < k:
+        return out, found
+    gram = law @ law.transpose(0, 2, 1)
+    scale = np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+    independent = np.linalg.det(gram) > 1e-12 * scale
+    best = np.full(nodes, np.inf)
+    for basis in combinations(range(c), k):
+        a = law[:, :, basis]
+        ok = independent & (np.abs(np.linalg.det(a)) > 0.0)
+        g = np.full((nodes, k), np.nan)
+        if ok.any():
+            g[ok] = np.linalg.solve(a[ok], rhs[ok][:, :, None])[:, :, 0]
+        resid = np.abs((a @ np.nan_to_num(g)[:, :, None])[:, :, 0] - rhs).max(axis=1)
+        total = np.where(ok & (g >= 0.0).all(axis=1) & (resid <= 1e-12), g.sum(axis=1), np.inf)
+        better = total < best
+        best[better] = total[better]
+        out[better] = 0.0
+        out[np.ix_(np.flatnonzero(better), basis)] = g[better]
+        found |= better
+    return out, found
 
 
 def per_mixture_verify(f, decomposition, family, tol=1e-9, n_mixtures=20, seed=0):

@@ -1,11 +1,12 @@
 """Classification, density certificates, and the decomposition round trip."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from doobkit import (
     AdaptedProcess,
-    LpOutcome,
     Measure,
     MeasureFamily,
     NotInA0,
@@ -28,7 +29,9 @@ from doobkit import (
     xi0_step_alpha,
     xi0_step_lp,
 )
+from doobkit import lp as lp_module
 from doobkit import regularity
+from doobkit.lp import LinearProgram, solve, solve_least_sums
 from doobkit.claims import envelope_process
 from doobkit.regularity import CheckResult, MartingaleDelta, _check_unit_conditional
 from doobkit.generators import (
@@ -41,6 +44,7 @@ from doobkit.generators import (
 from .oracles import (
     brute_cell_masses,
     expect,
+    least_sum_bases,
     mixture,
     per_cell_alpha,
     per_mixture_verify,
@@ -55,15 +59,16 @@ def _proc(space, *levels):
 
 def _same_as_per_node_lp(f, family, m, where) -> str:
     """``xi0_step_lp`` against the per-node LP oracle: ``xi0`` to 1e-12 where
-    both certify, the failure's cell, reason and certificate bytes where the
-    oracle fails.  Returns which of the two happened."""
+    both certify; where the oracle fails, the failure's cell and reason, and
+    a positive certificate where the oracle's is positive.  Returns which of
+    the two happened."""
     step, want = xi0_step_lp(f, family, m), per_node_xi0_lp(f, family, m)
     if isinstance(want, StepFailure):
         assert isinstance(step, StepFailure), where
         assert (step.m, step.cell, step.reason) == (want.m, want.cell, want.reason), where
         assert (step.certificate is None) == (want.certificate is None), where
-        if want.certificate is not None:
-            assert np.float64(step.certificate).tobytes() == np.float64(want.certificate).tobytes()
+        if want.certificate is not None and want.certificate > 0:
+            assert step.certificate > 0, where
         return "failed"
     assert isinstance(step, Xi0Step), (where, step.reason)
     np.testing.assert_allclose(step.xi0, want.xi0, rtol=0, atol=1e-12, err_msg=str(where))
@@ -71,8 +76,9 @@ def _same_as_per_node_lp(f, family, m, where) -> str:
 
 
 def _worked_nodes(f, family, m):
-    """(child count, rank of the children's conditional laws) of each cell of
-    time ``m - 1`` whose children's one-step ratio exceeds one."""
+    """``(law, rhs)`` of each cell of time ``m - 1`` whose children's one-step
+    ratio exceeds one, from raw cell sums: the children's conditional laws
+    ``C`` under the extremes and ``1 - C r``."""
     space = family.space
     ratio = one_step_ratio_cells(f, m)
     masses = brute_cell_masses(space, family, m)
@@ -81,8 +87,42 @@ def _worked_nodes(f, family, m):
         children = space.children(m, b)
         if ratio[children].max() > 1.0 + 1e-13:
             law = masses[:, children] / masses[:, children].sum(axis=1, keepdims=True)
-            out.append((children.shape[0], np.linalg.matrix_rank(law, tol=1e-9)))
+            out.append((law, 1.0 - law @ ratio[children]))
     return out
+
+
+def _kernel_against_oracles(f, family, m, seen, where) -> None:
+    """The batched kernel on the worked nodes of step ``m``, one call per
+    child count, against one dense LP per node and the basis enumeration:
+    the same feasibility, the least sum to 1e-12, and on every infeasible
+    node a Farkas ray (``C.T d <= 0`` up to 1e-12 of ``max|d|``,
+    ``rhs . d > 0``).  Counts the kinds of node met in ``seen``."""
+    k = len(family)
+    groups = {}
+    for law, rhs in _worked_nodes(f, family, m):
+        groups.setdefault(law.shape[1], []).append((law, rhs))
+    for c, nodes in groups.items():
+        law = np.stack([node[0] for node in nodes])
+        rhs = np.stack([node[1] for node in nodes])
+        g, ray = solve_least_sums(law, rhs)
+        bases, found = least_sum_bases(law, rhs)
+        for j in range(len(nodes)):
+            seen["fewer children than extremes"] += c < k
+            seen["rank-deficient"] += int(np.linalg.matrix_rank(law[j], tol=1e-9) < min(c, k))
+            dense = solve(LinearProgram(np.ones(c), a_eq=law[j], b_eq=rhs[j]))
+            if dense.status == "infeasible":
+                seen["infeasible"] += 1
+                assert np.isnan(g[j]).all() and not found[j], where
+                d = ray[j]
+                assert np.all(law[j].T @ d <= 1e-12 * np.abs(d).max()), where
+                assert rhs[j] @ d > 0.0, where
+                continue
+            assert dense.status == "optimal" and not ray[j].any(), where
+            assert g[j].sum() == pytest.approx(dense.value, rel=1e-12, abs=1e-12), where
+            np.testing.assert_allclose(law[j] @ g[j], rhs[j], rtol=0, atol=1e-12, err_msg=str(where))
+            assert g[j].min() >= -1e-12, where
+            if found[j]:
+                assert g[j].sum() == pytest.approx(bases[j].sum(), rel=1e-12, abs=1e-12), where
 
 
 def _dyadic_family(space):
@@ -323,15 +363,14 @@ class TestXi0StepLp:
         assert step.certificate is not None and step.certificate > 0
 
     def test_lp_answer_off_the_unit_rows_is_refused(self, monkeypatch, space_b, family_b):
-        # an "optimal" outcome is gated on the equalities it was asked for;
-        # the root still reaches the LP because both extremes give its
-        # children the law (0.5, 0.5), so no 2 x 2 basis is invertible
+        # the kernel's answer is gated on the equalities it was asked for;
+        # the root reaches the kernel because its children's ratio 1.2 exceeds one
         f = _proc(space_b, [2.0], [2.4, 1.6], [2.4, 2.4, 1.6, 1.6])
 
-        def one_too_high(lp):
-            return LpOutcome(status="optimal", x=lp.b_ge + 1.0, value=None)
+        def one_too_high(law, rhs):
+            return np.ones((law.shape[0], law.shape[2])), np.zeros(rhs.shape)
 
-        monkeypatch.setattr(regularity, "solve", one_too_high)
+        monkeypatch.setattr(regularity, "solve_least_sums", one_too_high)
         step = xi0_step_lp(f, family_b, 1)
         assert isinstance(step, StepFailure)
         assert step.reason.startswith("LP residual 1") and step.reason.endswith("under extreme 0")
@@ -342,7 +381,7 @@ class TestXi0StepLp:
 
     def test_matches_per_node_lp_on_random_draws(self):
         # supermartingales certify; envelope processes mostly fail somewhere
-        seen = {"certified": 0, "failed": 0, "one child": 0, "fewer children than extremes": 0}
+        seen = Counter()
         for seed in range(60):
             rng = np.random.default_rng(seed)
             space = random_space(rng)
@@ -353,14 +392,13 @@ class TestXi0StepLp:
                 for m in range(1, space.horizon + 1):
                     seen[_same_as_per_node_lp(proc, family, m, (seed, m))] += 1
                     seen["one child"] += int((np.diff(space.children_table(m)[1]) == 1).sum())
-                    seen["fewer children than extremes"] += sum(
-                        c < len(family) for c, _ in _worked_nodes(proc, family, m)
-                    )
-        assert min(seen.values()) > 0, seen
+                    _kernel_against_oracles(proc, family, m, seen, (seed, m))
+        kinds = ("certified", "failed", "one child", "infeasible", "fewer children than extremes")
+        assert all(seen[kind] for kind in kinds), seen
 
     def test_matches_per_node_lp_on_pasting_stable_families(self):
         # extremes that share a node law make C rank-deficient there
-        seen = {"certified": 0, "failed": 0, "rank-deficient": 0}
+        seen = Counter()
         for seed in range(60):
             rng = np.random.default_rng(seed)
             space = random_space(rng)
@@ -370,35 +408,72 @@ class TestXi0StepLp:
             for proc in (f, env):
                 for m in range(1, space.horizon + 1):
                     seen[_same_as_per_node_lp(proc, family, m, (seed, m))] += 1
-                    seen["rank-deficient"] += sum(
-                        rank < min(c, len(family)) for c, rank in _worked_nodes(proc, family, m)
-                    )
-        assert min(seen.values()) > 0, seen
+                    _kernel_against_oracles(proc, family, m, seen, (seed, m))
+        assert all(seen[kind] for kind in ("certified", "failed", "infeasible", "rank-deficient")), seen
 
     @pytest.mark.parametrize("b, depth, k", [(3, 4, 2), (3, 5, 2), (3, 6, 2), (9, 3, 3)])
     def test_matches_per_node_lp_on_trees(self, b, depth, k):
         family, f, _, _ = tree_draw(b, depth, k, 0)
         for m in range(1, depth + 1):
             assert _same_as_per_node_lp(f, family, m, m) == "certified"
+            _kernel_against_oracles(f, family, m, Counter(), m)
 
-    @pytest.mark.parametrize("b, depth, k", [(3, 5, 2), (9, 3, 3)])
-    def test_basis_enumeration_settles_every_tree_node(self, monkeypatch, b, depth, k):
+    @pytest.mark.parametrize("b, depth, k", [(3, 5, 2), (9, 3, 3), (81, 2, 3)])
+    def test_one_kernel_call_per_child_count(self, monkeypatch, b, depth, k):
+        # every node of a b-ary tree has b children: one call settles a
+        # decomposition, and at most one each step of xi0_step_lp
         family, f, _, _ = tree_draw(b, depth, k, 0)
+        calls = []
 
         def no_lp(lp):
-            raise AssertionError("a node reached the LP")
+            raise AssertionError("a node reached the dense LP")
+
+        def spy(law, rhs):
+            calls.append(law.shape[2])
+            return solve_least_sums(law, rhs)
 
         monkeypatch.setattr(regularity, "solve", no_lp)
+        monkeypatch.setattr(lp_module, "solve", no_lp)
+        monkeypatch.setattr(regularity, "solve_least_sums", spy)
         dec = optional_decompose(f, family, strategy="lp")
+        assert calls == [b]
         assert verify_decomposition(f, dec, family).ok
+        for m in range(1, depth + 1):
+            before = len(calls)
+            assert isinstance(xi0_step_lp(f, family, m), Xi0Step)
+            assert calls[before:] in ([], [b])
+
+    def test_one_kernel_call_per_child_count_on_mixed_spaces(self, monkeypatch):
+        calls = []
+
+        def spy(law, rhs):
+            calls.append(law.shape[2])
+            return solve_least_sums(law, rhs)
+
+        monkeypatch.setattr(regularity, "solve_least_sums", spy)
+        rng = np.random.default_rng(29)
+        mixed = 0
+        for _ in range(30):
+            space = random_space(rng)
+            family = random_family(rng, space)
+            f, _, _ = random_supermartingale(rng, space, family)
+            calls.clear()
+            optional_decompose(f, family, strategy="lp")
+            counts = {
+                law.shape[1] for m in range(1, space.horizon + 1) for law, _ in _worked_nodes(f, family, m)
+            }
+            assert sorted(calls) == sorted(counts)
+            mixed += len(counts) > 1
+        assert mixed
 
     def test_ties_go_to_the_first_basis(self, monkeypatch):
-        # one extreme with law 1/4 on each of four children: every one-child
-        # basis costs 0.0625 / 0.25, and the first child takes it
+        # one extreme with law 1/4 on each of four children: every child
+        # alone costs 0.0625 / 0.25, and the leaving rule's smallest basic
+        # index gives it to the first child
         space = build_space(4, [[[0, 1, 2, 3]], [[0], [1], [2], [3]]])
         family = MeasureFamily(space=space, extremes=(Measure(np.full(4, 0.25)),))
         f = _proc(space, [1.0], [1.25, 1.0, 0.75, 0.75])
-        monkeypatch.setattr(regularity, "solve", None)  # the enumeration settles it
+        monkeypatch.setattr(regularity, "solve", None)  # the kernel settles it
         step = xi0_step_lp(f, family, 1)
         assert step.xi0.tolist() == [1.5, 1.0, 0.75, 0.75]
 
