@@ -9,6 +9,11 @@ exists, and searches small random instances for counterexamples with
 greedy shrinking.  The point is evidence, not proof: a "pass" after an
 exhausted search budget is a verdict about the instances tried.
 
+Every audited identity is a theorem for a one-measure family, so the
+search counts a one-measure draw toward its budget but does not evaluate
+it, and shrinking passes over one-measure candidates the same way; a
+direct :func:`audit` of such an instance still evaluates it.
+
 Audited claims:
 
 * ``lemma-q5`` / ``lemma-lkq4``: conditioning the upper envelope at a later
@@ -419,15 +424,16 @@ def _smaller(instance: AuditInstance) -> Iterator[Optional[AuditInstance]]:
 def _shrink(
     claim: str, instance: AuditInstance, found: tuple[float, str], tol: float
 ) -> tuple[AuditInstance, tuple[float, str]]:
-    """Greedy removal of extremes then atoms while the violation persists;
-    returns the last violating instance and its ``(violation, detail)``,
-    ``found`` being the one of ``instance``."""
+    """Greedy removal of extremes then atoms while the violation persists,
+    passing over one-measure candidates; returns the last violating
+    instance and its ``(violation, detail)``, ``found`` being the one of
+    ``instance``."""
     current = instance
     improved = True
     while improved:
         improved = False
         for candidate in _smaller(current):
-            if candidate is None:
+            if candidate is None or len(candidate.family) == 1:
                 continue
             try:
                 outcome = _EVALUATORS[claim](candidate)
@@ -511,9 +517,17 @@ def search_counterexample(
 
     Deterministic for a fixed seed.  Returns the first (shrunk)
     counterexample found, or a pass verdict after exhausting the budget.
+    A draw with one measure counts toward ``budget_used`` but is not
+    evaluated: every audited claim holds for a single measure.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    for name, value, least in (
+        ("budget", budget, 1),
+        ("max_atoms", max_atoms, 2),
+        ("max_periods", max_periods, 1),
+        ("max_extremes", max_extremes, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}")
     if claim not in _EVALUATORS:
         raise ValueError(f"unknown claim {claim!r}; choose from {CLAIM_IDS}")
     rng = np.random.default_rng(seed)
@@ -523,6 +537,8 @@ def search_counterexample(
         if instance is None:
             continue
         tried += 1
+        if len(instance.family) == 1:
+            continue
         try:
             outcome = _EVALUATORS[claim](instance)
         except ClaimPreconditionUnmet:

@@ -399,12 +399,6 @@ class AdaptedProcess:
             vals.append(arr)
         object.__setattr__(self, "per_time", tuple(vals))
 
-    @classmethod
-    def from_atom_values(cls, space: FilteredSpace, levels: Sequence[np.ndarray]) -> "AdaptedProcess":
-        """Build from per-atom arrays, verifying measurability at each time."""
-        per_time = tuple(space.restrict(m, lvl) for m, lvl in enumerate(levels))
-        return cls(space=space, per_time=per_time)
-
     @property
     def horizon(self) -> int:
         return self.space.horizon

@@ -17,6 +17,7 @@ from doobkit import (
 from doobkit import claims
 from doobkit.claims import CLAIM_IDS, envelope_process
 from doobkit.generators import random_family, random_space
+from doobkit.space import DEFAULT_TOL
 
 from .oracles import audit_based_search, expect
 
@@ -119,6 +120,48 @@ class TestSingletonFamiliesPass:
         for claim in CLAIM_IDS:
             inst = AuditInstance(family=fam, xi=xi_a0, f=flat)
             assert audit(claim, inst).verdict == "pass", claim
+
+
+class TestOneMeasureInstancesHold:
+    """Every audited identity is a theorem for one measure, which is why the
+    search skips one-measure draws and shrink candidates unevaluated."""
+
+    @staticmethod
+    def _one_measure_instances(claim):
+        # 200 one-measure draws, then every single-extreme family that
+        # repeated extreme drops leave of 100 draws of up to three extremes
+        rng = np.random.default_rng(23)
+        drawn = 0
+        while drawn < 200:
+            instance = claims._sample_instance(claim, rng, 8, 3, 1)
+            if instance is not None:
+                drawn += 1
+                yield instance
+        for _ in range(100):
+            instance = claims._sample_instance(claim, rng, 8, 3, 3)
+            if instance is None or len(instance.family) == 1:
+                continue
+            k = len(instance.family)
+            for keep in range(k):
+                one = instance
+                for idx in reversed(range(k)):
+                    if idx != keep:
+                        one = claims._drop_extreme(one, idx)
+                assert len(one.family) == 1
+                yield one
+
+    @pytest.mark.parametrize("claim", CLAIM_IDS)
+    def test_no_one_measure_violation(self, claim):
+        evaluate = claims._EVALUATORS[claim]
+        evaluated = 0
+        for instance in self._one_measure_instances(claim):
+            try:
+                violation, detail = evaluate(instance)
+            except ClaimPreconditionUnmet:
+                continue
+            evaluated += 1
+            assert violation <= DEFAULT_TOL, (claim, violation, detail)
+        assert evaluated >= 200
 
 
 class TestWitnessReplay:
@@ -268,7 +311,7 @@ class TestShrinkSteps:
 
 class TestSearch:
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
             search_counterexample("lemma-tmars5", budget=0, seed=0)
 
     def test_deterministic_given_seed(self):
@@ -278,39 +321,64 @@ class TestSearch:
         assert a.violation == b.violation
         assert a.witness == b.witness
 
+    #: ten seeds of the default search, which shrink a hit, a one-measure
+    #: search, which runs its whole budget without one, and a search of at
+    #: most two extremes, whose shrinking reaches one-measure candidates
+    AGAINST_ORACLE = (
+        *((seed, {}) for seed in range(10)),
+        (5, {"max_extremes": 1}),
+        (5, {"max_extremes": 2}),
+    )
+
     @pytest.mark.parametrize("claim", CLAIM_IDS)
     def test_matches_audit_based_search(self, claim):
-        # two seeds of the default search, which shrink a hit, and a
-        # singleton-family search, which runs its whole budget without one
-        for seed, kw in ((0, {}), (1, {}), (5, {"max_extremes": 1})):
+        for seed, kw in self.AGAINST_ORACLE:
             got = search_counterexample(claim, budget=30, seed=seed, **kw)
             assert got.as_dict() == audit_based_search(claim, budget=30, seed=seed, **kw).as_dict()
 
     @pytest.mark.parametrize("claim", CLAIM_IDS)
     def test_shrunk_instance_is_not_evaluated_again(self, claim, monkeypatch):
-        # the search reports the last shrink step's evaluation, where the
-        # audit-based search audits the shrunk instance once more
+        # the search evaluates what the audit-based search audits, less its
+        # one-measure instances and, after a hit, less the final re-audit of
+        # the shrunk instance, whose evaluation the last shrink step made
         calls = []
         evaluate = claims._EVALUATORS[claim]
 
         def counted(instance):
-            calls.append(instance)
+            calls.append(len(instance.family))
             return evaluate(instance)
 
         monkeypatch.setitem(claims._EVALUATORS, claim, counted)
-        for seed, kw in ((0, {}), (1, {}), (5, {"max_extremes": 1})):
+        for seed, kw in self.AGAINST_ORACLE:
             calls.clear()
             want = audit_based_search(claim, budget=30, seed=seed, **kw)
-            audited = len(calls)
+            audited, one_measure = len(calls), calls.count(1)
             calls.clear()
             got = search_counterexample(claim, budget=30, seed=seed, **kw)
             assert got.as_dict() == want.as_dict()
-            assert len(calls) == audited - (got.verdict == "counterexample")
+            assert 1 not in calls
+            assert len(calls) == audited - one_measure - (got.verdict == "counterexample")
+
+    @pytest.mark.parametrize("claim", CLAIM_IDS)
+    def test_one_measure_search_evaluates_nothing(self, claim, monkeypatch):
+        calls = []
+        monkeypatch.setitem(claims._EVALUATORS, claim, calls.append)
+        result = search_counterexample(claim, budget=40, seed=5, max_extremes=1)
+        assert calls == []
+        assert result.verdict == "pass"
+        assert result.budget_used == 40
 
     def test_singleton_restriction_passes(self):
         result = search_counterexample("lemma-q5", budget=50, seed=5, max_extremes=1)
         assert result.verdict == "pass"
         assert result.budget_used == 50
+
+    @pytest.mark.parametrize(
+        "name, value", [("max_atoms", 1), ("max_periods", 0), ("max_extremes", 0)]
+    )
+    def test_sampling_bounds_validation(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be at least {value + 1}"):
+            search_counterexample("lemma-q5", budget=5, seed=0, **{name: value})
 
     def test_program_error_is_not_a_skipped_draw(self, monkeypatch):
         # only the density search's own typed failures may skip a draw

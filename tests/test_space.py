@@ -505,18 +505,24 @@ class TestAdaptedProcess:
         with pytest.raises(ShapeMismatch):
             AdaptedProcess(space=space_b, per_time=(np.array([1.0]), np.array([1.0])))
 
-    def test_from_atom_values_checks_measurability(self, space_b):
+    @staticmethod
+    def _from_atoms(space, levels):
+        return AdaptedProcess(
+            space=space, per_time=tuple(space.restrict(m, lvl) for m, lvl in enumerate(levels))
+        )
+
+    def test_restricted_levels_check_measurability(self, space_b):
         levels = [np.full(4, 2.0), np.array([1.0, 1.0, 3.0, 3.0]), np.arange(4.0)]
-        proc = AdaptedProcess.from_atom_values(space_b, levels)
+        proc = self._from_atoms(space_b, levels)
         assert list(proc.at_cells(1)) == [1.0, 3.0]
         levels[1] = np.array([1.0, 2.0, 3.0, 3.0])  # straddles the first cell
         with pytest.raises(ShapeMismatch):
-            AdaptedProcess.from_atom_values(space_b, levels)
+            self._from_atoms(space_b, levels)
 
-    def test_from_atom_values_refuses_nan_behind_a_cells_first_atom(self, space_b):
+    def test_restricted_levels_refuse_nan_behind_a_cells_first_atom(self, space_b):
         levels = [np.full(4, 2.0), np.array([1.0, np.nan, 3.0, 3.0]), np.arange(4.0)]
         with pytest.raises(ShapeMismatch, match="time 1: cell 0 spans"):
-            AdaptedProcess.from_atom_values(space_b, levels)
+            self._from_atoms(space_b, levels)
 
 
 class TestCondExp:
