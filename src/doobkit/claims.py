@@ -157,7 +157,7 @@ def _cond_exp_levels(family: MeasureFamily, xi: np.ndarray) -> list[np.ndarray]:
     """``E_i[xi | F_m]`` under each extreme ``i``, as ``(k, n_cells(m))`` per
     time ``m``: one atom pass at the horizon, then one step back per level."""
     n = family.space.horizon
-    return _cond_exp_back(family, cond_exp_cells(family.space, xi, family.probs, n), n)
+    return _cond_exp_back(family, cond_exp_cells(family.space, xi, family, n), n)
 
 
 def envelope_process(family: MeasureFamily, xi: np.ndarray) -> AdaptedProcess:
@@ -217,7 +217,7 @@ def _eval_1q5(instance: AuditInstance) -> tuple[float, str]:
     env = envelope_process(instance.family, xi)
     worst, where = 0.0, ""
     for m in range(1, space.horizon + 1):
-        rows = cond_exp_step(space, instance.family.masses(m), env.at_cells(m), m)
+        rows = cond_exp_step(space, instance.family, env.at_cells(m), m)
         mags = np.abs(rows - env.at_cells(m - 1)).max(axis=1)
         i = int(np.argmax(mags))
         if mags[i] > worst:

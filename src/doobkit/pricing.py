@@ -497,7 +497,7 @@ def _drift_residuals(family: MeasureFamily, market: MarketModel) -> np.ndarray:
     space = market.space
     worst = np.zeros(len(family))
     for m in range(1, space.horizon + 1):
-        e = cond_exp_step(space, family.masses(m), market.S.at_cells(m), m)
+        e = cond_exp_step(space, family, market.S.at_cells(m), m)
         worst = np.maximum(worst, np.abs(e - market.S.at_cells(m - 1)).max(axis=1))
     return worst
 

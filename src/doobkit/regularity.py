@@ -32,6 +32,7 @@ for one density or a stack of them, from one product with the extremes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -223,7 +224,7 @@ def classify(f: AdaptedProcess, family: MeasureFamily, tol: float = DEFAULT_TOL)
     worst = (-np.inf, 0, 0, 0)
     max_abs = 0.0
     for m in range(1, space.horizon + 1):
-        defect = cond_exp_step(space, family.masses(m), f.at_cells(m), m) - f.at_cells(m - 1)
+        defect = cond_exp_step(space, family, f.at_cells(m), m) - f.at_cells(m - 1)
         # the first worst in (extreme, cell) order; a later time must beat it
         i, j = np.unravel_index(np.argmax(defect), defect.shape)
         if defect[i, j] > worst[0]:
@@ -307,7 +308,7 @@ def martingale_increments(
         raise ValueError("increments need n >= 1")
     space = family.space
     horizon = space.horizon
-    conds = _cond_exp_back(family, cond_exp_cells(space, xi0.xi, family.probs, horizon), horizon)
+    conds = _cond_exp_back(family, cond_exp_cells(space, xi0.xi, family, horizon), horizon)
     d = conds[n][base_index] - conds[n - 1][base_index][space.parent_cell(n)]
     neg = tuple(int(j) for j in range(d.shape[0]) if d[j] <= 0.0)
     pos = tuple(int(j) for j in range(d.shape[0]) if d[j] > 0.0)
@@ -341,7 +342,7 @@ def _check_unit_conditional(
 ) -> tuple[bool, int, float]:
     """Worst deviation of E{xi0 | F_{m-1}} from one, and the first extreme
     with it, for ``xi0`` taking ``values`` on the time-``m`` cells."""
-    dev = np.abs(cond_exp_step(space, family.masses(m), values, m) - 1.0).max(axis=1)
+    dev = np.abs(cond_exp_step(space, family, values, m) - 1.0).max(axis=1)
     worst_i = int(np.argmax(dev))
     return dev[worst_i] <= tol, worst_i, float(dev[worst_i])
 
@@ -364,7 +365,7 @@ def xi0_step_alpha(
     """
     space = family.space
     ratio = one_step_ratio_cells(f, m)
-    sup = cond_exp_step(space, family.masses(m), ratio, m).max(axis=0)[space.parent_cell(m)]
+    sup = cond_exp_step(space, family, ratio, m).max(axis=0)[space.parent_cell(m)]
     norm = np.divide(ratio, sup, out=np.zeros_like(ratio), where=sup > 0.0)
     if np.any(norm > 1.0 + STRICT_TOL):
         return StepFailure(m=m, reason="empty alpha interval")
@@ -514,6 +515,15 @@ def optional_decompose(
     )
 
 
+@lru_cache(maxsize=64)
+def _mixture_weights(k: int, n_mixtures: int, seed: int) -> np.ndarray:
+    """The ``(n_mixtures, k)`` Dirichlet(1) weight rows of ``seed``, drawn
+    once per arguments and kept read-only."""
+    weights = np.random.default_rng(seed).dirichlet(np.ones(k), size=n_mixtures)
+    weights.setflags(write=False)
+    return weights
+
+
 def verify_decomposition(
     f: AdaptedProcess,
     decomposition: OptionalDecomposition,
@@ -528,7 +538,8 @@ def verify_decomposition(
     martingale property under the extremes and sampled mixtures, the match
     between one-step drift and expected compensator growth, and that the
     compensator increments recenter to zero under each extreme.  The
-    mixtures are one seeded Dirichlet draw of ``n_mixtures`` weight rows;
+    mixtures are one seeded Dirichlet draw of ``n_mixtures`` weight rows,
+    made once per extreme count, ``n_mixtures`` and ``seed``;
     each level's mixture cell masses are the weighted extremes' masses over
     the mixture's total, checked in the same one-step conditional
     expectation as the extremes.
@@ -554,13 +565,12 @@ def verify_decomposition(
     )
     add("reconstruction", recon)
     add("compensator-starts-at-zero", float(np.abs(comp.at_cells(0)).max()))
-    weights = np.random.default_rng(seed).dirichlet(np.ones(len(family)), size=n_mixtures)
+    weights = _mixture_weights(len(family), n_mixtures, seed)
     total = weights @ family.masses(0)
     growth = mart_ext = mart_mix = drift = centered = 0.0
     for m in range(1, space.horizon + 1):
         # one level's mixture masses at a time
-        masses = family.masses(m)
-        mixes = weights @ masses
+        mixes = weights @ family.masses(m)
         mixes /= total
         sums_ok = (np.abs(mixes.sum(axis=1) - 1.0) <= STRICT_TOL).all()
         if not (np.isfinite(mixes).all() and mixes.min(initial=np.inf) > MIN_PROB and sums_ok):
@@ -569,15 +579,15 @@ def verify_decomposition(
         dg = comp.at_cells(m) - comp.at_cells(m - 1)[parent]
         growth = max(growth, float((-dg).max()))
         now, before = mart.at_cells(m), mart.at_cells(m - 1)
-        gap = np.abs(cond_exp_step(space, masses, now, m) - before)
+        gap = np.abs(cond_exp_step(space, family, now, m) - before)
         mart_ext = max(mart_ext, float(gap.max()))
         gap = np.abs(cond_exp_step(space, mixes, now, m) - before)
         mart_mix = max(mart_mix, float(gap.max(initial=0.0)))
-        lhs = cond_exp_step(space, masses, f.at_cells(m - 1)[parent] - f.at_cells(m), m)
-        rhs = cond_exp_step(space, masses, dg, m)
+        lhs = cond_exp_step(space, family, f.at_cells(m - 1)[parent] - f.at_cells(m), m)
+        rhs = cond_exp_step(space, family, dg, m)
         drift = max(drift, float(np.abs(lhs - rhs).max()))
         psi = dg - rhs[:, parent]
-        centered = max(centered, float(np.abs(cond_exp_step(space, masses, psi, m)).max()))
+        centered = max(centered, float(np.abs(cond_exp_step(space, family, psi, m)).max()))
     add("compensator-monotone", max(growth, 0.0))
     add("martingale-extremes", mart_ext)
     add("martingale-mixtures", mart_mix)

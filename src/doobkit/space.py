@@ -28,8 +28,10 @@ each cell in numpy's pairwise order, bit for bit the cell's own ``.sum()``
 fancy-indexed 3-D gather does),
 and feeds :func:`node_laws` (inverted by :func:`compose_laws`),
 linear-program data and instance draws, whose optimal vertices and seeded
-draws can move with the last bit.  A family caches its extremes' cell
-masses per time (``MeasureFamily.masses``), from :func:`cell_sums`.
+draws can move with the last bit.  A family caches, per time and
+read-only like the node table, its extremes' cell masses
+(``MeasureFamily.masses``, from :func:`cell_sums`) and the ``np.bincount``
+bin index and mass totals that both conditional-expectation forms read.
 
 Conditional expectations follow one rule: a variable given per atom (a
 density, a claim, an envelope's payoff) is conditioned on atoms once, at
@@ -39,6 +41,10 @@ level is one step back from the level above.  By the tower property under
 each measure, :func:`cond_exp_step` takes time-``m`` cell values to time
 ``m - 1`` from cell masses, such as the family's cached ones, and never
 visits an atom; ``_cond_exp_back`` chains it from a time down to time 0.
+Given the family itself instead of its masses or ``probs``, either function
+takes the bins and totals from the family's cache and does one weighted
+``np.bincount`` and one division, the same kernel and the same bits as the
+call with explicit masses.
 The envelope process, the ``lemma-q5``/``lemma-lkq4`` tower and the
 ``thm-fmars5`` and ``thm-mmars1`` density martingales take that chain, as
 ``classify``, the certificate checks and ``verify_decomposition`` take the
@@ -112,8 +118,30 @@ def _canonical_partition(cells: Iterable[Iterable[int]]) -> Partition:
     return tuple(sorted([tuple(sorted(map(int, cell))) for cell in cells]))
 
 
+class _Levels:
+    """A per-time cache of read-only arrays, built on first use."""
+
+    @cached_property
+    def _table(self) -> dict:
+        # not a dataclass field, so ==, hash and repr see only the data
+        return {}
+
+    def _level(self, build: Callable[[Any, int], Any], m: int) -> Any:
+        """The entry ``build`` makes for time ``m``, built once."""
+        key = (build, m)
+        entry = self._table.get(key)
+        if entry is None:
+            entry = build(self, m)
+            # an entry is an array, a tuple of arrays or a tuple of array pairs
+            for part in entry if isinstance(entry, tuple) else (entry,):
+                for arr in part if isinstance(part, tuple) else (part,):
+                    arr.setflags(write=False)
+            self._table[key] = entry
+        return entry
+
+
 @dataclass(frozen=True)
-class FilteredSpace:
+class FilteredSpace(_Levels):
     """A finite atom set with a refining sequence of partitions."""
 
     n_atoms: int
@@ -128,24 +156,6 @@ class FilteredSpace:
 
     def n_cells(self, m: int) -> int:
         return len(self.partitions[m])
-
-    @cached_property
-    def _table(self) -> dict:
-        # not a dataclass field, so ==, hash and repr see only the partitions
-        return {}
-
-    def _level(self, build: Callable[["FilteredSpace", int], Any], m: int) -> Any:
-        """The node-table entry ``build`` makes for time ``m``, built once."""
-        key = (build, m)
-        entry = self._table.get(key)
-        if entry is None:
-            entry = build(self, m)
-            # an entry is an array, a tuple of arrays or a tuple of array pairs
-            for part in entry if isinstance(entry, tuple) else (entry,):
-                for arr in part if isinstance(part, tuple) else (part,):
-                    arr.setflags(write=False)
-            self._table[key] = entry
-        return entry
 
     def atom_to_cell(self, m: int) -> np.ndarray:
         """Index of the time-``m`` cell containing each atom (read-only)."""
@@ -324,7 +334,7 @@ class Measure:
 
 
 @dataclass(frozen=True, eq=False)
-class MeasureFamily:
+class MeasureFamily(_Levels):
     """Finitely many extreme measures; their convex hull is the prior set."""
 
     space: FilteredSpace
@@ -357,20 +367,28 @@ class MeasureFamily:
         probs.setflags(write=False)
         return probs
 
-    @cached_property
-    def _masses(self) -> dict:
-        # not a dataclass field, like FilteredSpace._table
-        return {}
-
     def masses(self, m: int) -> np.ndarray:
         """The extremes' time-``m`` cell masses as a read-only ``(k, n_cells(m))``
         array, from :func:`cell_sums`, built on first use."""
-        mass = self._masses.get(m)
-        if mass is None:
-            mass = cell_sums(self.space, self.probs, m)
-            mass.setflags(write=False)
-            self._masses[m] = mass
-        return mass
+        return self._level(_family_masses, m)
+
+
+# family-table builders: one time level each, called once per family and level
+
+
+def _family_masses(family: MeasureFamily, m: int) -> np.ndarray:
+    return cell_sums(family.space, family.probs, m)
+
+
+def _step_bins(family: MeasureFamily, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    space = family.space
+    masses = family.masses(m)
+    return (masses, *_binned(masses, space.parent_cell(m), space.n_cells(m - 1)))
+
+
+def _cell_bins(family: MeasureFamily, m: int) -> tuple[np.ndarray, np.ndarray]:
+    space = family.space
+    return _binned(family.probs, space.atom_to_cell(m), space.n_cells(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,41 +483,72 @@ def _as_rv(space: FilteredSpace, xi: np.ndarray) -> np.ndarray:
     return xi
 
 
+def _binned(weights: np.ndarray, owner: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(bins, totals)``: row ``i``'s entry ``j`` goes to bin ``i * c +
+    owner[j]``, and ``totals`` sums ``weights`` per bin."""
+    r = weights.shape[0]
+    bins = (np.arange(r)[:, None] * c + owner).ravel()
+    return bins, np.bincount(bins, weights=weights.ravel(), minlength=r * c)
+
+
+def _bin_means(bins: np.ndarray, totals: np.ndarray, weights: np.ndarray, values: np.ndarray,
+               c: int) -> np.ndarray:
+    """Per bin, the sum of ``weights * values`` over the bin's total, as
+    ``(r, c)``; the one kernel behind both conditional expectations."""
+    num = np.bincount(bins, weights=(weights * values).ravel(), minlength=totals.shape[0])
+    return (num / totals).reshape(-1, c)
+
+
+def _family_on(space: FilteredSpace, family: MeasureFamily) -> MeasureFamily:
+    if family.space is not space and family.space != space:
+        raise ShapeMismatch("family and values live on different spaces")
+    return family
+
+
 def cond_exp_cells(
-    space: FilteredSpace, xi: np.ndarray, p: Measure | np.ndarray, m: int
+    space: FilteredSpace, xi: np.ndarray, p: Measure | MeasureFamily | np.ndarray, m: int
 ) -> np.ndarray:
     """Conditional expectation of ``xi`` given time ``m``, one value per cell.
 
-    ``p`` is a measure, or a ``(k, n)`` array of probability rows (such as
-    ``MeasureFamily.probs``) giving ``(k, n_cells)``; ``xi`` may then also be
-    ``(k, n)``, paired row by row.  Sums run in ascending atom order.
+    ``p`` is a measure, or a family or a ``(k, n)`` array of probability rows
+    (such as ``MeasureFamily.probs``) giving ``(k, n_cells)``; ``xi`` may
+    then also be ``(k, n)``, paired row by row.  Sums run in ascending atom
+    order.  A family reads its bins and per-cell totals from its own cache,
+    and returns the same bits as its ``probs``.
     """
     single = isinstance(p, Measure)
-    probs = p.probs[None, :] if single else p
     xi = _as_rv(space, xi) if single or np.ndim(xi) != 2 else xi
-    k, c = probs.shape[0], space.n_cells(m)
-    bins = (np.arange(k)[:, None] * c + space.atom_to_cell(m)).ravel()
-    num = np.bincount(bins, weights=(probs * xi).ravel(), minlength=k * c)
-    mass = np.bincount(bins, weights=probs.ravel(), minlength=k * c)
-    out = (num / mass).reshape(k, c)
+    c = space.n_cells(m)
+    if isinstance(p, MeasureFamily):
+        probs = _family_on(space, p).probs
+        bins, totals = p._level(_cell_bins, m)
+    else:
+        probs = p.probs[None, :] if single else p
+        bins, totals = _binned(probs, space.atom_to_cell(m), c)
+    out = _bin_means(bins, totals, probs, xi, c)
     return out[0] if single else out
 
 
-def cond_exp_step(space: FilteredSpace, masses: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+def cond_exp_step(
+    space: FilteredSpace, masses: MeasureFamily | np.ndarray, values: np.ndarray, m: int
+) -> np.ndarray:
     """One-step conditional expectation of values on the time-``m`` cells.
 
     ``masses`` is ``(r, n_cells(m))``, one row of time-``m`` cell masses per
-    measure (such as ``MeasureFamily.masses(m)``), and ``values`` is one
-    ``(n_cells(m),)`` row shared by every measure or ``(r, n_cells(m))``
-    paired row by row.  Returns ``(r, n_cells(m - 1))``: over each parent's
-    children, the sum of ``mass * value`` over the sum of ``mass``, both in
-    ascending child order, so a constant comes back exactly.
+    measure (such as ``MeasureFamily.masses(m)``), or a family, which stands
+    for its own masses and reads its bins and per-parent totals from its
+    cache, with the same bits.  ``values`` is one ``(n_cells(m),)`` row shared
+    by every measure or ``(r, n_cells(m))`` paired row by row.  Returns ``(r,
+    n_cells(m - 1))``: over each parent's children, the sum of ``mass *
+    value`` over the sum of ``mass``, both in ascending child order, so the
+    unit row comes back exactly (another constant only to round-off).
     """
-    r, c = masses.shape[0], space.n_cells(m - 1)
-    bins = (np.arange(r)[:, None] * c + space.parent_cell(m)).ravel()
-    num = np.bincount(bins, weights=(masses * values).ravel(), minlength=r * c)
-    mass = np.bincount(bins, weights=masses.ravel(), minlength=r * c)
-    return (num / mass).reshape(r, c)
+    c = space.n_cells(m - 1)
+    if isinstance(masses, MeasureFamily):
+        masses, bins, totals = _family_on(space, masses)._level(_step_bins, m)
+    else:
+        bins, totals = _binned(masses, space.parent_cell(m), c)
+    return _bin_means(bins, totals, masses, values, c)
 
 
 def _cond_exp_back(family: MeasureFamily, values: np.ndarray, n: int) -> list[np.ndarray]:
@@ -510,7 +559,7 @@ def _cond_exp_back(family: MeasureFamily, values: np.ndarray, n: int) -> list[np
     ``values`` itself at ``n``."""
     levels = [values]
     for m in range(n, 0, -1):
-        levels.append(cond_exp_step(family.space, family.masses(m), levels[-1], m))
+        levels.append(cond_exp_step(family.space, family, levels[-1], m))
     return levels[::-1]
 
 
@@ -522,4 +571,4 @@ def ess_sup_cond_exp_cells(
     On a finite hull the essential supremum over every mixture equals the
     pointwise maximum over the extremes.
     """
-    return cond_exp_cells(space, xi, family.probs, m).max(axis=0)
+    return cond_exp_cells(space, xi, family, m).max(axis=0)

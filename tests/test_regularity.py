@@ -647,6 +647,16 @@ class TestVerifyDecomposition:
                 ),
             )
 
+    def test_mixture_weights_memoized_read_only(self):
+        for k, n_mixtures, seed in ((1, 0, 0), (2, 20, 0), (3, 5, 7)):
+            weights = regularity._mixture_weights(k, n_mixtures, seed)
+            fresh = np.random.default_rng(seed).dirichlet(np.ones(k), size=n_mixtures)
+            assert weights.tobytes() == fresh.tobytes() and weights.shape == fresh.shape
+            assert regularity._mixture_weights(k, n_mixtures, seed) is weights
+            assert not weights.flags.writeable
+            with pytest.raises(ValueError):
+                weights[...] = 0.5
+
     def test_centered_residuals_tight(self):
         rng = np.random.default_rng(41)
         space = random_space(rng)

@@ -21,7 +21,9 @@ from doobkit import (
 from doobkit.generators import product_family, random_family, random_space
 from doobkit.space import (
     _atom_cell,
+    _cell_bins,
     _cond_exp_back,
+    _step_bins,
     cell_sums,
     compose_laws,
     cond_exp_cells,
@@ -407,13 +409,13 @@ class TestOneStepCondExp:
                     want = self._want(space, family.probs[r % k], values[r], m)
                     np.testing.assert_allclose(got[r], want, rtol=1e-13, atol=0)
 
-    def test_constant_is_exact(self):
+    def test_unit_row_is_exact(self):
         for family, rng in self._families():
             space = family.space
             weights = rng.dirichlet(np.ones(len(family)), size=5)
             for m in range(1, space.horizon + 1):
                 ones = np.ones(space.n_cells(m))
-                for masses in (family.masses(m), weights @ family.masses(m)):
+                for masses in (family, family.masses(m), weights @ family.masses(m)):
                     assert np.all(cond_exp_step(space, masses, ones, m) == 1.0)
 
     def test_masses_cached_read_only_and_per_cell_sums(self, family_b):
@@ -425,6 +427,67 @@ class TestOneStepCondExp:
                 assert mass.tobytes() == brute_cell_masses(space, family, m).tobytes()
         with pytest.raises(ValueError):
             family_b.masses(1)[0, 0] = 0.5
+
+
+class TestFamilyForm:
+    """Given the family instead of its masses or ``probs``, both conditional
+    expectations read the family's cached bins and totals and return the
+    same bits as the explicit-array call."""
+
+    def _families(self):
+        """Random and pasting-stable draws of up to 40 atoms, and the families
+        of the 3^6 (k = 2) and 5^3 (k = 3) trees."""
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            yield random_family(rng, random_space(rng, max_atoms=40, max_periods=3)), rng
+            yield product_family(rng, random_space(rng, max_atoms=12, max_periods=4)), rng
+        for b, depth, k in ((3, 6, 2), (5, 3, 3)):
+            yield tree_draw(b, depth, k, 0)[0], np.random.default_rng(b)
+
+    def test_step_equals_explicit_masses_bit_for_bit(self):
+        for family, rng in self._families():
+            space = family.space
+            k = len(family)
+            for m in range(1, space.horizon + 1):
+                for values in (rng.normal(size=space.n_cells(m)),
+                               rng.normal(size=(k, space.n_cells(m)))):
+                    got = cond_exp_step(space, family, values, m)
+                    want = cond_exp_step(space, family.masses(m), values, m)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_cells_equal_explicit_probs_bit_for_bit(self):
+        for family, rng in self._families():
+            space = family.space
+            n = space.horizon
+            for xi in (rng.normal(size=space.n_atoms), rng.normal(size=(len(family), space.n_atoms))):
+                got = cond_exp_cells(space, xi, family, n)
+                want = cond_exp_cells(space, xi, family.probs, n)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_entries_cached_read_only(self, family_b):
+        space = family_b.space
+        for m in range(1, space.horizon + 1):
+            values = np.arange(space.n_cells(m), dtype=float)
+            first = cond_exp_step(space, family_b, values, m)
+            cond_exp_cells(space, np.ones(space.n_atoms), family_b, m)
+            step, cells = family_b._table[_step_bins, m], family_b._table[_cell_bins, m]
+            again = cond_exp_step(space, family_b, values, m)
+            cond_exp_cells(space, np.ones(space.n_atoms), family_b, m)
+            assert family_b._table[_step_bins, m] is step and family_b._table[_cell_bins, m] is cells
+            assert again.tobytes() == first.tobytes()
+            assert step[0] is family_b.masses(m)
+            for entry in (step, cells):
+                for arr in entry:
+                    assert not arr.flags.writeable
+                    with pytest.raises(ValueError):
+                        arr[0] = 0
+
+    def test_family_on_another_space_is_refused(self, family_b):
+        other = build_space(4, [[[0, 1, 2, 3]], [[0, 1, 2], [3]]])
+        with pytest.raises(ShapeMismatch):
+            cond_exp_step(other, family_b, np.ones(2), 1)
+        with pytest.raises(ShapeMismatch):
+            cond_exp_cells(other, np.ones(4), family_b, 1)
 
 
 class TestCondExpBack:
