@@ -32,7 +32,7 @@ Audited claims:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -56,6 +56,7 @@ from .space import (
     Measure,
     MeasureFamily,
     ShapeMismatch,
+    _chained_masses,
     _cond_exp_back,
     build_space,
     cond_exp_cells,
@@ -245,7 +246,7 @@ def _eval_fmars5(instance: AuditInstance) -> tuple[float, str]:
     # defects[b, m - 1, i]: time-m defect, under i, of the martingale under b; first worst wins
     defects = np.empty((k, space.horizon, k))
     for m in range(1, space.horizon + 1):
-        under = np.tile(family.masses(m), (k, 1))  # row b * k + i is extreme i
+        under = np.tile(_chained_masses(family, m), (k, 1))  # row b * k + i is extreme i
         dens = np.repeat(conds[m], k, axis=0)
         rows = cond_exp_step(space, under, dens, m) - np.repeat(conds[m - 1], k, axis=0)
         defects[:, m - 1] = np.abs(rows).max(axis=1).reshape(k, k)
@@ -369,46 +370,29 @@ def _drop_extreme(instance: AuditInstance, idx: int) -> Optional[AuditInstance]:
     if len(family) <= 1:
         return None
     extremes = tuple(p for i, p in enumerate(family) if i != idx)
-    return AuditInstance(
-        family=MeasureFamily(space=family.space, extremes=extremes),
-        xi=instance.xi,
-        f=instance.f,
-    )
+    return replace(instance, family=MeasureFamily(space=family.space, extremes=extremes))
 
 
 def _drop_atom(instance: AuditInstance, atom: int) -> Optional[AuditInstance]:
     space = instance.space
     if space.n_atoms <= 2:
         return None
-    relabel = {a: (a if a < atom else a - 1) for a in range(space.n_atoms) if a != atom}
-    partitions = []
-    kept_cells: list[list[int]] = []  # per level, surviving cell indices
-    for level in space.partitions:
-        cells = []
-        kept = []
-        for j, cell in enumerate(level):
-            reduced = [relabel[a] for a in cell if a != atom]
-            if reduced:
-                cells.append(reduced)
-                kept.append(j)
-        partitions.append(cells)
-        kept_cells.append(kept)
+    # atoms past the dropped one move down by one; an emptied cell goes
+    partitions = [
+        [kept for cell in level if (kept := [a - (a > atom) for a in cell if a != atom])]
+        for level in space.partitions
+    ]
     new_space = build_space(space.n_atoms - 1, partitions)
-    mask = np.array([a != atom for a in range(space.n_atoms)])
-    extremes = []
-    for p in instance.family:
-        probs = p.probs[mask]
-        extremes.append(Measure(probs / probs.sum()))
-    family = MeasureFamily(space=new_space, extremes=tuple(extremes))
+    mask = np.arange(space.n_atoms) != atom
+    probs = instance.family.probs[:, mask]
+    family = MeasureFamily(space=new_space, extremes=tuple(Measure(p / p.sum()) for p in probs))
     xi = instance.xi[mask] if instance.xi is not None else None
     f = None
     if instance.f is not None:
-        f = AdaptedProcess(
-            space=new_space,
-            per_time=tuple(
-                instance.f.at_cells(m)[kept_cells[m]] for m in range(space.horizon + 1)
-            ),
-        )
+        # build_space sorts the surviving cells by least atom again
+        levels = [new_space.restrict(m, instance.f.at_atoms(m)[mask])
+                  for m in range(space.horizon + 1)]
+        f = AdaptedProcess(space=new_space, per_time=tuple(levels))
     return AuditInstance(family=family, xi=xi, f=f)
 
 

@@ -46,6 +46,7 @@ from .space import (
     FilteredSpace,
     MeasureFamily,
     ShapeMismatch,
+    _chained_masses,
     _cond_exp_back,
     cond_exp_cells,
     cond_exp_step,
@@ -540,7 +541,7 @@ def verify_decomposition(
     compensator increments recenter to zero under each extreme.  The
     mixtures are one seeded Dirichlet draw of ``n_mixtures`` weight rows,
     made once per extreme count, ``n_mixtures`` and ``seed``;
-    each level's mixture cell masses are the weighted extremes' masses over
+    each level's mixture cell masses are the weighted extremes' chained masses over
     the mixture's total, checked in the same one-step conditional
     expectation as the extremes.
     """
@@ -566,11 +567,11 @@ def verify_decomposition(
     add("reconstruction", recon)
     add("compensator-starts-at-zero", float(np.abs(comp.at_cells(0)).max()))
     weights = _mixture_weights(len(family), n_mixtures, seed)
-    total = weights @ family.masses(0)
+    total = weights @ _chained_masses(family, 0)
     growth = mart_ext = mart_mix = drift = centered = 0.0
     for m in range(1, space.horizon + 1):
         # one level's mixture masses at a time
-        mixes = weights @ family.masses(m)
+        mixes = weights @ _chained_masses(family, m)
         mixes /= total
         sums_ok = (np.abs(mixes.sum(axis=1) - 1.0) <= STRICT_TOL).all()
         if not (np.isfinite(mixes).all() and mixes.min(initial=np.inf) > MIN_PROB and sums_ok):

@@ -22,16 +22,18 @@ cell of each atom at every time, from the owner lists it checks the
 partitions with; every other array is built on first use.  All are cached
 read-only on the space.
 
-No other module sums probability mass over cells.  :func:`cell_sums` adds
+No other module sums probability mass over cells, and this one sums it
+two ways that agree to round-off, not bit for bit.  :func:`cell_sums` adds
 each cell in numpy's pairwise order, bit for bit the cell's own ``.sum()``
 (neither ``np.bincount``, ``np.add.reduceat`` nor a reduction over a
-fancy-indexed 3-D gather does),
-and feeds :func:`node_laws` (inverted by :func:`compose_laws`),
-linear-program data and instance draws, whose optimal vertices and seeded
-draws can move with the last bit.  A family caches, per time and
-read-only like the node table, its extremes' cell masses
-(``MeasureFamily.masses``, from :func:`cell_sums`) and the ``np.bincount``
-bin index and mass totals that both conditional-expectation forms read.
+fancy-indexed 3-D gather does), for linear-program data and instance draws
+only, whose optimal vertices and seeded draws can move with the last bit:
+``MeasureFamily.masses`` and :func:`node_laws` (inverted by
+:func:`compose_laws`).  Conditional expectations read masses chained up
+from the atoms: a family caches, per time and read-only like the node
+table, the ``np.bincount`` bin index and mass totals that both forms read,
+the per-cell totals of its one atom pass at the horizon being its horizon
+masses and each level's per-parent totals the masses of the level below.
 
 Conditional expectations follow one rule: a variable given per atom (a
 density, a claim, an envelope's payoff) is conditioned on atoms once, at
@@ -39,12 +41,12 @@ the horizon, by :func:`cond_exp_cells` (``np.bincount`` sums over the
 atom→cell map for every measure of a family in one call), and every lower
 level is one step back from the level above.  By the tower property under
 each measure, :func:`cond_exp_step` takes time-``m`` cell values to time
-``m - 1`` from cell masses, such as the family's cached ones, and never
+``m - 1`` from cell masses, such as the family's chained ones, and never
 visits an atom; ``_cond_exp_back`` chains it from a time down to time 0.
 Given the family itself instead of its masses or ``probs``, either function
 takes the bins and totals from the family's cache and does one weighted
 ``np.bincount`` and one division, the same kernel and the same bits as the
-call with explicit masses.
+call given those chained masses or ``probs``.
 The envelope process, the ``lemma-q5``/``lemma-lkq4`` tower and the
 ``thm-fmars5`` and ``thm-mmars1`` density martingales take that chain, as
 ``classify``, the certificate checks and ``verify_decomposition`` take the
@@ -369,7 +371,9 @@ class MeasureFamily(_Levels):
 
     def masses(self, m: int) -> np.ndarray:
         """The extremes' time-``m`` cell masses as a read-only ``(k, n_cells(m))``
-        array, from :func:`cell_sums`, built on first use."""
+        array, from :func:`cell_sums`, built on first use, for LP data and
+        seeded draws; conditional expectations read chained masses, equal to
+        these to round-off."""
         return self._level(_family_masses, m)
 
 
@@ -380,9 +384,18 @@ def _family_masses(family: MeasureFamily, m: int) -> np.ndarray:
     return cell_sums(family.space, family.probs, m)
 
 
+def _chained_masses(family: MeasureFamily, m: int) -> np.ndarray:
+    """The extremes' time-``m`` cell masses that conditional expectations
+    read, ``(k, n_cells(m))``: the per-cell totals of the horizon atom pass,
+    and below it the per-parent totals of the level above."""
+    if m == family.space.horizon:
+        return family._level(_cell_bins, m)[1]
+    return family._level(_step_bins, m + 1)[2]
+
+
 def _step_bins(family: MeasureFamily, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     space = family.space
-    masses = family.masses(m)
+    masses = _chained_masses(family, m)
     return (masses, *_binned(masses, space.parent_cell(m), space.n_cells(m - 1)))
 
 
@@ -485,18 +498,18 @@ def _as_rv(space: FilteredSpace, xi: np.ndarray) -> np.ndarray:
 
 def _binned(weights: np.ndarray, owner: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     """``(bins, totals)``: row ``i``'s entry ``j`` goes to bin ``i * c +
-    owner[j]``, and ``totals`` sums ``weights`` per bin."""
+    owner[j]``, and ``totals`` sums ``weights`` per bin, as ``(r, c)``."""
     r = weights.shape[0]
     bins = (np.arange(r)[:, None] * c + owner).ravel()
-    return bins, np.bincount(bins, weights=weights.ravel(), minlength=r * c)
+    return bins, np.bincount(bins, weights=weights.ravel(), minlength=r * c).reshape(r, c)
 
 
-def _bin_means(bins: np.ndarray, totals: np.ndarray, weights: np.ndarray, values: np.ndarray,
-               c: int) -> np.ndarray:
-    """Per bin, the sum of ``weights * values`` over the bin's total, as
-    ``(r, c)``; the one kernel behind both conditional expectations."""
-    num = np.bincount(bins, weights=(weights * values).ravel(), minlength=totals.shape[0])
-    return (num / totals).reshape(-1, c)
+def _bin_means(bins: np.ndarray, totals: np.ndarray, weights: np.ndarray,
+               values: np.ndarray) -> np.ndarray:
+    """Per bin, the sum of ``weights * values`` over the bin's total, shaped
+    like ``totals``; the one kernel behind both conditional expectations."""
+    num = np.bincount(bins, weights=(weights * values).ravel(), minlength=totals.size)
+    return num.reshape(totals.shape) / totals
 
 
 def _family_on(space: FilteredSpace, family: MeasureFamily) -> MeasureFamily:
@@ -518,14 +531,13 @@ def cond_exp_cells(
     """
     single = isinstance(p, Measure)
     xi = _as_rv(space, xi) if single or np.ndim(xi) != 2 else xi
-    c = space.n_cells(m)
     if isinstance(p, MeasureFamily):
         probs = _family_on(space, p).probs
         bins, totals = p._level(_cell_bins, m)
     else:
         probs = p.probs[None, :] if single else p
-        bins, totals = _binned(probs, space.atom_to_cell(m), c)
-    out = _bin_means(bins, totals, probs, xi, c)
+        bins, totals = _binned(probs, space.atom_to_cell(m), space.n_cells(m))
+    out = _bin_means(bins, totals, probs, xi)
     return out[0] if single else out
 
 
@@ -535,20 +547,20 @@ def cond_exp_step(
     """One-step conditional expectation of values on the time-``m`` cells.
 
     ``masses`` is ``(r, n_cells(m))``, one row of time-``m`` cell masses per
-    measure (such as ``MeasureFamily.masses(m)``), or a family, which stands
-    for its own masses and reads its bins and per-parent totals from its
-    cache, with the same bits.  ``values`` is one ``(n_cells(m),)`` row shared
-    by every measure or ``(r, n_cells(m))`` paired row by row.  Returns ``(r,
-    n_cells(m - 1))``: over each parent's children, the sum of ``mass *
-    value`` over the sum of ``mass``, both in ascending child order, so the
-    unit row comes back exactly (another constant only to round-off).
+    measure, or a family, which stands for its masses chained up from its
+    horizon atom pass (``MeasureFamily.masses(m)`` to round-off) and reads
+    its bins and per-parent totals from its cache, with the same bits.
+    ``values`` is one ``(n_cells(m),)`` row shared by every measure or ``(r,
+    n_cells(m))`` paired row by row.  Returns ``(r, n_cells(m - 1))``: over
+    each parent's children, the sum of ``mass * value`` over the sum of
+    ``mass``, both in ascending child order, so the unit row comes back
+    exactly (another constant only to round-off).
     """
-    c = space.n_cells(m - 1)
     if isinstance(masses, MeasureFamily):
         masses, bins, totals = _family_on(space, masses)._level(_step_bins, m)
     else:
-        bins, totals = _binned(masses, space.parent_cell(m), c)
-    return _bin_means(bins, totals, masses, values, c)
+        bins, totals = _binned(masses, space.parent_cell(m), space.n_cells(m - 1))
+    return _bin_means(bins, totals, masses, values)
 
 
 def _cond_exp_back(family: MeasureFamily, values: np.ndarray, n: int) -> list[np.ndarray]:

@@ -10,7 +10,9 @@ unit-conditional dominator comes from one simplex LP per predecessor cell
 and, node by node, from enumerating every basis of the node's children,
 the martingale measure from one dense floor LP over every atom, and cell
 masses, node laws, nullspace draws and pricing rows come from one
-``.sum()`` per cell and one SVD per node.  Hedge positions come from one
+``.sum()`` per cell and one SVD per node; the masses conditional
+expectations read, chained up from the atoms, from one ``np.bincount``
+per extreme per level.  Hedge positions come from one
 least-squares solve per node, and the hedge's capital from one
 ``restrict`` per time and price slice.  Pasting-stable families come from
 one dict of cell probabilities per combination of node laws.  The
@@ -115,6 +117,22 @@ def brute_restrict(space, m, atom_values):
 def brute_cell_masses(space, family, m):
     """``(k, n_cells)`` cell masses, one ``.sum()`` per extreme per cell."""
     return np.array([[p.probs[list(cell)].sum() for cell in space.cells(m)] for p in family])
+
+
+def chained_masses(space, family):
+    """``(k, n_cells(m))`` cell masses per time ``m``, chained up from the
+    atoms: one ``np.bincount`` per extreme over the atoms' horizon cells,
+    then one per extreme over each level's parents, with the cells of atoms
+    and parents found by scanning the partition tuples."""
+    n = space.horizon
+    owner = brute_atom_to_cell(space, n)
+    levels = [np.array([np.bincount(owner, weights=p.probs, minlength=space.n_cells(n))
+                        for p in family])]
+    for m in range(n, 0, -1):
+        parent = brute_parent_cell(space, m)
+        levels.append(np.array([np.bincount(parent, weights=row, minlength=space.n_cells(m - 1))
+                                for row in levels[-1]]))
+    return levels[::-1]
 
 
 def per_node_domination_rows(space, family, cells):

@@ -255,6 +255,43 @@ class TestOneAtomPass:
             regularity.martingale_increments(el, instance.family, base_index=1, n=n)
         assert seen and all(m == horizon for m, horizon in seen)
 
+    def test_no_cell_sums_on_a_fresh_family(self, fixture_paths, monkeypatch):
+        """The masses conditional expectations read are chained up from the
+        horizon atom pass; only LP data and draws sum cells pairwise, so of
+        these only ``thm-mars12``'s node laws would."""
+        import json
+
+        from doobkit import pricing, regularity, space
+
+        from .trees import tree_draw
+
+        def fresh(family):
+            return MeasureFamily(space=family.space, extremes=family.extremes)
+
+        instance = claims.instance_from_dict(json.loads(fixture_paths["b"].read_text()))
+        family, f, market, _ = tree_draw(3, 3, 2, 0)
+        decomposition = regularity.optional_decompose(f, family)
+        el = regularity.find_a0_element(family, objective=np.arange(float(family.space.n_atoms)))
+        q = pricing.find_emm(market).measure
+        env = envelope_process(instance.family, instance.xi)
+        calls = []
+        original = space.cell_sums
+        monkeypatch.setattr(space, "cell_sums", lambda *args: calls.append(args[2]) or original(*args))
+
+        classify(env, fresh(instance.family))
+        classify(f, fresh(family))
+        assert regularity.verify_decomposition(f, decomposition, fresh(family)).ok
+        for n in range(1, family.space.horizon + 1):
+            regularity.martingale_increments(el, fresh(family), base_index=1, n=n)
+        assert pricing.verify_emm(q, market).passed
+        falling = AdaptedProcess(space=instance.space,
+                                 per_time=([1.0], [1.0, 0.8], [0.9, 0.7, 0.6, 0.5]))
+        for claim in CLAIM_IDS:
+            if claim != "thm-mars12":
+                audit(claim, claims.AuditInstance(family=fresh(instance.family), xi=instance.xi,
+                                                  f=falling))
+        assert calls == []
+
 
 class TestSearchOutcomesPinned:
     """``(verdict, budget_used)`` of the default search per claim at seeds
@@ -307,6 +344,23 @@ class TestShrinkSteps:
                         assert smaller.space.n_atoms == n_atoms - 1
                         assert smaller.space.horizon == horizon
                         assert smaller.xi.tolist() == np.delete(xi, atom).tolist()
+
+    def test_dropping_any_atom_keeps_f_at_every_surviving_atom(self):
+        # build_space sorts the surviving cells by least atom, which can
+        # reorder them (the seed-3 draw less atom 1 turns the time-1 cells
+        # (0), (1, 5, 6), (2, 3, 4) into (0), (1, 2, 3), (4, 5))
+        for seed in range(60):
+            instance = claims._sample_instance("thm-mmars1", np.random.default_rng(seed), 8, 3, 3)
+            if instance is None:
+                continue
+            space = instance.space
+            for atom in range(space.n_atoms):
+                smaller = claims._drop_atom(instance, atom)
+                if smaller is None:
+                    continue
+                for m in range(space.horizon + 1):
+                    want = np.delete(instance.f.at_atoms(m), atom)
+                    assert smaller.f.at_atoms(m).tolist() == want.tolist(), (seed, atom, m)
 
 
 class TestSearch:

@@ -22,7 +22,9 @@ from doobkit.generators import product_family, random_family, random_space
 from doobkit.space import (
     _atom_cell,
     _cell_bins,
+    _chained_masses,
     _cond_exp_back,
+    _family_masses,
     _step_bins,
     cell_sums,
     compose_laws,
@@ -39,6 +41,7 @@ from .oracles import (
     brute_cond_exp,
     brute_parent_cell,
     brute_restrict,
+    chained_masses,
     mixture,
 )
 from .trees import tree_draw, tree_space
@@ -432,7 +435,10 @@ class TestOneStepCondExp:
 class TestFamilyForm:
     """Given the family instead of its masses or ``probs``, both conditional
     expectations read the family's cached bins and totals and return the
-    same bits as the explicit-array call."""
+    same bits as the explicit-array call.  The one-step form's masses are
+    chained up from one atom pass at the horizon, as
+    :func:`~tests.oracles.chained_masses` makes them, and match
+    ``cell_sums``'s pairwise sums to round-off."""
 
     def _families(self):
         """Random and pasting-stable draws of up to 40 atoms, and the families
@@ -448,12 +454,25 @@ class TestFamilyForm:
         for family, rng in self._families():
             space = family.space
             k = len(family)
+            chained = chained_masses(space, family)
             for m in range(1, space.horizon + 1):
                 for values in (rng.normal(size=space.n_cells(m)),
                                rng.normal(size=(k, space.n_cells(m)))):
                     got = cond_exp_step(space, family, values, m)
-                    want = cond_exp_step(space, family.masses(m), values, m)
+                    want = cond_exp_step(space, chained[m], values, m)
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                unit = cond_exp_step(space, family, np.ones(space.n_cells(m)), m)
+                assert (unit == 1.0).all()
+
+    def test_chained_masses_match_cell_sums_to_round_off(self):
+        for family, _ in self._families():
+            space = family.space
+            chained = chained_masses(space, family)
+            for m in range(space.horizon + 1):
+                got = _chained_masses(family, m)
+                assert got.tobytes() == chained[m].tobytes()
+                np.testing.assert_allclose(got, brute_cell_masses(space, family, m),
+                                           rtol=1e-14, atol=0)
 
     def test_cells_equal_explicit_probs_bit_for_bit(self):
         for family, rng in self._families():
@@ -466,6 +485,7 @@ class TestFamilyForm:
 
     def test_entries_cached_read_only(self, family_b):
         space = family_b.space
+        chained = chained_masses(space, family_b)
         for m in range(1, space.horizon + 1):
             values = np.arange(space.n_cells(m), dtype=float)
             first = cond_exp_step(space, family_b, values, m)
@@ -475,12 +495,14 @@ class TestFamilyForm:
             cond_exp_cells(space, np.ones(space.n_atoms), family_b, m)
             assert family_b._table[_step_bins, m] is step and family_b._table[_cell_bins, m] is cells
             assert again.tobytes() == first.tobytes()
-            assert step[0] is family_b.masses(m)
+            assert step[0].tobytes() == chained[m].tobytes()
             for entry in (step, cells):
                 for arr in entry:
                     assert not arr.flags.writeable
                     with pytest.raises(ValueError):
                         arr[0] = 0
+        # the chain sums no cell pairwise
+        assert not any(key[0] is _family_masses for key in family_b._table)
 
     def test_family_on_another_space_is_refused(self, family_b):
         other = build_space(4, [[[0, 1, 2, 3]], [[0, 1, 2], [3]]])
