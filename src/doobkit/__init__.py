@@ -16,7 +16,7 @@ from .space import (
     cond_exp_cells,
     ess_sup_cond_exp_cells,
 )
-from .lp import LinearProgram, LpOutcome, NumericalBreakdown, solve
+from .lp import NumericalBreakdown
 from .regularity import (
     A0Element,
     Classification,

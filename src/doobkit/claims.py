@@ -43,6 +43,7 @@ from .regularity import (
     NotInA0,
     StepFailure,
     _least_dominators,
+    _unit_density_vertex,
     a0_membership,
     classify,
     find_a0_element,
@@ -435,20 +436,12 @@ def _terminal_unit_density(
 ) -> Optional[np.ndarray]:
     """Horizon-measurable nonnegative payoff with expectation one under every
     extreme, at a random vertex of that polytope."""
-    from .lp import LinearProgram, solve as lp_solve
-
     space = family.space
     horizon = space.horizon
-    out = lp_solve(
-        LinearProgram(
-            -rng.normal(size=space.n_cells(horizon)),
-            a_eq=family.masses(horizon),
-            b_eq=np.ones(len(family)),
-        )
+    per_cell = _unit_density_vertex(
+        family.masses(horizon), rng.normal(size=space.n_cells(horizon))
     )
-    if out.status != "optimal":
-        return None
-    return space.expand(horizon, np.maximum(out.x, 0.0))
+    return None if per_cell is None else space.expand(horizon, per_cell)
 
 
 def _sample_instance(

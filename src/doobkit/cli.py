@@ -18,9 +18,10 @@ and falls back to the LP certificate; ``lp`` uses the LP throughout.
 Exit codes: 0 success / expectation met, 1 domain failure (not a
 supermartingale, no certificate, hedge not extractable, audit expectation
 missed), 2 infeasible or no martingale measure, 3 I/O, schema or usage
-error, or a numerical breakdown (an LP the kernel could not solve to a
-certified answer).  Reports are JSON on stdout (or ``--out``); byte-for-byte
-deterministic for a fixed input and seed unless ``--stamp`` is given.
+error, or a numerical breakdown (an LP answer that the one simplex
+kernel's residual gate, or a price's own certificate, refused).  Reports
+are JSON on stdout (or ``--out``); byte-for-byte deterministic for a fixed
+input and seed unless ``--stamp`` is given.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
-"""Dense two-phase simplex kernel, and a batched one for many small programs.
+"""The one simplex kernel of the library, and the single-program entry point.
 
-:func:`solve` minimizes a linear objective over equality and >= constraints
-with variables bounded below by 0.  Pivots follow Bland's smallest-index
-rule, so the method terminates on degenerate desk-scale problems.
-
-The tableau keeps the artificial columns through both phases, which makes
-the dual vector readable off the final tableau: the artificial block holds
-the running basis inverse.  Every optimal outcome carries its recovered
-duals and the residuals of the primal, weak-duality and complementary
-slackness checks.  :func:`solve_least_sums` settles a stack of one shape.
+Every program the library poses is ``min cost . x`` subject to equality and
+``>=`` rows with ``x >= 0`` and a nonnegative cost.  Its dual, ``max rhs . y``
+subject to ``law.T @ y <= cost``, is then feasible at ``y = 0``, so the
+simplex method on the dual starts from the slack basis with no phase 1, and
+the primal is never unbounded.  :func:`solve_batch` runs that method on a
+stack of programs of one shape in lockstep; :func:`solve` poses one
+:class:`LinearProgram` to it and checks the answer's residuals before it
+leaves.  Pivots follow Bland's smallest-label rule, so the method terminates
+on degenerate programs.
 """
 
 from __future__ import annotations
@@ -18,15 +18,16 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["LinearProgram", "LpOutcome", "NumericalBreakdown", "solve", "solve_least_sums"]
+__all__ = ["LinearProgram", "LpOutcome", "NumericalBreakdown", "solve", "solve_batch"]
 
 PIVOT_TOL = 1e-12
-FEAS_TOL = 1e-9
+#: a residual of :func:`solve` above this times the data's scale is refused
+CERTIFY_TOL = 1e-9
 _MAX_ITERS = 50_000
 
 
 class NumericalBreakdown(RuntimeError):
-    """No admissible pivot above the stability threshold."""
+    """The kernel could not reach an answer whose residuals certify it."""
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class LinearProgram:
                     raise ValueError(f"{vname} length does not match {mname}")
                 object.__setattr__(self, vname, vec)
         pieces = [c] + [m for m in (self.a_eq, self.b_eq, self.a_ge, self.b_ge) if m is not None]
-        if any(not np.all(np.isfinite(p)) for p in pieces):
+        if not all(np.isfinite(p).all() for p in pieces):
             raise ValueError("LP data must be finite")
 
     @property
@@ -70,7 +71,7 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpOutcome:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     x: Optional[np.ndarray]
     value: Optional[float]
     y_eq: Optional[np.ndarray] = None
@@ -78,230 +79,138 @@ class LpOutcome:
     primal_residual: float = 0.0
     duality_gap: float = 0.0
     comp_slackness: float = 0.0
-    infeasibility: float = 0.0  # phase-1 objective when status == "infeasible"
-
-
-class _Tableau:
-    """Simplex state: rows of [A | b] in basis-canonical form."""
-
-    def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
-        m, n = a.shape
-        # flip rows to make rhs nonnegative before adding artificials
-        flip = b < 0
-        a = np.where(flip[:, None], -a, a)
-        b = np.where(flip, -b, b)
-        self.row_sign = np.where(flip, -1.0, 1.0)
-        self.n_real = n
-        self.n_rows = m
-        self.art = list(range(n, n + m))
-        self.tab = np.hstack([a, np.eye(m), b[:, None]])
-        self.basis = list(self.art)
-
-    def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
-        cb = cost[self.basis]
-        return cost - cb @ self.tab[:, :-1]
-
-    def _pivot(self, row: int, col: int) -> None:
-        self.tab[row] /= self.tab[row, col]
-        for i in range(self.n_rows):
-            if i != row and self.tab[i, col] != 0.0:
-                self.tab[i] -= self.tab[i, col] * self.tab[row]
-        self.basis[row] = col
-
-    def _choose_row(self, col: int) -> int:
-        rhs = self.tab[:, -1]
-        colvals = self.tab[:, col]
-        candidates = np.where(colvals > PIVOT_TOL)[0]
-        if candidates.size == 0:
-            if np.any(colvals > 0):
-                raise NumericalBreakdown(
-                    f"all candidate pivots in column {col} are below {PIVOT_TOL}"
-                )
-            return -1  # unbounded direction
-        ratios = rhs[candidates] / colvals[candidates]
-        best = ratios.min()
-        ties = candidates[ratios <= best + PIVOT_TOL]
-        # Bland tie-break: leave the smallest basis index
-        return int(min(ties, key=lambda i: self.basis[i]))
-
-    def run(self, cost: np.ndarray, eligible: np.ndarray) -> str:
-        """Iterate to optimality of ``cost``; returns "optimal" or "unbounded"."""
-        for _ in range(_MAX_ITERS):
-            red = self._reduced_costs(cost)
-            red[~eligible] = 0.0
-            neg = np.where(red < -PIVOT_TOL)[0]
-            if neg.size == 0:
-                return "optimal"
-            col = int(neg[0])
-            row = self._choose_row(col)
-            if row < 0:
-                return "unbounded"
-            self._pivot(row, col)
-        raise NumericalBreakdown("simplex failed to terminate")
-
-    def solution(self) -> np.ndarray:
-        x = np.zeros(self.tab.shape[1] - 1)
-        for i, j in enumerate(self.basis):
-            x[j] = self.tab[i, -1]
-        return x
-
-    def duals(self, cost: np.ndarray) -> np.ndarray:
-        # artificial columns started as the identity, so they now hold B^{-1}
-        cb = cost[self.basis]
-        y = cb @ self.tab[:, self.art]
-        return y * self.row_sign
-
-
-def _standardize(lp: LinearProgram):
-    """Assemble the standard-form matrix: equality rows, then >= rows with
-    one surplus column each."""
-    n = lp.n_vars
-    n_eq = 0 if lp.a_eq is None else lp.a_eq.shape[0]
-    n_ge = 0 if lp.a_ge is None else lp.a_ge.shape[0]
-    a_std = np.zeros((n_eq + n_ge, n + n_ge))
-    b_std = np.zeros(n_eq + n_ge)
-    if n_eq:
-        a_std[:n_eq, :n] = lp.a_eq
-        b_std[:n_eq] = lp.b_eq
-    if n_ge:
-        a_std[n_eq:, :n] = lp.a_ge
-        b_std[n_eq:] = lp.b_ge
-        # one entry per surplus: an identity block would write -0.0 off the diagonal
-        k = np.arange(n_ge)
-        a_std[n_eq + k, n + k] = -1.0
-    c_std = np.zeros(n + n_ge)
-    c_std[:n] = lp.objective
-    return a_std, b_std, c_std, n_ge, n_eq
+    ray: Optional[np.ndarray] = None  # Farkas ray over the rows when status == "infeasible"
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
-    """Two-phase simplex solve of ``lp``.
+    """``lp`` by :func:`solve_batch` on its dual, the equality rows' duals free.
 
-    Raises :class:`NumericalBreakdown` when no numerically safe pivot
-    exists; all other failure modes come back in the outcome status.
+    An optimal outcome carries the primal point, the duals and three
+    residuals: the primal one (rows and ``x >= 0``), the duality gap and
+    complementary slackness.  Each must be at most ``CERTIFY_TOL`` times the
+    largest absolute coefficient of the program (at least 1), or
+    :class:`NumericalBreakdown` names the check that failed.  An infeasible
+    program comes back with a ray ``d`` over its rows, nonnegative on the
+    ``>=`` rows, with ``A.T @ d <= 0`` and ``b . d > 0``.  Raises
+    ``ValueError`` on a negative objective entry.
     """
-    a_std, b_std, c_std, n_ge, n_eq = _standardize(lp)
-    n = lp.n_vars
-
-    if a_std.shape[0] == 0:
-        # no constraints: x = 0 is optimal unless the objective points downhill
-        if np.any(lp.objective < 0):
-            return LpOutcome(status="unbounded", x=None, value=None)
-        return LpOutcome(status="optimal", x=np.zeros(n), value=0.0)
-
-    t = _Tableau(a_std, b_std)
-    width = a_std.shape[1]
-    total = width + t.n_rows
-
-    phase1_cost = np.zeros(total)
-    phase1_cost[width:] = 1.0
-    eligible1 = np.ones(total, dtype=bool)
-    status = t.run(phase1_cost, eligible1)
-    infeas = float(phase1_cost[t.basis] @ t.tab[:, -1])
-    if status != "optimal" or infeas > FEAS_TOL:
-        return LpOutcome(status="infeasible", x=None, value=None, infeasibility=max(infeas, 0.0))
-
-    # drive leftover artificials out of the basis with degenerate pivots so
-    # they cannot drift positive in phase 2; an all-zero row over the real
-    # columns is a redundant constraint and its artificial can never move
-    for i in range(t.n_rows):
-        if t.basis[i] >= width:
-            cols = np.where(np.abs(t.tab[i, :width]) > PIVOT_TOL)[0]
-            if cols.size:
-                t._pivot(i, int(cols[0]))
-
-    phase2_cost = np.zeros(total)
-    phase2_cost[:width] = c_std
-    eligible2 = np.ones(total, dtype=bool)
-    eligible2[width:] = False  # artificials may leave but never re-enter
-    status = t.run(phase2_cost, eligible2)
-    if status == "unbounded":
-        return LpOutcome(status="unbounded", x=None, value=None)
-
-    x = t.solution()[:n]
-    value = float(lp.objective @ x)
-
-    y = t.duals(phase2_cost)
-    y_eq = y[:n_eq] if n_eq else np.zeros(0)
-    y_ge = y[n_eq:] if n_ge else np.zeros(0)
-
-    primal_residual = 0.0
-    dual_obj = 0.0
-    comp = 0.0
-    reduced = lp.objective.copy()
-    if n_eq:
-        r = lp.a_eq @ x - lp.b_eq
-        primal_residual = max(primal_residual, float(np.abs(r).max()))
-        dual_obj += float(lp.b_eq @ y_eq)
-        reduced -= lp.a_eq.T @ y_eq
-    if n_ge:
-        slack = lp.a_ge @ x - lp.b_ge
-        primal_residual = max(primal_residual, float(max(0.0, -slack.min(initial=0.0))))
-        dual_obj += float(lp.b_ge @ y_ge)
-        reduced -= lp.a_ge.T @ y_ge
-        comp = max(comp, float(np.abs(y_ge * slack).max(initial=0.0)))
-    primal_residual = max(primal_residual, float(max(0.0, -x.min(initial=0.0))))
-    comp = max(comp, float(np.abs(x * reduced).max(initial=0.0)))
-
+    cost = lp.objective
+    if cost.min(initial=0.0) < 0.0:
+        raise ValueError("the simplex kernel takes nonnegative objectives only")
+    n_eq = 0 if lp.a_eq is None else lp.a_eq.shape[0]
+    pairs = [(a, b) for a, b in ((lp.a_eq, lp.b_eq), (lp.a_ge, lp.b_ge)) if a is not None]
+    if not pairs:  # x = 0 is optimal
+        empty = np.zeros(0)
+        return LpOutcome("optimal", np.zeros(lp.n_vars), 0.0, y_eq=empty, y_ge=empty)
+    law = np.vstack([a for a, _ in pairs])
+    rhs = np.concatenate([b for _, b in pairs])
+    x, y, ray = solve_batch(law[None], rhs[None], cost[None], n_eq)
+    x, y, ray = x[0], y[0], ray[0]
+    if np.count_nonzero(ray):
+        return LpOutcome("infeasible", None, None, ray=ray)
+    value = float(cost @ x)
+    resid = law @ x - rhs
+    slack = resid[n_eq:]
+    residuals = {
+        "primal residual": float(
+            np.concatenate([np.abs(resid[:n_eq]), -slack, -x]).max(initial=0.0)
+        ),
+        "gap": value - float(rhs @ y),
+        "complementary slackness": float(
+            np.abs(np.concatenate([y[n_eq:] * slack, x * (cost - y @ law)])).max()
+        ),
+    }
+    bound = CERTIFY_TOL * max(1.0, cost.max(), np.abs(law).max(), np.abs(rhs).max())
+    for check, residual in residuals.items():
+        if not abs(residual) <= bound:  # a NaN residual fails too
+            raise NumericalBreakdown(f"LP failed its {check} check: "
+                                     f"residual {abs(residual):.3e} above {bound:.3e}")
     return LpOutcome(
-        status="optimal",
-        x=x,
-        value=value,
-        y_eq=y_eq,
-        y_ge=y_ge,
-        primal_residual=primal_residual,
-        duality_gap=float(value - dual_obj),
-        comp_slackness=comp,
+        "optimal", x, value, y_eq=y[:n_eq], y_ge=y[n_eq:],
+        primal_residual=residuals["primal residual"],
+        duality_gap=residuals["gap"],
+        comp_slackness=residuals["complementary slackness"],
     )
 
 
-def solve_least_sums(law: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per node, the least-sum ``g >= 0`` with ``law @ g = rhs``, for
-    ``(nodes, k, c)`` laws and ``(nodes, k)`` right-hand sides.
+def solve_batch(
+    law: np.ndarray, rhs: np.ndarray, cost: np.ndarray, n_free: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per node, ``max rhs . y`` subject to ``law.T @ y <= cost``, the first
+    ``n_free`` duals free and the rest ``>= 0``, for ``(nodes, k, c)`` laws,
+    ``(nodes, k)`` right-hand sides and ``(nodes, c)`` costs ``>= 0``; its
+    primal is ``min cost . x`` over ``x >= 0`` with ``law @ x = rhs`` on the
+    free rows and ``>=`` on the others.
 
-    The nodes run the simplex on their duals in lockstep: ``max rhs . y``
-    subject to ``law.T @ y <= 1``, ``y = y+ - y-``, from the slack basis, so
-    with no phase 1.  The entering column is the first with reduced cost
-    below ``-PIVOT_TOL`` (Bland), the leaving row has the least ratio, ties
-    going to the smallest basic index.  At an optimum ``g`` is the slacks'
-    reduced costs.  A node whose entering column has no entry above
-    ``PIVOT_TOL`` has no ``g``; the column's ray ``d`` has ``law.T @ d <= 0``
-    and ``rhs . d > 0``, a Farkas certificate.  Returns ``(g, ray)``, with
-    ``g`` NaN and ``ray`` zero on the rows where they do not exist.
+    The nodes pivot in lockstep from the slack basis, each free dual split
+    as ``y+ - y-``.  The tableau is condensed (Tucker): one row per basic
+    variable and one column per nonbasic one, ``(c + 1) x (k + n_free + 1)``
+    per node with the reduced costs in the last row.  Variables are labelled
+    ``y+`` (or ``y``), then the free ``y-``, then the slacks; the entering
+    column is the one of least label with reduced cost below ``-PIVOT_TOL``
+    (Bland), the leaving row has the least ratio, ties going to the least
+    label.  At an optimum ``x`` is the slacks' reduced costs.  A node whose
+    entering column has no entry above ``PIVOT_TOL`` is primal infeasible:
+    the column's ray ``d`` has ``law.T @ d <= 0``, ``rhs . d > 0`` and
+    ``d >= 0`` off the free rows, a Farkas certificate.  Returns ``(x, y,
+    ray)``: ``x`` and ``y`` NaN where there is no optimum, ``ray`` zero where
+    there is one.
     """
     nodes, k, c = law.shape
-    w = 2 * k + c  # columns y+, y-, slacks; column w is the right-hand side
-    tab = np.zeros((nodes, c + 1, w + 1))
-    tab[:, :c, : 2 * k] = np.concatenate([law, -law], axis=1).transpose(0, 2, 1)
-    tab[:, :c, 2 * k : w] = np.eye(c)
-    tab[:, :c, w] = 1.0
-    tab[:, c, : 2 * k] = np.hstack([-rhs, rhs])  # the reduced costs of min -rhs . y
-    basis = np.tile(np.arange(2 * k, w), (nodes, 1))
+    m = k + n_free  # nonbasic columns; column m is the right-hand side
+    labels = m + c
+    tab = np.zeros((nodes, c + 1, m + 1))
+    tab[:, :c, :k] = law.transpose(0, 2, 1)
+    tab[:, :c, k:m] = -tab[:, :c, :n_free]
+    tab[:, :c, m] = cost
+    tab[:, c, :k] = -rhs  # the reduced costs of min -rhs . y
+    tab[:, c, k:m] = rhs[:, :n_free]
+    nonbasic = np.arange(m)[None].repeat(nodes, axis=0)
+    basic = np.arange(m, labels)[None].repeat(nodes, axis=0)
     live = np.arange(nodes)
-    g, ray = np.full((nodes, c), np.nan), np.zeros((nodes, k))
+    x, y, ray = np.full((nodes, c), np.nan), np.full((nodes, k), np.nan), np.zeros((nodes, k))
+
+    def by_label(at, values):
+        out = np.zeros((at.shape[0], labels))
+        out[np.arange(at.shape[0])[:, None], at] = values
+        return out
+
+    def duals(v):
+        v[:, :n_free] -= v[:, k:m]
+        return v[:, :k]
+
     for _ in range(_MAX_ITERS):
         if not live.size:
-            return g, ray
-        entering = tab[:, c, :w] < -PIVOT_TOL
-        col = entering.argmax(axis=1)
-        colvals = tab[np.arange(live.size), :c, col]
-        done, can = ~entering.any(axis=1), colvals > PIVOT_TOL
-        stuck = ~done & ~can.any(axis=1)
-        if done.any() or stuck.any():
-            g[live[done]] = tab[done, c, 2 * k : w]
-            # along the ray the entering variable rises by one, the basic ones by -colvals
-            step = np.zeros((int(stuck.sum()), w))
-            step[np.arange(step.shape[0]), col[stuck]] = 1.0
-            np.put_along_axis(step, basis[stuck], -colvals[stuck], axis=1)
-            ray[live[stuck]] = step[:, :k] - step[:, k : 2 * k]
-            keep = ~(done | stuck)
-            tab, basis, live = tab[keep], basis[keep], live[keep]
-            continue
+            return x, y, ray
         rows = np.arange(live.size)
-        ratio = np.divide(tab[:, :c, w], colvals, out=np.full(colvals.shape, np.inf), where=can)
-        row = np.where(ratio <= ratio.min(1, keepdims=True) + PIVOT_TOL, basis, w).argmin(1)
-        pivot = tab[rows, row] / colvals[rows, row][:, None]
-        tab -= tab[rows, :, col][:, :, None] * pivot[:, None, :]
+        entering = tab[:, c, :m] < -PIVOT_TOL
+        col = np.where(entering, nonbasic, labels).argmin(axis=1)
+        column = tab[rows, :, col]
+        colvals = column[:, :c]
+        done, can = ~entering[rows, col], colvals > PIVOT_TOL
+        finished = done | ~can.any(axis=1)
+        if np.count_nonzero(finished):  # the cheapest any() on a short mask
+            stuck = finished & ~done
+            if np.count_nonzero(done):
+                x[live[done]] = by_label(nonbasic[done], tab[done, c, :m])[:, m:]
+                y[live[done]] = duals(by_label(basic[done], tab[done, :c, m]))
+            if np.count_nonzero(stuck):
+                # along the ray the entering variable rises by one, the basic ones by -colvals
+                step = by_label(basic[stuck], -colvals[stuck])
+                step[np.arange(step.shape[0]), nonbasic[stuck, col[stuck]]] = 1.0
+                ray[live[stuck]] = duals(step)
+            keep = ~finished
+            tab, basic, nonbasic, live = tab[keep], basic[keep], nonbasic[keep], live[keep]
+            continue
+        ratio = np.divide(tab[:, :c, m], colvals, out=np.full(colvals.shape, np.inf), where=can)
+        row = np.where(ratio <= ratio.min(1, keepdims=True) + PIVOT_TOL, basic, labels).argmin(1)
+        p = colvals[rows, row]
+        inv = 1.0 / p
+        pivot = tab[rows, row] / p[:, None]
+        tab -= column[:, :, None] * pivot[:, None, :]
+        # the leaving variable takes the entering one's column
+        tab[rows, :, col] = -column * inv[:, None]
         tab[rows, row] = pivot
-        basis[rows, row] = col
+        tab[rows, row, col] = inv
+        basic[rows, row], nonbasic[rows, col] = nonbasic[rows, col], basic[rows, row]
     raise NumericalBreakdown("batched simplex failed to terminate")

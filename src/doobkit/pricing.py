@@ -21,10 +21,10 @@ Each program is posed in its small form, rows x columns, for n atoms, k
 extremes, M terminal cells (M' of them holding more than one atom) and G
 generators:
 
-- free price: ``(k + k * M') x (n + 1)``; the domination of a one-atom
+- free price: ``(k - 1 + k * M') x n``; the domination of a one-atom
   terminal cell is a lower bound on that atom, taken in by a shift;
-- generator price: the dual over a working set of the ``k * M`` primal
-  rows, ``G x |W|``, grown by row generation; its duals are the weights;
+- generator price: a working set W of its ``k * M`` rows, ``|W| x G``,
+  grown by row generation;
 - martingale measure: none, a product of closed-form one-step laws.
 """
 
@@ -284,37 +284,37 @@ def fair_price_a0(
     extreme.  On a terminal cell holding one atom that domination reads
     ``h_i >= claim_i`` under every extreme alike, so it is a lower bound
     and enters by the shift ``h = shift + g``, ``g >= 0``, with ``shift``
-    the claim on such atoms and 0 elsewhere.  The program posed is then
-    ``(k + k * M') x (n + 1)`` for k extremes, n atoms and M' terminal cells
-    of more than one atom: ``2 x 244`` for two extremes on 243 atoms with an
+    the claim on such atoms and 0 elsewhere.  ``t`` is the first extreme's
+    expectation ``p_1 . h``, the program minimizes ``p_1 . g`` with
+    ``(p_i - p_1) . g = -(p_i - p_1) . shift`` for the other extremes, and
+    the price is ``p_1 . h``.  The program posed is then
+    ``(k - 1 + k * M') x n`` for k extremes, n atoms and M' terminal cells
+    of more than one atom: ``1 x 243`` for two extremes on 243 atoms with an
     atom-fine terminal partition.  Always feasible (a large constant
-    works).  The optimal h/t is the realizing density when the price is
-    positive.
+    works).  The optimal h / price is the realizing density when the price
+    is positive.
     """
     space = family.space
     claim_cells = _claim_cells(space, claim)
-    n = space.n_atoms
     k = len(family)
     cell = space.atom_to_cell(space.horizon)
     multi = np.bincount(cell) > 1  # terminal cells of more than one atom
     shift = np.where(multi[cell], 0.0, np.maximum(claim_cells[cell], 0.0))
-    # variables (g_1..g_n, t)
+    # t = E_1[h]; the other extremes' expectations equal it
     probs = family.probs
-    a_eq = np.hstack([probs, -np.ones((k, 1))])
-    b_eq = -probs @ shift
-    a_ge = b_ge = None
+    a_eq = b_eq = a_ge = b_ge = None
+    if k > 1:
+        a_eq = probs[1:] - probs[0]
+        b_eq = -a_eq @ shift
     if multi.any():
-        dom = _domination_rows(space, family, multi)
-        a_ge = np.hstack([dom, np.zeros((dom.shape[0], 1))])
         # shift vanishes on multi-atom cells, so their bounds stay the claim
+        a_ge = _domination_rows(space, family, multi)
         b_ge = np.tile(claim_cells[multi], k)
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    out = solve(LinearProgram(c, a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge))
-    if out.status != "optimal":  # always feasible and bounded, so only round-off gets here
+    out = solve(LinearProgram(probs[0], a_eq=a_eq, b_eq=b_eq, a_ge=a_ge, b_ge=b_ge))
+    if out.status != "optimal":  # always feasible, so only round-off gets here
         raise NumericalBreakdown(f"free-mode pricing LP came back {out.status}")
-    h = shift + out.x[:n]
-    price = float(out.x[-1])
+    h = shift + out.x
+    price = float(probs[0] @ h)
     dominator = space.expand(
         space.horizon, cond_exp_cells(space, h, family.extremes[0], space.horizon)
     )
@@ -353,21 +353,21 @@ def fair_price_generators(
 
     Minimizes the total weight of a nonnegative combination of the
     generators whose terminal conditional expectation dominates the claim
-    under every extreme.  That program has ``k * M`` rows for G columns (k
-    extremes, M terminal cells, G generators), so it is solved through its
-    dual: maximize ``b . y`` over ``y >= 0`` with ``C^T y <= 1``, where C
-    maps weights to conditional expectations and b is the claim per extreme
-    and cell.  Column g of C is the terminal conditional expectation of
-    generator g under each extreme in turn, from one
-    :func:`~doobkit.space.cond_exp_cells` call over every (generator,
-    extreme) pair.  The weights are the dual's duals and the price is its
-    optimal value.
+    under every extreme: minimize ``sum(w)`` over ``w >= 0`` with
+    ``C w >= b``, where C maps weights to conditional expectations and b is
+    the claim per extreme and cell.  Column g of C is the terminal
+    conditional expectation of generator g under each extreme in turn, from
+    one :func:`~doobkit.space.cond_exp_cells` call over every (generator,
+    extreme) pair.  The kernel solves it through its dual, maximize
+    ``b . y`` over ``y >= 0`` with ``C^T y <= 1``; the weights are the
+    primal point and the price is ``b . y``.
 
-    A basic optimum needs at most G of the ``k * M`` rows, so the dual is
-    posed over a working set W of rows, ``G x |W|``, grown by row
+    That program has ``k * M`` rows for G columns (k extremes, M terminal
+    cells, G generators), but a basic optimum needs at most G of them, so
+    it is posed over a working set W of rows, ``|W| x G``, grown by row
     generation.  W starts as the G rows of largest claim (ties to the lower
     row) and is kept in ascending row order, so when it holds every row
-    the program is the dense dual.  After each solve, ``C w`` is checked on
+    the program is the whole one.  After each solve, ``C w`` is checked on
     every row; the rows outside W short of the claim by more than the
     certificate's tolerance join it, largest shortfall first and at most 4G
     per round, until none does.  Each round adds a row, so the loop ends.
@@ -393,14 +393,12 @@ def fair_price_generators(
     scale = 1e-9 * max(1.0, np.abs(b_ge).max(), np.abs(cols).max())
     work = _largest(b_ge, np.arange(b_ge.size), n_gens)
     while True:
-        dual = solve(LinearProgram(-b_ge[work], a_ge=-cols[work].T, b_ge=-np.ones(n_gens)))
-        if dual.status == "unbounded":  # a ray over the working rows is a ray of the whole dual
+        out = solve(LinearProgram(np.ones(n_gens), a_ge=cols[work], b_ge=b_ge[work]))
+        if out.status == "infeasible":  # the working rows are rows of the whole program
             raise PricingInfeasible(
                 "no nonnegative combination of the generators dominates the claim"
             )
-        if dual.status != "optimal":  # y = 0 is feasible, so only round-off gets here
-            raise NumericalBreakdown(f"generator pricing dual came back {dual.status}")
-        weights = np.maximum(dual.y_ge, 0.0)
+        weights = np.maximum(out.x, 0.0)
         dominated = cols @ weights
         short = b_ge - dominated
         short[work] = -np.inf
@@ -409,8 +407,8 @@ def fair_price_generators(
             break
         work = np.sort(np.concatenate([work, join]))  # join lies outside work
     y = np.zeros(b_ge.size)
-    y[work] = dual.x
-    price = -dual.value
+    y[work] = out.y_ge
+    price = float(b_ge[work] @ out.y_ge)
     residuals = {
         "domination": np.max(b_ge - dominated, initial=0.0),
         "dual feasibility": max(np.max(cols.T @ y - 1.0, initial=0.0), -y.min(initial=0.0)),

@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lp import LinearProgram, NumericalBreakdown, solve, solve_least_sums
+from .lp import LinearProgram, NumericalBreakdown, solve, solve_batch
 from .space import (
     DEFAULT_TOL,
     MIN_PROB,
@@ -264,6 +264,23 @@ def make_a0_element(family: MeasureFamily, xi: np.ndarray) -> A0Element:
     return A0Element(xi=np.asarray(xi, dtype=float))
 
 
+def _unit_density_vertex(masses: np.ndarray, objective: np.ndarray) -> Optional[np.ndarray]:
+    """A vertex of ``{x >= 0 : masses @ x = 1}`` maximizing ``objective . x``,
+    clipped at 0, or None if the kernel finds the set empty.
+
+    The kernel takes nonnegative costs, so the program posed minimizes
+    ``(lam * masses[0] - objective) . x``, ``lam`` the largest ratio
+    ``objective / masses[0]`` and at least 0.  On the set, where
+    ``masses[0] . x = 1``, that cost is ``lam - objective . x``, so the
+    optimal vertices are the same.  The cost is clipped at 0 against
+    round-off.
+    """
+    lam = max(0.0, float((objective / masses[0]).max()))
+    cost = np.maximum(lam * masses[0] - objective, 0.0)
+    out = solve(LinearProgram(cost, a_eq=masses, b_eq=np.ones(masses.shape[0])))
+    return np.maximum(out.x, 0.0) if out.status == "optimal" else None
+
+
 def find_a0_element(
     family: MeasureFamily, objective: Optional[np.ndarray] = None
 ) -> A0Element:
@@ -283,10 +300,9 @@ def find_a0_element(
         raise ShapeMismatch("objective must have one entry per atom")
     a_eq = family.probs
     b_eq = np.ones(len(family))
-    out = solve(LinearProgram(-obj, a_eq=a_eq, b_eq=b_eq))
-    if out.status != "optimal":  # xi == 1 is feasible, so only round-off gets here
-        raise NumericalBreakdown(f"density search unexpectedly {out.status}")
-    xi = np.maximum(out.x[:n], 0.0)
+    xi = _unit_density_vertex(a_eq, obj)
+    if xi is None:  # xi == 1 is feasible, so only round-off gets here
+        raise NumericalBreakdown("density search unexpectedly infeasible")
     resid = a_eq @ xi - b_eq
     if np.abs(resid).max() > 1e-13:
         # one least-squares polish step keeps the unit-expectation identity tight
@@ -390,7 +406,7 @@ def _least_dominators(
     """Per listed step, the least-sum dominator's values on the time-``m``
     cells, or the :class:`StepFailure` of its lowest cell without one: the
     cells of every step whose children's ratio exceeds one go to
-    :func:`~doobkit.lp.solve_least_sums`, one call per child count."""
+    :func:`~doobkit.lp.solve_batch`, one call per child count."""
     space = family.space
     ratios = [one_step_ratio_cells(f, m) for m in steps]
     values: list = [np.ones_like(ratio) for ratio in ratios]
@@ -408,7 +424,7 @@ def _least_dominators(
         law = np.concatenate([part[3] for part in parts])
         r = np.concatenate([ratios[s][children] for s, _, children, _ in parts])
         rhs = 1.0 - (law @ r[:, :, None])[:, :, 0]
-        g, ray = solve_least_sums(law, rhs)
+        g, _, ray = solve_batch(law, rhs, np.ones((law.shape[0], law.shape[2])), law.shape[1])
         lo = 0
         for s, cells, children, _ in parts:
             hi = lo + cells.shape[0]
@@ -447,7 +463,7 @@ def xi0_step_lp(
     of the decomposition.  A cell whose children's ratio is at most one gets
     the constant 1; every other cell solves ``min sum(g)`` subject to
     ``C g = 1 - C r``, ``g >= 0``, for ``x = r + g`` (``C`` the children's
-    laws under the extremes) by :func:`~doobkit.lp.solve_least_sums`, whose
+    laws under the extremes) by :func:`~doobkit.lp.solve_batch`, whose
     pivots pick ``xi0`` among tied least sums.  The lowest cell without a
     dominator is reported with the certificate ``(1 - C r) . d / max|d|``
     of its dual's Farkas ray ``d``.  A step is returned only after its

@@ -21,24 +21,25 @@ def fixture_paths():
 
 
 # halving the largest weight uncovers a row it held tight; raising a dual entry
-# by 2 breaks the dual row of the constant slice, whose column is all ones
+# by 2 breaks the dual row of the constant slice, whose column is all ones;
+# doubled weights still dominate, but their sum is twice the dual's value
 def _lower_a_weight(out):
-    w = out.y_ge.copy()
+    w = out.x.copy()
     w[np.argmax(w)] /= 2.0
-    return replace(out, y_ge=w)
+    return replace(out, x=w)
 
 
 def _raise_a_dual_entry(out):
-    y = out.x.copy()
+    y = out.y_ge.copy()
     y[0] += 2.0
-    return replace(out, x=y)
+    return replace(out, y_ge=y)
 
 
 #: per certificate check of the generator price, an optimal outcome spoilt to fail it
 SPOILS = {
     "domination": _lower_a_weight,
     "dual feasibility": _raise_a_dual_entry,
-    "gap": lambda out: replace(out, value=out.value - 1.0),
+    "gap": lambda out: replace(out, x=2.0 * out.x),
 }
 
 

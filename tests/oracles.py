@@ -2,8 +2,10 @@
 
 Nothing here reuses the code paths under test: conditional expectations are
 recomputed from raw sums, LP optima come from exhaustive active-set
-enumeration, the free-mode price comes from the one-parameter family of
-signed two-measure mixtures evaluated at its endpoints and on a grid, the
+enumeration and from :func:`dense_solve`, a dense two-phase simplex that
+reads its duals off the artificial block, the free-mode price comes from
+the one-parameter family of signed two-measure mixtures evaluated at its
+endpoints and on a grid, the
 filtration's nodes come from scans of the partition tuples, the
 closed-form alpha comes from one interval per predecessor cell, the
 unit-conditional dominator comes from one simplex LP per predecessor cell
@@ -29,19 +31,21 @@ the one step and the chain from the horizon are checked against
 The counterexample search re-audits every shrink candidate.
 Measurability is held to one comparison per atom with its cell's first,
 generator pricing's stacked density check to one atom-by-atom
-expectation per generator and extreme, and its working-set dual to one
-dense solve over every (extreme, terminal cell) row, with columns from one
-``np.bincount`` pair per generator and extreme.
+expectation per generator and extreme, and its working-set program to
+one dense solve of the dual over every (extreme, terminal cell) row, with
+columns from one ``np.bincount`` pair per generator and extreme.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Optional
 
 import numpy as np
 
 from doobkit.claims import AuditResult, ClaimPreconditionUnmet, _sample_instance, _smaller, audit
-from doobkit.lp import LinearProgram, solve
+from doobkit.lp import LinearProgram, NumericalBreakdown
 from doobkit.pricing import NotRepresentable
 from doobkit.regularity import (
     A0Element,
@@ -194,7 +198,7 @@ def global_floor_emm(market):
     b_eq[0] = 1.0
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    out = solve(LinearProgram(c, a_eq=a_eq, b_eq=b_eq))
+    out = dense_solve(LinearProgram(c, a_eq=a_eq, b_eq=b_eq))
     if out.status != "optimal":
         return None, 0.0
     slack = float(out.x[-1])
@@ -338,7 +342,7 @@ def per_node_xi0_lp(f, family, m, tol=1e-9):
         # contiguous rows keep the summation order of the per-extreme rows
         cond = np.ascontiguousarray(masses[:, children])
         cond = cond / cond.sum(axis=1, keepdims=True)
-        out = solve(
+        out = dense_solve(
             LinearProgram(
                 objective=np.ones(children.shape[0]),
                 a_eq=cond,
@@ -536,7 +540,7 @@ def dense_generator_price(claim, generators, family):
     """The generator price by one dense solve of its dual over all ``k * M``
     rows: maximize ``bound . y`` over ``y >= 0`` with ``cols^T y <= 1``."""
     cols, bound = generator_rows(claim, generators, family)
-    dual = solve(LinearProgram(-bound, a_ge=-cols.T, b_ge=-np.ones(cols.shape[1])))
+    dual = dense_solve(LinearProgram(-bound, a_ge=-cols.T, b_ge=-np.ones(cols.shape[1])))
     assert dual.status == "optimal"
     return -dual.value
 
@@ -606,3 +610,200 @@ def enumerate_lp_value(objective, a_eq, b_eq, a_ge, b_ge, tol: float = 1e-9):
     if not ok.any():
         return None
     return float((x[ok] @ c).min())
+
+
+# ---------------------------------------------------------------------------
+# the dense two-phase simplex
+
+PIVOT_TOL = 1e-12
+FEAS_TOL = 1e-9
+_MAX_ITERS = 50_000
+
+
+@dataclass(frozen=True)
+class DenseOutcome:
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    x: Optional[np.ndarray]
+    value: Optional[float]
+    y_eq: Optional[np.ndarray] = None
+    y_ge: Optional[np.ndarray] = None
+    primal_residual: float = 0.0
+    duality_gap: float = 0.0
+    comp_slackness: float = 0.0
+    infeasibility: float = 0.0  # phase-1 objective when status == "infeasible"
+
+
+class _Tableau:
+    """Simplex state: rows of [A | b] in basis-canonical form."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
+        m, n = a.shape
+        # flip rows to make rhs nonnegative before adding artificials
+        flip = b < 0
+        a = np.where(flip[:, None], -a, a)
+        b = np.where(flip, -b, b)
+        self.row_sign = np.where(flip, -1.0, 1.0)
+        self.n_real = n
+        self.n_rows = m
+        self.art = list(range(n, n + m))
+        self.tab = np.hstack([a, np.eye(m), b[:, None]])
+        self.basis = list(self.art)
+
+    def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        cb = cost[self.basis]
+        return cost - cb @ self.tab[:, :-1]
+
+    def _pivot(self, row: int, col: int) -> None:
+        self.tab[row] /= self.tab[row, col]
+        for i in range(self.n_rows):
+            if i != row and self.tab[i, col] != 0.0:
+                self.tab[i] -= self.tab[i, col] * self.tab[row]
+        self.basis[row] = col
+
+    def _choose_row(self, col: int) -> int:
+        rhs = self.tab[:, -1]
+        colvals = self.tab[:, col]
+        candidates = np.where(colvals > PIVOT_TOL)[0]
+        if candidates.size == 0:
+            if np.any(colvals > 0):
+                raise NumericalBreakdown(
+                    f"all candidate pivots in column {col} are below {PIVOT_TOL}"
+                )
+            return -1  # unbounded direction
+        ratios = rhs[candidates] / colvals[candidates]
+        best = ratios.min()
+        ties = candidates[ratios <= best + PIVOT_TOL]
+        # Bland tie-break: leave the smallest basis index
+        return int(min(ties, key=lambda i: self.basis[i]))
+
+    def run(self, cost: np.ndarray, eligible: np.ndarray) -> str:
+        """Iterate to optimality of ``cost``; returns "optimal" or "unbounded"."""
+        for _ in range(_MAX_ITERS):
+            red = self._reduced_costs(cost)
+            red[~eligible] = 0.0
+            neg = np.where(red < -PIVOT_TOL)[0]
+            if neg.size == 0:
+                return "optimal"
+            col = int(neg[0])
+            row = self._choose_row(col)
+            if row < 0:
+                return "unbounded"
+            self._pivot(row, col)
+        raise NumericalBreakdown("simplex failed to terminate")
+
+    def solution(self) -> np.ndarray:
+        x = np.zeros(self.tab.shape[1] - 1)
+        for i, j in enumerate(self.basis):
+            x[j] = self.tab[i, -1]
+        return x
+
+    def duals(self, cost: np.ndarray) -> np.ndarray:
+        # artificial columns started as the identity, so they now hold B^{-1}
+        cb = cost[self.basis]
+        y = cb @ self.tab[:, self.art]
+        return y * self.row_sign
+
+
+def _standardize(lp: LinearProgram):
+    """Assemble the standard-form matrix: equality rows, then >= rows with
+    one surplus column each."""
+    n = lp.n_vars
+    n_eq = 0 if lp.a_eq is None else lp.a_eq.shape[0]
+    n_ge = 0 if lp.a_ge is None else lp.a_ge.shape[0]
+    a_std = np.zeros((n_eq + n_ge, n + n_ge))
+    b_std = np.zeros(n_eq + n_ge)
+    if n_eq:
+        a_std[:n_eq, :n] = lp.a_eq
+        b_std[:n_eq] = lp.b_eq
+    if n_ge:
+        a_std[n_eq:, :n] = lp.a_ge
+        b_std[n_eq:] = lp.b_ge
+        # one entry per surplus: an identity block would write -0.0 off the diagonal
+        k = np.arange(n_ge)
+        a_std[n_eq + k, n + k] = -1.0
+    c_std = np.zeros(n + n_ge)
+    c_std[:n] = lp.objective
+    return a_std, b_std, c_std, n_ge, n_eq
+
+
+def dense_solve(lp: LinearProgram) -> DenseOutcome:
+    """Two-phase simplex solve of ``lp``, any objective sign.
+
+    The tableau keeps the artificial columns through both phases, so the
+    duals are read off the final tableau: the artificial block holds the
+    running basis inverse.  Raises :class:`~doobkit.lp.NumericalBreakdown`
+    when no numerically safe pivot exists.
+    """
+    a_std, b_std, c_std, n_ge, n_eq = _standardize(lp)
+    n = lp.n_vars
+
+    if a_std.shape[0] == 0:
+        # no constraints: x = 0 is optimal unless the objective points downhill
+        if np.any(lp.objective < 0):
+            return DenseOutcome(status="unbounded", x=None, value=None)
+        return DenseOutcome(status="optimal", x=np.zeros(n), value=0.0)
+
+    t = _Tableau(a_std, b_std)
+    width = a_std.shape[1]
+    total = width + t.n_rows
+
+    phase1_cost = np.zeros(total)
+    phase1_cost[width:] = 1.0
+    eligible1 = np.ones(total, dtype=bool)
+    status = t.run(phase1_cost, eligible1)
+    infeas = float(phase1_cost[t.basis] @ t.tab[:, -1])
+    if status != "optimal" or infeas > FEAS_TOL:
+        return DenseOutcome(status="infeasible", x=None, value=None, infeasibility=max(infeas, 0.0))
+
+    # drive leftover artificials out of the basis with degenerate pivots so
+    # they cannot drift positive in phase 2; an all-zero row over the real
+    # columns is a redundant constraint and its artificial can never move
+    for i in range(t.n_rows):
+        if t.basis[i] >= width:
+            cols = np.where(np.abs(t.tab[i, :width]) > PIVOT_TOL)[0]
+            if cols.size:
+                t._pivot(i, int(cols[0]))
+
+    phase2_cost = np.zeros(total)
+    phase2_cost[:width] = c_std
+    eligible2 = np.ones(total, dtype=bool)
+    eligible2[width:] = False  # artificials may leave but never re-enter
+    status = t.run(phase2_cost, eligible2)
+    if status == "unbounded":
+        return DenseOutcome(status="unbounded", x=None, value=None)
+
+    x = t.solution()[:n]
+    value = float(lp.objective @ x)
+
+    y = t.duals(phase2_cost)
+    y_eq = y[:n_eq] if n_eq else np.zeros(0)
+    y_ge = y[n_eq:] if n_ge else np.zeros(0)
+
+    primal_residual = 0.0
+    dual_obj = 0.0
+    comp = 0.0
+    reduced = lp.objective.copy()
+    if n_eq:
+        r = lp.a_eq @ x - lp.b_eq
+        primal_residual = max(primal_residual, float(np.abs(r).max()))
+        dual_obj += float(lp.b_eq @ y_eq)
+        reduced -= lp.a_eq.T @ y_eq
+    if n_ge:
+        slack = lp.a_ge @ x - lp.b_ge
+        primal_residual = max(primal_residual, float(max(0.0, -slack.min(initial=0.0))))
+        dual_obj += float(lp.b_ge @ y_ge)
+        reduced -= lp.a_ge.T @ y_ge
+        comp = max(comp, float(np.abs(y_ge * slack).max(initial=0.0)))
+    primal_residual = max(primal_residual, float(max(0.0, -x.min(initial=0.0))))
+    comp = max(comp, float(np.abs(x * reduced).max(initial=0.0)))
+
+    return DenseOutcome(
+        status="optimal",
+        x=x,
+        value=value,
+        y_eq=y_eq,
+        y_ge=y_ge,
+        primal_residual=primal_residual,
+        duality_gap=float(value - dual_obj),
+        comp_slackness=comp,
+    )

@@ -17,7 +17,6 @@ import pytest
 from doobkit import (
     AdaptedProcess,
     AuditInstance,
-    LinearProgram,
     MarketModel,
     audit,
     build_space,
@@ -31,12 +30,12 @@ from doobkit import (
     martingale_representation,
     optional_decompose,
     price_slice_generators,
-    solve,
     superhedge_strategy,
     verify_decomposition,
     verify_emm,
 )
 from doobkit.generators import random_family, random_space, random_supermartingale
+from doobkit.lp import LinearProgram, solve
 
 from .oracles import dual_mixture_price, enumerate_lp_value, expect, mixture
 from .test_lp import _random_lp

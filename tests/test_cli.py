@@ -5,9 +5,9 @@ import json
 import jsonschema
 import pytest
 
-from doobkit import pricing, regularity
+from doobkit import lp as lp_module
 from doobkit.cli import main
-from doobkit.lp import LpOutcome
+from doobkit.lp import solve_batch
 
 NUMBER = {"type": "number"}
 NUMBERS = {"type": "array", "items": NUMBER}
@@ -296,9 +296,12 @@ class TestNumericalBreakdown:
         ["a0", "--claim", "call90"],
     ])
     def test_exits_three_with_one_line(self, capsys, fixture_paths, monkeypatch, argv):
-        # a kernel that cannot certify its LP trips the typed guards
-        for module in (pricing, regularity):
-            monkeypatch.setattr(module, "solve", lambda lp: LpOutcome("infeasible", None, None))
+        # a kernel answer off its program trips the residual gate
+        def off(law, rhs, cost, n_free):
+            x, y, ray = solve_batch(law, rhs, cost, n_free)
+            return x + 1.0, y, ray
+
+        monkeypatch.setattr(lp_module, "solve_batch", off)
         code, out, err = run(capsys, argv[0], str(fixture_paths["a"]), *argv[1:])
         assert code == 3
         assert out == ""

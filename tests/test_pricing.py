@@ -9,7 +9,6 @@ from doobkit import (
     A0Element,
     AdaptedProcess,
     BadBounds,
-    LinearProgram,
     FamilyNotEmm,
     GeneratorNotInA0,
     MarketModel,
@@ -30,16 +29,17 @@ from doobkit import (
     optional_decompose,
     price_slice_generators,
     pricing,
-    solve,
     superhedge_strategy,
     verify_decomposition,
     verify_emm,
 )
 from doobkit.generators import random_family, random_space, random_supermartingale
+from doobkit.lp import LinearProgram, solve
 from doobkit.pricing import _domination_rows
 
 from .oracles import (
     dense_generator_price,
+    dense_solve,
     dual_mixture_price,
     expect,
     generator_rows,
@@ -586,7 +586,7 @@ class TestKernelAgainstPerNodeOracles:
             dom = _full_form_rows(space, family)
             bound = np.tile(space.restrict(space.horizon, claim), len(family))
             cols = np.column_stack([dom @ g.xi for g in gens])
-            dual = solve(LinearProgram(-bound, a_ge=-cols.T, b_ge=-np.ones(len(gens))))
+            dual = dense_solve(LinearProgram(-bound, a_ge=-cols.T, b_ge=-np.ones(len(gens))))
             assert dual.status == "optimal", where
             result = fair_price_generators(claim, gens, family)
             assert result.fair_price == pytest.approx(-dual.value, rel=1e-12), where
@@ -692,7 +692,7 @@ class TestRowGeneration:
         for name, claim in _recipe_claims(market, b * depth).items():
             result = fair_price_generators(claim, gens, family)
             _assert_matches_dense_dual(result, claim, gens, family, f"{b}^{depth} {name}")
-        assert all(lp.a_ge.shape[0] == len(gens) for lp in lps)
+        assert all(lp.a_ge.shape[1] == len(gens) for lp in lps)
 
     @pytest.mark.parametrize("b,depth,k,rounds", [(3, 4, 2, 2), (5, 4, 3, 3)])
     def test_digital_claims_take_several_rounds(self, monkeypatch, b, depth, k, rounds):
@@ -704,7 +704,7 @@ class TestRowGeneration:
         assert len(shapes) == rounds
         # the first round poses the G rows of largest claim; later ones add rows
         assert shapes[0] == (market.space.horizon + 1,) * 2
-        assert all(earlier[1] < later[1] for earlier, later in zip(shapes, shapes[1:]))
+        assert all(earlier[0] < later[0] for earlier, later in zip(shapes, shapes[1:]))
 
     def test_first_working_set_is_the_largest_claims(self, monkeypatch):
         # ties among the digital's ones go to the lower row
@@ -715,18 +715,20 @@ class TestRowGeneration:
         fair_price_generators(claim, gens, family)
         _, bound = generator_rows(claim, gens, family)
         first = np.sort(np.argsort(-bound, kind="stable")[: len(gens)])
-        assert np.array_equal(lps[0].objective, -bound[first])
+        assert np.array_equal(lps[0].b_ge, bound[first])
 
     def test_every_row_in_the_working_set_is_the_dense_dual(self, monkeypatch, family_a,
                                                             market_a, call_a):
-        # G = k * M: the one program posed is the dense dual, bit for bit
+        # G = k * M: the one program posed is the whole primal, bit for bit,
+        # and the kernel solves it through the dense dual
         gens = price_slice_generators(market_a) * 3
         lps = _posed(monkeypatch)
         fair_price_generators(call_a, gens, family_a)
         cols, bound = generator_rows(call_a, gens, family_a)
         assert len(lps) == 1
-        assert np.array_equal(lps[0].objective, -bound)
-        assert np.array_equal(lps[0].a_ge, -cols.T)
+        assert np.array_equal(lps[0].objective, np.ones(len(gens)))
+        assert np.array_equal(lps[0].b_ge, bound)
+        assert np.array_equal(lps[0].a_ge, cols)
 
 
 @pytest.fixture(scope="class")
@@ -747,8 +749,8 @@ class TestNorthStar:
         assert strat.self_financing_residual(market) <= 1e-9 * scale
         rows = len(family) * market.space.n_cells(market.space.horizon)
         shapes = [lp.a_ge.shape for lp in lps]
-        assert shapes and all(g == market.space.horizon + 1 for g, _ in shapes)
-        assert all(cols < 0.01 * rows for _, cols in shapes)
+        assert shapes and all(g == market.space.horizon + 1 for _, g in shapes)
+        assert all(work < 0.01 * rows for work, _ in shapes)
 
     def test_price_matches_highs(self, market_59049):
         linprog = pytest.importorskip("scipy.optimize").linprog
@@ -911,6 +913,25 @@ class TestTreeRegressions:
         assert highs.status == 0
         got = fair_price_generators(claim, gens, family).fair_price
         assert got == pytest.approx(highs.fun, rel=1e-7)
+
+    def test_full_form_free_lp_at_243_atoms_matches_highs(self):
+        # every extreme and atom as rows, (h, t) as variables: the dense
+        # two-phase tableau came back 2.50176 here, with primal residual 1.26
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        family, _, claim = tree_market(3, 5, 2, 0)
+        space = family.space
+        n, k = space.n_atoms, len(family)
+        dom = np.hstack([_full_form_rows(space, family), np.zeros((k * n, 1))])
+        bound = np.tile(claim, k)
+        a_eq = np.hstack([np.vstack([p.probs for p in family]), -np.ones((k, 1))])
+        c = np.zeros(n + 1)
+        c[-1] = 1.0
+        highs = linprog(c, A_ub=-dom, b_ub=-bound, A_eq=a_eq, b_eq=np.zeros(k), method="highs")
+        assert highs.status == 0
+        out = solve(LinearProgram(c, a_eq=a_eq, b_eq=np.zeros(k), a_ge=dom, b_ge=bound))
+        assert out.status == "optimal"
+        assert out.value == pytest.approx(highs.fun, rel=1e-9)
+        assert out.primal_residual <= 1e-9 and out.comp_slackness <= 1e-9
 
     @pytest.mark.parametrize("verb", ["price", "hedge"])
     def test_generator_verbs_stay_small_at_2187_atoms(self, verb):

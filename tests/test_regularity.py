@@ -31,7 +31,7 @@ from doobkit import (
 )
 from doobkit import lp as lp_module
 from doobkit import regularity
-from doobkit.lp import LinearProgram, solve, solve_least_sums
+from doobkit.lp import LinearProgram, solve_batch
 from doobkit.claims import envelope_process
 from doobkit.regularity import CheckResult, MartingaleDelta, _check_unit_conditional
 from doobkit.generators import (
@@ -43,6 +43,7 @@ from doobkit.generators import (
 
 from .oracles import (
     brute_cell_masses,
+    dense_solve,
     expect,
     least_sum_bases,
     mixture,
@@ -104,12 +105,12 @@ def _kernel_against_oracles(f, family, m, seen, where) -> None:
     for c, nodes in groups.items():
         law = np.stack([node[0] for node in nodes])
         rhs = np.stack([node[1] for node in nodes])
-        g, ray = solve_least_sums(law, rhs)
+        g, _, ray = solve_batch(law, rhs, np.ones((len(nodes), c)), k)
         bases, found = least_sum_bases(law, rhs)
         for j in range(len(nodes)):
             seen["fewer children than extremes"] += c < k
             seen["rank-deficient"] += int(np.linalg.matrix_rank(law[j], tol=1e-9) < min(c, k))
-            dense = solve(LinearProgram(np.ones(c), a_eq=law[j], b_eq=rhs[j]))
+            dense = dense_solve(LinearProgram(np.ones(c), a_eq=law[j], b_eq=rhs[j]))
             if dense.status == "infeasible":
                 seen["infeasible"] += 1
                 assert np.isnan(g[j]).all() and not found[j], where
@@ -367,10 +368,10 @@ class TestXi0StepLp:
         # the root reaches the kernel because its children's ratio 1.2 exceeds one
         f = _proc(space_b, [2.0], [2.4, 1.6], [2.4, 2.4, 1.6, 1.6])
 
-        def one_too_high(law, rhs):
-            return np.ones((law.shape[0], law.shape[2])), np.zeros(rhs.shape)
+        def one_too_high(law, rhs, cost, n_free):
+            return np.ones(cost.shape), np.zeros(rhs.shape), np.zeros(rhs.shape)
 
-        monkeypatch.setattr(regularity, "solve_least_sums", one_too_high)
+        monkeypatch.setattr(regularity, "solve_batch", one_too_high)
         step = xi0_step_lp(f, family_b, 1)
         assert isinstance(step, StepFailure)
         assert step.reason.startswith("LP residual 1") and step.reason.endswith("under extreme 0")
@@ -426,15 +427,15 @@ class TestXi0StepLp:
         calls = []
 
         def no_lp(lp):
-            raise AssertionError("a node reached the dense LP")
+            raise AssertionError("a node reached the single-program solve")
 
-        def spy(law, rhs):
+        def spy(law, rhs, cost, n_free):
             calls.append(law.shape[2])
-            return solve_least_sums(law, rhs)
+            return solve_batch(law, rhs, cost, n_free)
 
         monkeypatch.setattr(regularity, "solve", no_lp)
         monkeypatch.setattr(lp_module, "solve", no_lp)
-        monkeypatch.setattr(regularity, "solve_least_sums", spy)
+        monkeypatch.setattr(regularity, "solve_batch", spy)
         dec = optional_decompose(f, family, strategy="lp")
         assert calls == [b]
         assert verify_decomposition(f, dec, family).ok
@@ -446,11 +447,11 @@ class TestXi0StepLp:
     def test_one_kernel_call_per_child_count_on_mixed_spaces(self, monkeypatch):
         calls = []
 
-        def spy(law, rhs):
+        def spy(law, rhs, cost, n_free):
             calls.append(law.shape[2])
-            return solve_least_sums(law, rhs)
+            return solve_batch(law, rhs, cost, n_free)
 
-        monkeypatch.setattr(regularity, "solve_least_sums", spy)
+        monkeypatch.setattr(regularity, "solve_batch", spy)
         rng = np.random.default_rng(29)
         mixed = 0
         for _ in range(30):
