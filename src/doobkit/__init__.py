@@ -33,9 +33,7 @@ from .regularity import (
     classify,
     completeness_check,
     find_a0_element,
-    make_a0_element,
     martingale_increments,
-    one_step_ratio_cells,
     optional_decompose,
     verify_decomposition,
     xi0_step_alpha,

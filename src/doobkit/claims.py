@@ -57,7 +57,6 @@ from .space import (
     Measure,
     MeasureFamily,
     ShapeMismatch,
-    _chained_masses,
     _cond_exp_back,
     build_space,
     cond_exp_cells,
@@ -247,7 +246,7 @@ def _eval_fmars5(instance: AuditInstance) -> tuple[float, str]:
     # defects[b, m - 1, i]: time-m defect, under i, of the martingale under b; first worst wins
     defects = np.empty((k, space.horizon, k))
     for m in range(1, space.horizon + 1):
-        under = np.tile(_chained_masses(family, m), (k, 1))  # row b * k + i is extreme i
+        under = np.tile(family.masses(m), (k, 1))  # row b * k + i is extreme i
         dens = np.repeat(conds[m], k, axis=0)
         rows = cond_exp_step(space, under, dens, m) - np.repeat(conds[m - 1], k, axis=0)
         defects[:, m - 1] = np.abs(rows).max(axis=1).reshape(k, k)

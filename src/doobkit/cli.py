@@ -91,7 +91,8 @@ def _build_parser() -> _Parser:
     def common(p: _Parser) -> None:
         p.add_argument("inputs", nargs="+", metavar="scenario.json")
         p.add_argument("--tol", type=float, default=None,
-                       help="numerical tolerance (default 1e-9, env DOOBKIT_TOL)")
+                       help="numerical tolerance, a finite number >= 0 "
+                            "(default 1e-9, env DOOBKIT_TOL)")
         p.add_argument("--out", type=Path, default=None, help="write the report here")
         p.add_argument("--stamp", action="store_true", help="include a timestamp")
         p.add_argument("--jobs", type=int, default=1,
@@ -146,10 +147,19 @@ def _build_parser() -> _Parser:
 
 
 def _tolerance(args: argparse.Namespace) -> float:
+    """``--tol``, else ``DOOBKIT_TOL``, else 1e-9; a usage error unless it
+    is a finite number >= 0."""
     if args.tol is not None:
-        return args.tol
-    env = os.environ.get("DOOBKIT_TOL")
-    return float(env) if env else 1e-9
+        name, raw = "--tol", args.tol
+    else:
+        name, raw = "DOOBKIT_TOL", os.environ.get("DOOBKIT_TOL") or 1e-9
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = float("nan")
+    if not 0.0 <= tol < float("inf"):
+        raise _UsageError(f"{name} must be a finite number >= 0, got {raw!r}")
+    return tol
 
 
 def _process(scenario: Scenario, name: str):
@@ -194,7 +204,7 @@ def _run_validate(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
 def _run_classify(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
     family = scenario.family()
     proc = _process(scenario, args.process)
-    verdict = classify(proc, family, tol=_tolerance(args))
+    verdict = classify(proc, family, tol=args.tol)
     t, cell, extreme, mag = verdict.worst_violation
     report = {
         "verb": "classify",
@@ -208,9 +218,8 @@ def _run_classify(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
 def _run_decompose(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
     family = scenario.family()
     proc = _process(scenario, args.process)
-    tol = _tolerance(args)
     try:
-        dec = optional_decompose(proc, family, strategy=args.strategy, tol=tol)
+        dec = optional_decompose(proc, family, strategy=args.strategy, tol=args.tol)
     except (NotSupermartingale, NotLocallyRegular) as exc:
         return (
             {"status": "fail", "reason": str(exc), "martingale": None,
@@ -218,7 +227,7 @@ def _run_decompose(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
             EXIT_DOMAIN,
             None,
         )
-    report = verify_decomposition(proc, dec, family, tol=tol)
+    report = verify_decomposition(proc, dec, family, tol=args.tol)
     out = {
         "status": "ok" if report.ok else "fail",
         "martingale": _levels(dec.martingale),
@@ -246,15 +255,14 @@ def _generator_elements(scenario: Scenario, names: str):
 def _run_price(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
     family = scenario.family()
     payoff = _claim_atoms(scenario, args.claim)
-    tol = _tolerance(args)
     try:
         if args.mode == "generators":
             if not args.generators:
                 raise SchemaError("--mode generators needs --generators")
             gens = _generator_elements(scenario, args.generators)
-            result = fair_price_generators(payoff, gens, family, tol=tol)
+            result = fair_price_generators(payoff, gens, family, tol=args.tol)
         else:
-            result = fair_price_a0(payoff, family, tol=tol)
+            result = fair_price_a0(payoff, family, tol=args.tol)
     except PricingInfeasible as exc:
         return {"status": "infeasible", "reason": str(exc)}, EXIT_INFEASIBLE, None
     report = result.as_dict()
@@ -290,13 +298,12 @@ def _capital_csv(strategy, market: MarketModel) -> str:
 def _run_hedge(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
     family = scenario.family()
     payoff = _claim_atoms(scenario, args.claim)
-    tol = _tolerance(args)
     names = args.generators.split(",")
     if len(names) != 1:
         raise SchemaError("hedging uses the slices of exactly one price process")
     market = MarketModel(S=_process(scenario, names[0].strip()))
     try:
-        strategy = superhedge_strategy(payoff, market, family, tol=tol)
+        strategy = superhedge_strategy(payoff, market, family, tol=args.tol)
     except (FamilyNotEmm, PricingInfeasible) as exc:
         return {"status": "infeasible", "reason": str(exc)}, EXIT_INFEASIBLE, None
     except NotRepresentable as exc:
@@ -316,7 +323,7 @@ def _run_emm(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
         if result.min_slack > EMM_MIN_SLACK:  # every node has a law; their product is too small
             report["reason"] = f"a martingale measure exists, but an atom is at or below {MIN_PROB}"
         return report, EXIT_INFEASIBLE, None
-    residual = verify_emm(result.measure, market, tol=_tolerance(args)).max_residual
+    residual = verify_emm(result.measure, market, tol=args.tol).max_residual
     report = {
         "verb": "emm",
         "found": True,
@@ -340,10 +347,9 @@ def _run_a0(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
 
 
 def _run_audit(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
-    tol = _tolerance(args)
     if args.budget is not None:
         result = claims_mod.search_counterexample(
-            args.claim_id, budget=args.budget, seed=args.seed, tol=tol
+            args.claim_id, budget=args.budget, seed=args.seed, tol=args.tol
         )
     else:
         xi = None
@@ -355,7 +361,7 @@ def _run_audit(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
         f = _process(scenario, args.process) if args.process else None
         instance = AuditInstance(family=scenario.family(), xi=xi, f=f)
         try:
-            result = claims_mod.audit(args.claim_id, instance, tol=tol)
+            result = claims_mod.audit(args.claim_id, instance, tol=args.tol)
         except ClaimPreconditionUnmet as exc:
             raise SchemaError(f"instance does not meet the claim's hypotheses: {exc}") from exc
     report = {"verb": "audit", "results": [result.as_dict()]}
@@ -397,6 +403,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        args.tol = _tolerance(args)
     except _UsageError as exc:
         print(f"doobkit: {exc}", file=sys.stderr)
         return EXIT_IO

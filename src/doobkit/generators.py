@@ -134,7 +134,7 @@ def random_martingale(
     for m in range(1, space.horizon + 1):
         # (parents, children, nullspace rows, their count) per child count and rank
         draws = []
-        for parents, children, law in node_laws(space, family.masses(m), m):
+        for parents, children, law in node_laws(family, m):
             # nullspace of the conditional-probability rows
             _, s, vt = np.linalg.svd(law, full_matrices=True)
             rank = (s > 1e-12).sum(axis=1)

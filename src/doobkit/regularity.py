@@ -46,7 +46,6 @@ from .space import (
     FilteredSpace,
     MeasureFamily,
     ShapeMismatch,
-    _chained_masses,
     _cond_exp_back,
     cond_exp_cells,
     cond_exp_step,
@@ -407,14 +406,13 @@ def _least_dominators(
     cells, or the :class:`StepFailure` of its lowest cell without one: the
     cells of every step whose children's ratio exceeds one go to
     :func:`~doobkit.lp.solve_batch`, one call per child count."""
-    space = family.space
     ratios = [one_step_ratio_cells(f, m) for m in steps]
     values: list = [np.ones_like(ratio) for ratio in ratios]
     groups: dict[int, list] = {}  # child count -> (step index, cells, children, law)
     for s, m in enumerate(steps):
         if not (ratios[s] > 1.0 + 1e-13).any():
             continue
-        for parents, children, law in node_laws(space, family.masses(m), m):
+        for parents, children, law in node_laws(family, m):
             nodes = np.flatnonzero(ratios[s][children].max(axis=1) > 1.0 + 1e-13)
             if nodes.size:
                 part = (s, parents[nodes], children[nodes], law[nodes])
@@ -583,11 +581,11 @@ def verify_decomposition(
     add("reconstruction", recon)
     add("compensator-starts-at-zero", float(np.abs(comp.at_cells(0)).max()))
     weights = _mixture_weights(len(family), n_mixtures, seed)
-    total = weights @ _chained_masses(family, 0)
+    total = weights @ family.masses(0)
     growth = mart_ext = mart_mix = drift = centered = 0.0
     for m in range(1, space.horizon + 1):
         # one level's mixture masses at a time
-        mixes = weights @ _chained_masses(family, m)
+        mixes = weights @ family.masses(m)
         mixes /= total
         sums_ok = (np.abs(mixes.sum(axis=1) - 1.0) <= STRICT_TOL).all()
         if not (np.isfinite(mixes).all() and mixes.min(initial=np.inf) > MIN_PROB and sums_ok):

@@ -16,24 +16,20 @@ every atom to equal its cell's first atom exactly, with no tolerance.
 
 Every module reads the filtration's nodes from one table per space: for
 each time, the cell of each atom, the first atom of each cell, the parent
-of each cell, the children of each parent, and the atoms of each cell and
-children of each parent grouped by count.  :func:`build_space` seeds the
+of each cell, the children of each parent, and the children of each parent
+grouped by count.  :func:`build_space` seeds the
 cell of each atom at every time, from the owner lists it checks the
 partitions with; every other array is built on first use.  All are cached
 read-only on the space.
 
-No other module sums probability mass over cells, and this one sums it
-two ways that agree to round-off, not bit for bit.  :func:`cell_sums` adds
-each cell in numpy's pairwise order, bit for bit the cell's own ``.sum()``
-(neither ``np.bincount``, ``np.add.reduceat`` nor a reduction over a
-fancy-indexed 3-D gather does), for linear-program data and instance draws
-only, whose optimal vertices and seeded draws can move with the last bit:
-``MeasureFamily.masses`` and :func:`node_laws` (inverted by
-:func:`compose_laws`).  Conditional expectations read masses chained up
-from the atoms: a family caches, per time and read-only like the node
-table, the ``np.bincount`` bin index and mass totals that both forms read,
-the per-cell totals of its one atom pass at the horizon being its horizon
-masses and each level's per-parent totals the masses of the level below.
+No other module sums probability mass over cells, and this one sums it one
+way.  ``MeasureFamily.masses`` is the family's one cell-mass table, built
+per time on first use and cached read-only like the node table: at the
+horizon the per-cell totals of one ``np.bincount`` over the atoms for every
+extreme, and below it the per-parent totals of the level above.  The
+``np.bincount`` bin index and totals of each level are cached beside them
+for the conditional expectations, and :func:`node_laws` (inverted by
+:func:`compose_laws`) divides each child's mass by its parent's.
 
 Conditional expectations follow one rule: a variable given per atom (a
 density, a claim, an envelope's payoff) is conditioned on atoms once, at
@@ -41,12 +37,12 @@ the horizon, by :func:`cond_exp_cells` (``np.bincount`` sums over the
 atom→cell map for every measure of a family in one call), and every lower
 level is one step back from the level above.  By the tower property under
 each measure, :func:`cond_exp_step` takes time-``m`` cell values to time
-``m - 1`` from cell masses, such as the family's chained ones, and never
+``m - 1`` from cell masses, such as the family's, and never
 visits an atom; ``_cond_exp_back`` chains it from a time down to time 0.
 Given the family itself instead of its masses or ``probs``, either function
 takes the bins and totals from the family's cache and does one weighted
 ``np.bincount`` and one division, the same kernel and the same bits as the
-call given those chained masses or ``probs``.
+call given ``MeasureFamily.masses`` or ``probs``.
 The envelope process, the ``lemma-q5``/``lemma-lkq4`` tower and the
 ``thm-fmars5`` and ``thm-mmars1`` density martingales take that chain, as
 ``classify``, the certificate checks and ``verify_decomposition`` take the
@@ -74,7 +70,6 @@ __all__ = [
     "MeasureFamily",
     "AdaptedProcess",
     "build_space",
-    "cell_sums",
     "node_laws",
     "compose_laws",
     "cond_exp_cells",
@@ -266,10 +261,6 @@ def _children(space: FilteredSpace, m: int) -> tuple[np.ndarray, np.ndarray]:
     return _grouped(space.parent_cell(m), space.n_cells(m - 1))
 
 
-def _cell_atoms(space: FilteredSpace, m: int) -> tuple:
-    return _by_count(*_grouped(space.atom_to_cell(m), space.n_cells(m)))
-
-
 def _node_children(space: FilteredSpace, m: int) -> tuple:
     return _by_count(*space.children_table(m))
 
@@ -371,31 +362,22 @@ class MeasureFamily(_Levels):
 
     def masses(self, m: int) -> np.ndarray:
         """The extremes' time-``m`` cell masses as a read-only ``(k, n_cells(m))``
-        array, from :func:`cell_sums`, built on first use, for LP data and
-        seeded draws; conditional expectations read chained masses, equal to
-        these to round-off."""
-        return self._level(_family_masses, m)
+        array, built on first use: at the horizon the per-cell totals of the
+        family's one atom pass, below it the per-parent totals of the level
+        above.  Every reader of cell masses (conditional expectations, node
+        laws, LP data, draws) reads this one table."""
+        # past the horizon the atom pass raises IndexError instead of recursing
+        if m >= self.space.horizon:
+            return self._level(_cell_bins, m)[1]
+        return self._level(_step_bins, m + 1)[2]
 
 
 # family-table builders: one time level each, called once per family and level
 
 
-def _family_masses(family: MeasureFamily, m: int) -> np.ndarray:
-    return cell_sums(family.space, family.probs, m)
-
-
-def _chained_masses(family: MeasureFamily, m: int) -> np.ndarray:
-    """The extremes' time-``m`` cell masses that conditional expectations
-    read, ``(k, n_cells(m))``: the per-cell totals of the horizon atom pass,
-    and below it the per-parent totals of the level above."""
-    if m == family.space.horizon:
-        return family._level(_cell_bins, m)[1]
-    return family._level(_step_bins, m + 1)[2]
-
-
 def _step_bins(family: MeasureFamily, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     space = family.space
-    masses = _chained_masses(family, m)
+    masses = family.masses(m)
     return (masses, *_binned(masses, space.parent_cell(m), space.n_cells(m - 1)))
 
 
@@ -442,34 +424,18 @@ class AdaptedProcess:
 
 
 # ---------------------------------------------------------------------------
-# cell masses and node laws
+# node laws
 
 
-def cell_sums(space: FilteredSpace, values: np.ndarray, m: int) -> np.ndarray:
-    """Per-cell sums ``(k, n_cells)`` of the rows of a ``(k, n)`` array, each
-    bit for bit the cell's own ``.sum()``: one C-contiguous ``(k * cells,
-    size)`` gather per cell size (``np.take``; fancy indexing lays the rows
-    out with other strides), summed along its last axis."""
-    k = values.shape[0]
-    out = np.empty((k, space.n_cells(m)))
-    for cells, atoms in space._level(_cell_atoms, m):
-        gathered = np.take(values, atoms, axis=1).reshape(-1, atoms.shape[1])
-        out[:, cells] = gathered.sum(axis=1).reshape(k, -1)
-    return out
-
-
-def node_laws(space: FilteredSpace, mass: np.ndarray, m: int) -> Iterator[tuple]:
+def node_laws(family: MeasureFamily, m: int) -> Iterator[tuple]:
     """``(parents, children, law)`` per child count ``c``, ascending: the
     time-``m - 1`` cells with ``c`` children, those children ``(nodes, c)``,
-    and their conditional laws under the rows of the ``(k, n_cells(m))``
-    time-``m`` cell masses ``mass`` (such as ``MeasureFamily.masses(m)``),
-    ``(nodes, k, c)``, each the child masses over their own sum."""
-    for parents, children in space._level(_node_children, m):
-        law = np.empty((parents.shape[0], mass.shape[0], children.shape[1]))
-        for i, row in enumerate(mass):
-            sub = row[children]
-            law[:, i] = sub / sub.sum(axis=1, keepdims=True)
-        yield parents, children, law
+    and their conditional laws under the extremes, ``(nodes, k, c)``, each
+    child's ``MeasureFamily.masses(m)`` over its parent's ``masses(m - 1)``."""
+    mass, parent_mass = family.masses(m), family.masses(m - 1)
+    for parents, children in family.space._level(_node_children, m):
+        law = mass[:, children] / parent_mass[:, parents, None]
+        yield parents, children, law.transpose(1, 0, 2)
 
 
 def compose_laws(space: FilteredSpace, steps: Sequence[np.ndarray], within: np.ndarray) -> np.ndarray:
@@ -547,9 +513,8 @@ def cond_exp_step(
     """One-step conditional expectation of values on the time-``m`` cells.
 
     ``masses`` is ``(r, n_cells(m))``, one row of time-``m`` cell masses per
-    measure, or a family, which stands for its masses chained up from its
-    horizon atom pass (``MeasureFamily.masses(m)`` to round-off) and reads
-    its bins and per-parent totals from its cache, with the same bits.
+    measure, or a family, which stands for ``MeasureFamily.masses(m)`` and
+    reads its bins and per-parent totals from its cache, with the same bits.
     ``values`` is one ``(n_cells(m),)`` row shared by every measure or ``(r,
     n_cells(m))`` paired row by row.  Returns ``(r, n_cells(m - 1))``: over
     each parent's children, the sum of ``mass * value`` over the sum of

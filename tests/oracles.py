@@ -10,12 +10,13 @@ filtration's nodes come from scans of the partition tuples, the
 closed-form alpha comes from one interval per predecessor cell, the
 unit-conditional dominator comes from one simplex LP per predecessor cell
 and, node by node, from enumerating every basis of the node's children,
-the martingale measure from one dense floor LP over every atom, and cell
-masses, node laws, nullspace draws and pricing rows come from one
-``.sum()`` per cell and one SVD per node; the masses conditional
-expectations read, chained up from the atoms, from one ``np.bincount``
-per extreme per level.  Hedge positions come from one
-least-squares solve per node, and the hedge's capital from one
+the martingale measure from one dense floor LP over every atom, and the
+one kind of cell mass the library has, chained up from the atoms, from one
+``np.bincount`` per extreme per level (:func:`chained_masses`;
+:func:`brute_cell_masses`, one ``.sum()`` per cell, matches them to
+round-off).  Node laws, nullspace draws and pricing rows divide those
+chained masses entry by entry, with one SVD per node.  Hedge positions
+come from one least-squares solve per node, and the hedge's capital from one
 ``restrict`` per time and price slice.  Pasting-stable families come from
 one dict of cell probabilities per combination of node laws.  The
 decomposition report comes from one :func:`mixture` per Dirichlet draw and
@@ -141,12 +142,15 @@ def chained_masses(space, family):
 
 def per_node_domination_rows(space, family, cells):
     """Rows mapping an atom vector h to E{h | F_N}(cell), per extreme per
-    cell in the list of atom tuples ``cells``, filled entry by entry."""
+    cell in the list of atom tuples ``cells``, filled entry by entry: each
+    atom's mass over its cell's chained mass."""
+    masses = chained_masses(space, family)[space.horizon]
+    terminal = space.cells(space.horizon)
     rows = np.zeros((len(family) * len(cells), space.n_atoms))
     for j, p in enumerate(family):
         for c, cell in enumerate(cells):
             idx = list(cell)
-            rows[j * len(cells) + c, idx] = p.probs[idx] / p.probs[idx].sum()
+            rows[j * len(cells) + c, idx] = p.probs[idx] / masses[j, terminal.index(cell)]
     return rows
 
 
@@ -265,17 +269,16 @@ def per_combination_product_family(rng, space, max_extremes=8):
 
 def per_node_random_martingale(rng, space, family, start=1.0, spread=0.5):
     """``random_martingale`` with one SVD and one draw per node, ascending:
-    per node the children's conditional-law rows, each divided by its own
-    sum, and a normal draw over their nullspace."""
+    per node the children's conditional-law rows, their chained masses over
+    the node's, and a normal draw over their nullspace."""
     levels = [np.array([float(start)])]
+    chained = chained_masses(space, family)
     for m in range(1, space.horizon + 1):
         prev = levels[-1]
-        masses = brute_cell_masses(space, family, m)
         vals = np.empty(space.n_cells(m))
         for b in range(space.n_cells(m - 1)):
             children = np.array(brute_children(space, m, b))
-            # row by row: a 2-D sum would add in another order and move the draw
-            rmat = np.vstack([mass / mass.sum() for mass in masses[:, children]])
+            rmat = chained[m][:, children] / chained[m - 1][:, b, None]
             x = np.full(children.shape[0], prev[b])
             _, s, vt = np.linalg.svd(rmat, full_matrices=True)
             rank = int(np.sum(s > 1e-12))

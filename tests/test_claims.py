@@ -255,42 +255,36 @@ class TestOneAtomPass:
             regularity.martingale_increments(el, instance.family, base_index=1, n=n)
         assert seen and all(m == horizon for m, horizon in seen)
 
-    def test_no_cell_sums_on_a_fresh_family(self, fixture_paths, monkeypatch):
-        """The masses conditional expectations read are chained up from the
-        horizon atom pass; only LP data and draws sum cells pairwise, so of
-        these only ``thm-mars12``'s node laws would."""
-        import json
-
-        from doobkit import pricing, regularity, space
+    def test_one_cell_mass_table(self):
+        """A family's cell masses are the arrays its conditional-expectation
+        cache holds, and a fresh family's LP decomposition, the check of it
+        and a martingale draw on it read its atoms in one pass, at the
+        horizon."""
+        from doobkit import regularity
+        from doobkit.generators import random_martingale
+        from doobkit.space import _cell_bins, _step_bins
 
         from .trees import tree_draw
 
-        def fresh(family):
-            return MeasureFamily(space=family.space, extremes=family.extremes)
+        reads = []
 
-        instance = claims.instance_from_dict(json.loads(fixture_paths["b"].read_text()))
-        family, f, market, _ = tree_draw(3, 3, 2, 0)
-        decomposition = regularity.optional_decompose(f, family)
-        el = regularity.find_a0_element(family, objective=np.arange(float(family.space.n_atoms)))
-        q = pricing.find_emm(market).measure
-        env = envelope_process(instance.family, instance.xi)
-        calls = []
-        original = space.cell_sums
-        monkeypatch.setattr(space, "cell_sums", lambda *args: calls.append(args[2]) or original(*args))
+        class Counting(MeasureFamily):
+            @property
+            def probs(self):
+                reads.append(1)
+                return MeasureFamily.probs.__get__(self)
 
-        classify(env, fresh(instance.family))
-        classify(f, fresh(family))
-        assert regularity.verify_decomposition(f, decomposition, fresh(family)).ok
-        for n in range(1, family.space.horizon + 1):
-            regularity.martingale_increments(el, fresh(family), base_index=1, n=n)
-        assert pricing.verify_emm(q, market).passed
-        falling = AdaptedProcess(space=instance.space,
-                                 per_time=([1.0], [1.0, 0.8], [0.9, 0.7, 0.6, 0.5]))
-        for claim in CLAIM_IDS:
-            if claim != "thm-mars12":
-                audit(claim, claims.AuditInstance(family=fresh(instance.family), xi=instance.xi,
-                                                  f=falling))
-        assert calls == []
+        family, f, _, _ = tree_draw(3, 3, 2, 0)
+        fresh = Counting(space=family.space, extremes=family.extremes)
+        decomposition = regularity.optional_decompose(f, fresh, strategy="lp")
+        assert [step.method for step in decomposition.steps] == ["lp-path"] * 3
+        assert regularity.verify_decomposition(f, decomposition, fresh).ok
+        random_martingale(np.random.default_rng(0), fresh.space, fresh)
+        assert len(reads) == 1
+        n = fresh.space.horizon
+        assert fresh.masses(n) is fresh._table[_cell_bins, n][1]
+        for m in range(n):
+            assert fresh.masses(m) is fresh._table[_step_bins, m + 1][2]
 
 
 class TestSearchOutcomesPinned:

@@ -342,6 +342,29 @@ class TestTolerance:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_flag_must_be_finite_and_nonnegative(self, capsys, fixture_paths, value):
+        code, out, err = run(capsys, "classify", str(fixture_paths["b"]), "--process", "envelope",
+                             "--tol", value)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("doobkit: --tol ")
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "-1e-9"])
+    def test_env_var_must_be_finite_and_nonnegative(self, capsys, fixture_paths, monkeypatch,
+                                                    value):
+        monkeypatch.setenv("DOOBKIT_TOL", value)
+        code, out, err = run(capsys, "decompose", str(fixture_paths["gen"]))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("doobkit: DOOBKIT_TOL ")
+
+    def test_zero_is_accepted(self, capsys, fixture_paths):
+        code, report, _ = jrun(capsys, "classify", str(fixture_paths["b"]), "--process", "envelope",
+                               "--tol", "0")
+        assert code == 1
+        assert report["kind"] == "not-supermartingale"
+
 
 class TestDeterminism:
     def test_identical_bytes(self, capsys, fixture_paths):

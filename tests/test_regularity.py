@@ -21,9 +21,7 @@ from doobkit import (
     completeness_check,
     cond_exp_cells,
     find_a0_element,
-    make_a0_element,
     martingale_increments,
-    one_step_ratio_cells,
     optional_decompose,
     verify_decomposition,
     xi0_step_alpha,
@@ -33,7 +31,13 @@ from doobkit import lp as lp_module
 from doobkit import regularity
 from doobkit.lp import LinearProgram, solve_batch
 from doobkit.claims import envelope_process
-from doobkit.regularity import CheckResult, MartingaleDelta, _check_unit_conditional
+from doobkit.regularity import (
+    CheckResult,
+    MartingaleDelta,
+    _check_unit_conditional,
+    make_a0_element,
+    one_step_ratio_cells,
+)
 from doobkit.generators import (
     product_family,
     random_family,

@@ -22,11 +22,8 @@ from doobkit.generators import product_family, random_family, random_space
 from doobkit.space import (
     _atom_cell,
     _cell_bins,
-    _chained_masses,
     _cond_exp_back,
-    _family_masses,
     _step_bins,
-    cell_sums,
     compose_laws,
     cond_exp_cells,
     cond_exp_step,
@@ -289,8 +286,8 @@ class TestCondExpKernel:
 
 
 class TestCellKernel:
-    """``cell_sums`` and ``node_laws`` against one ``.sum()`` per cell and
-    per node row, bit for bit."""
+    """``node_laws`` against each child's chained mass over its parent's, bit
+    for bit, and against one ``.sum()`` per cell to round-off."""
 
     def _families(self):
         """Random draws with mixed cell sizes, many cells and nodes of 8 or
@@ -303,29 +300,21 @@ class TestCellKernel:
         for b, depth, k in ((3, 6, 2), (9, 3, 3)):
             yield tree_draw(b, depth, k, 0)[0]
 
-    def test_cell_sums_equal_per_cell_sums(self):
-        sizes = set()
-        for family in self._families():
-            space = family.space
-            for m in range(space.horizon + 1):
-                got = cell_sums(space, family.probs, m)
-                assert np.array_equal(got, brute_cell_masses(space, family, m))
-                sizes.update(len(cell) for cell in space.cells(m))
-        assert len(sizes) > 20 and max(sizes) > 128
-
     def test_node_laws_equal_per_row_division(self):
         counts = set()
         for family in self._families():
             space = family.space
+            chained = chained_masses(space, family)
             for m in range(1, space.horizon + 1):
                 mass = brute_cell_masses(space, family, m)
                 seen = []
-                for parents, children, law in node_laws(space, family.masses(m), m):
+                for parents, children, law in node_laws(family, m):
                     assert law.shape == (parents.size, len(family), children.shape[1])
                     for b, kids, rows in zip(parents.tolist(), children, law):
                         assert kids.tolist() == brute_children(space, m, b)
+                        assert np.array_equal(rows, chained[m][:, kids] / chained[m - 1][:, b, None])
                         want = np.vstack([row / row.sum() for row in mass[:, kids]])
-                        assert np.array_equal(rows, want)
+                        np.testing.assert_allclose(rows, want, rtol=1e-13, atol=0)
                     seen.extend(parents.tolist())
                     counts.add(children.shape[1])
                 assert sorted(seen) == list(range(space.n_cells(m - 1)))
@@ -335,19 +324,20 @@ class TestCellKernel:
         for family in self._families():
             space = family.space
             terminal = space.atom_to_cell(space.horizon)
-            for p in family.probs:
+            for p in family:
+                single = MeasureFamily(space=space, extremes=(p,))
                 steps = []
                 for m in range(1, space.horizon + 1):
                     step = np.empty(space.n_cells(m))
-                    for _, children, law in node_laws(space, cell_sums(space, p[None, :], m), m):
+                    for _, children, law in node_laws(single, m):
                         step[children] = law[:, 0]
                     steps.append(step)
-                within = p / cell_sums(space, p[None, :], space.horizon)[0][terminal]
+                within = p.probs / single.masses(space.horizon)[0][terminal]
                 got = compose_laws(space, steps, within)
-                np.testing.assert_allclose(got, p, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(got, p.probs, rtol=1e-14, atol=0)
 
     def test_groupings_read_only(self, family_b):
-        for parents, children, _ in node_laws(family_b.space, family_b.masses(2), 2):
+        for parents, children, _ in node_laws(family_b, 2):
             for arr in (parents, children):
                 assert not arr.flags.writeable
 
@@ -424,10 +414,13 @@ class TestOneStepCondExp:
     def test_masses_cached_read_only_and_per_cell_sums(self, family_b):
         for family, _ in self._families():
             space = family.space
+            chained = chained_masses(space, family)
             for m in range(space.horizon + 1):
                 mass = family.masses(m)
                 assert family.masses(m) is mass and not mass.flags.writeable
-                assert mass.tobytes() == brute_cell_masses(space, family, m).tobytes()
+                assert mass.tobytes() == chained[m].tobytes()
+                np.testing.assert_allclose(mass, brute_cell_masses(space, family, m),
+                                           rtol=1e-14, atol=0)
         with pytest.raises(ValueError):
             family_b.masses(1)[0, 0] = 0.5
 
@@ -437,8 +430,8 @@ class TestFamilyForm:
     expectations read the family's cached bins and totals and return the
     same bits as the explicit-array call.  The one-step form's masses are
     chained up from one atom pass at the horizon, as
-    :func:`~tests.oracles.chained_masses` makes them, and match
-    ``cell_sums``'s pairwise sums to round-off."""
+    :func:`~tests.oracles.chained_masses` makes them, and match one
+    ``.sum()`` per cell to round-off."""
 
     def _families(self):
         """Random and pasting-stable draws of up to 40 atoms, and the families
@@ -469,7 +462,7 @@ class TestFamilyForm:
             space = family.space
             chained = chained_masses(space, family)
             for m in range(space.horizon + 1):
-                got = _chained_masses(family, m)
+                got = family.masses(m)
                 assert got.tobytes() == chained[m].tobytes()
                 np.testing.assert_allclose(got, brute_cell_masses(space, family, m),
                                            rtol=1e-14, atol=0)
@@ -496,13 +489,13 @@ class TestFamilyForm:
             assert family_b._table[_step_bins, m] is step and family_b._table[_cell_bins, m] is cells
             assert again.tobytes() == first.tobytes()
             assert step[0].tobytes() == chained[m].tobytes()
+            # the one cell-mass table is the cache's own arrays
+            assert family_b.masses(m) is step[0] and family_b.masses(m - 1) is step[2]
             for entry in (step, cells):
                 for arr in entry:
                     assert not arr.flags.writeable
                     with pytest.raises(ValueError):
                         arr[0] = 0
-        # the chain sums no cell pairwise
-        assert not any(key[0] is _family_masses for key in family_b._table)
 
     def test_family_on_another_space_is_refused(self, family_b):
         other = build_space(4, [[[0, 1, 2, 3]], [[0, 1, 2], [3]]])
@@ -701,13 +694,13 @@ class TestEssSup:
 
 class TestDensityBoundsAndContractions:
     def test_contract_time_zero(self, family_b):
-        got = cell_sums(family_b.space, family_b.probs, 0)
+        got = family_b.masses(0)
         np.testing.assert_allclose(got, [[1.0], [1.0]], atol=1e-15)
 
     def test_contract_fixture_b(self, family_b):
-        got = cell_sums(family_b.space, family_b.probs, 1)[1]
+        got = family_b.masses(1)[1]
         np.testing.assert_allclose(got, [0.5, 0.5], atol=1e-15)
 
     def test_contract_atom_fine(self, family_b):
-        got = cell_sums(family_b.space, family_b.probs, 2)
+        got = family_b.masses(2)
         np.testing.assert_allclose(got, family_b.probs, atol=0)
