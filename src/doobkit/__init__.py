@@ -20,9 +20,7 @@ from .lp import NumericalBreakdown
 from .regularity import (
     A0Element,
     Classification,
-    CompletenessReport,
     DecompositionReport,
-    MartingaleDelta,
     NotInA0,
     NotLocallyRegular,
     NotSupermartingale,
@@ -31,9 +29,7 @@ from .regularity import (
     Xi0Step,
     a0_membership,
     classify,
-    completeness_check,
     find_a0_element,
-    martingale_increments,
     optional_decompose,
     verify_decomposition,
     xi0_step_alpha,

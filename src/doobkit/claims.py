@@ -175,7 +175,7 @@ def _require_xi(instance: AuditInstance, nonnegative: bool) -> np.ndarray:
     if instance.xi is None:
         raise ClaimPreconditionUnmet("claim needs a payoff xi")
     xi = np.asarray(instance.xi, dtype=float)
-    if nonnegative and np.any(xi < -STRICT_TOL):
+    if nonnegative and (xi < -STRICT_TOL).any():
         raise ClaimPreconditionUnmet("claim needs a nonnegative xi")
     return xi
 
@@ -296,7 +296,7 @@ def _eval_mmars1(instance: AuditInstance) -> tuple[float, str]:
         raise ClaimPreconditionUnmet("claim needs a pathwise non-increasing process f")
     f = instance.f
     for m in range(1, space.horizon + 1):
-        if np.any(f.at_cells(m) > f.at_cells(m - 1)[space.parent_cell(m)] + STRICT_TOL):
+        if (f.at_cells(m) > f.at_cells(m - 1)[space.parent_cell(m)] + STRICT_TOL).any():
             raise ClaimPreconditionUnmet("f must be pathwise non-increasing")
     conds = _cond_exp_levels(family, xi)
     worst, where = 0.0, ""

@@ -87,12 +87,13 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
     An optimal outcome carries the primal point, the duals and three
     residuals: the primal one (rows and ``x >= 0``), the duality gap and
-    complementary slackness.  Each must be at most ``CERTIFY_TOL`` times the
-    largest absolute coefficient of the program (at least 1), or
-    :class:`NumericalBreakdown` names the check that failed.  An infeasible
-    program comes back with a ray ``d`` over its rows, nonnegative on the
-    ``>=`` rows, with ``A.T @ d <= 0`` and ``b . d > 0``.  Raises
-    ``ValueError`` on a negative objective entry.
+    complementary slackness.  Those three, and then dual feasibility
+    (``y @ law <= cost`` and ``y >= 0`` off the equality rows), must each be
+    at most ``CERTIFY_TOL`` times the largest absolute coefficient of the
+    program (at least 1), or :class:`NumericalBreakdown` names the check
+    that failed.  An infeasible program comes back with a ray ``d`` over its
+    rows, nonnegative on the ``>=`` rows, with ``A.T @ d <= 0`` and
+    ``b . d > 0``.  Raises ``ValueError`` on a negative objective entry.
     """
     cost = lp.objective
     if cost.min(initial=0.0) < 0.0:
@@ -111,14 +112,16 @@ def solve(lp: LinearProgram) -> LpOutcome:
     value = float(cost @ x)
     resid = law @ x - rhs
     slack = resid[n_eq:]
+    reduced = cost - y @ law
     residuals = {
         "primal residual": float(
             np.concatenate([np.abs(resid[:n_eq]), -slack, -x]).max(initial=0.0)
         ),
         "gap": value - float(rhs @ y),
         "complementary slackness": float(
-            np.abs(np.concatenate([y[n_eq:] * slack, x * (cost - y @ law)])).max()
+            np.abs(np.concatenate([y[n_eq:] * slack, x * reduced])).max()
         ),
+        "dual feasibility": float(np.concatenate([-reduced, -y[n_eq:]]).max(initial=0.0)),
     }
     bound = CERTIFY_TOL * max(1.0, cost.max(), np.abs(law).max(), np.abs(rhs).max())
     for check, residual in residuals.items():

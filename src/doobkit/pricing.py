@@ -121,7 +121,7 @@ class MarketModel:
 
     def __post_init__(self) -> None:
         for m in range(self.S.horizon + 1):
-            if np.any(self.S.at_cells(m) <= 0.0):
+            if (self.S.at_cells(m) <= 0.0).any():
                 raise BadBounds(f"price must be strictly positive (time {m})")
         if self.bounds is not None:
             bounds = tuple((float(a), float(b)) for a, b in self.bounds)
@@ -132,7 +132,7 @@ class MarketModel:
                 if lo <= 0.0 or hi < lo:
                     raise BadBounds(f"time {m}: bad bracket ({lo}, {hi})")
                 s = self.S.at_cells(m)
-                if np.any(s < lo - STRICT_TOL) or np.any(s > hi + STRICT_TOL):
+                if (s < lo - STRICT_TOL).any() or (s > hi + STRICT_TOL).any():
                     raise BadBounds(f"time {m}: price leaves [{lo}, {hi}]")
                 if m:
                     if lo > bounds[m - 1][0] + STRICT_TOL:
@@ -237,7 +237,7 @@ def _claim_cells(space: FilteredSpace, claim: np.ndarray) -> np.ndarray:
     claim = np.asarray(claim, dtype=float)
     if claim.shape != (space.n_atoms,):
         raise NotMeasurable(f"claim has shape {claim.shape}, space has {space.n_atoms} atoms")
-    if np.any(claim < -STRICT_TOL):
+    if (claim < -STRICT_TOL).any():
         raise ValueError("claim must be nonnegative")
     if not np.isfinite(claim).all():
         raise ValueError("claim must be finite")

@@ -46,8 +46,6 @@ from .space import (
     FilteredSpace,
     MeasureFamily,
     ShapeMismatch,
-    _cond_exp_back,
-    cond_exp_cells,
     cond_exp_step,
     node_laws,
 )
@@ -55,13 +53,11 @@ from .space import (
 __all__ = [
     "A0Element",
     "Classification",
-    "MartingaleDelta",
     "Xi0Step",
     "StepFailure",
     "OptionalDecomposition",
     "CheckResult",
     "DecompositionReport",
-    "CompletenessReport",
     "NotInA0",
     "NotSupermartingale",
     "NotLocallyRegular",
@@ -69,13 +65,11 @@ __all__ = [
     "a0_membership",
     "make_a0_element",
     "find_a0_element",
-    "martingale_increments",
     "xi0_step_alpha",
     "xi0_step_lp",
     "one_step_ratio_cells",
     "optional_decompose",
     "verify_decomposition",
-    "completeness_check",
 ]
 
 
@@ -120,26 +114,6 @@ class Classification:
     @property
     def is_supermartingale(self) -> bool:
         return self.kind != "not-supermartingale"
-
-
-@dataclass(frozen=True, eq=False)
-class MartingaleDelta:
-    """One-step increment of a conditional-expectation process of a density.
-
-    ``increments[j]`` is the time-``m`` cell value minus its parent's
-    time-``m-1`` value, computed under one explicit base measure.  The
-    split records which cells move down (``neg_cells``, increment <= 0)
-    and up (``pos_cells``, increment > 0); together they cover every cell.
-    The increments have zero conditional mean under the base measure; the
-    same under *other* extremes is exactly the contested invariance and is
-    never assumed here.
-    """
-
-    m: int
-    increments: np.ndarray
-    neg_cells: tuple[int, ...]
-    pos_cells: tuple[int, ...]
-    base_index: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,23 +164,6 @@ class DecompositionReport:
         return all(c.passed for c in self.checks)
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    """Diagnostic: how close the two-point contracted measures come to the
-    hull of the family's contractions.
-
-    Finitely generated strictly positive families contract to strictly
-    positive vectors, so a two-point measure can at best sit within
-    tolerance of the hull boundary; the fraction is a diagnostic, not a
-    certificate.
-    """
-
-    level: int
-    fraction_inside: float
-    pairs: tuple[tuple[int, int, float], ...]  # (neg cell, pos cell, hull distance)
-    vacuous: bool
-
-
 # ---------------------------------------------------------------------------
 # classification and the density set
 
@@ -242,7 +199,7 @@ def classify(f: AdaptedProcess, family: MeasureFamily, tol: float = DEFAULT_TOL)
 
 def _finite_and_above(rows: np.ndarray, tol: float) -> bool:
     """The sign half of the density rule: every entry finite and at least ``-tol``."""
-    return bool(np.isfinite(rows).all() and np.all(rows >= -tol))
+    return bool(np.isfinite(rows).all() and (rows >= -tol).all())
 
 
 def a0_membership(family: MeasureFamily, xi: np.ndarray, tol: float = STRICT_TOL) -> bool:
@@ -253,7 +210,7 @@ def a0_membership(family: MeasureFamily, xi: np.ndarray, tol: float = STRICT_TOL
     rows = np.asarray(xi, dtype=float)
     if rows.ndim not in (1, 2) or rows.shape[-1] != family.space.n_atoms:
         return False
-    return _finite_and_above(rows, tol) and bool(np.all(np.abs(family.probs @ rows.T - 1.0) <= tol))
+    return _finite_and_above(rows, tol) and bool((np.abs(family.probs @ rows.T - 1.0) <= tol).all())
 
 
 def make_a0_element(family: MeasureFamily, xi: np.ndarray) -> A0Element:
@@ -314,25 +271,6 @@ def find_a0_element(
 # certificates
 
 
-def martingale_increments(
-    xi0: A0Element, family: MeasureFamily, base_index: int, n: int
-) -> MartingaleDelta:
-    """Cellwise increments of the conditional expectations of ``xi0`` under
-    an explicitly chosen extreme, with the down/up cell split: one atom pass
-    at the horizon, then one step back per level."""
-    if n < 1:
-        raise ValueError("increments need n >= 1")
-    space = family.space
-    horizon = space.horizon
-    conds = _cond_exp_back(family, cond_exp_cells(space, xi0.xi, family, horizon), horizon)
-    d = conds[n][base_index] - conds[n - 1][base_index][space.parent_cell(n)]
-    neg = tuple(int(j) for j in range(d.shape[0]) if d[j] <= 0.0)
-    pos = tuple(int(j) for j in range(d.shape[0]) if d[j] > 0.0)
-    return MartingaleDelta(
-        m=n, increments=d, neg_cells=neg, pos_cells=pos, base_index=base_index
-    )
-
-
 def one_step_ratio_cells(f: AdaptedProcess, m: int) -> np.ndarray:
     """f_m / f_{m-1} per time-``m`` cell.
 
@@ -383,7 +321,7 @@ def xi0_step_alpha(
     ratio = one_step_ratio_cells(f, m)
     sup = cond_exp_step(space, family, ratio, m).max(axis=0)[space.parent_cell(m)]
     norm = np.divide(ratio, sup, out=np.zeros_like(ratio), where=sup > 0.0)
-    if np.any(norm > 1.0 + STRICT_TOL):
+    if (norm > 1.0 + STRICT_TOL).any():
         return StepFailure(m=m, reason="empty alpha interval")
 
     values = np.ones_like(ratio)
@@ -394,7 +332,7 @@ def xi0_step_alpha(
             reason=f"conditional expectation is {1 + dev:.12g}-ish under extreme {bad_i}, not 1",
             certificate=dev,
         )
-    if np.any(values < ratio - tol):
+    if (values < ratio - tol).any():
         return StepFailure(m=m, reason="candidate does not dominate the one-step ratio")
     return Xi0Step(m=m, xi0=space.expand(m, values), method="alpha-path", alpha=0.0)
 
@@ -610,47 +548,3 @@ def verify_decomposition(
     add("centered-compensator-residuals", centered, bound=STRICT_TOL)
     return DecompositionReport(checks=tuple(checks))
 
-
-def completeness_check(
-    family: MeasureFamily,
-    delta: MartingaleDelta,
-    n: int,
-    tol: float = DEFAULT_TOL,
-) -> CompletenessReport:
-    """Distance of each two-point contracted measure from the contraction hull.
-
-    For each (down cell i, up cell j) pair the two-point measure puts mass
-    ``d_j / (d_j - d_i)`` on cell i and the rest on cell j.  Membership is
-    an LP: minimize the sup-norm deviation between the target and a convex
-    combination of the contracted extremes.
-    """
-    d = delta.increments
-    if not delta.pos_cells:
-        return CompletenessReport(level=n, fraction_inside=1.0, pairs=(), vacuous=True)
-    # variables: (lambda_1..lambda_k, deviation); only the target moves per pair
-    cmat = family.masses(n).T  # cells x k
-    n_cells, k = cmat.shape
-    a_ge = np.hstack([np.vstack([-cmat, cmat]), np.ones((2 * n_cells, 1))])
-    a_eq = np.concatenate([np.ones(k), [0.0]])[None, :]
-    obj = np.zeros(k + 1)
-    obj[-1] = 1.0
-    pairs: list[tuple[int, int, float]] = []
-    inside = 0
-    for i in delta.neg_cells:
-        for j in delta.pos_cells:
-            denom = d[j] - d[i]
-            target = np.zeros(n_cells)
-            target[i] = d[j] / denom
-            target[j] = -d[i] / denom
-            b_ge = np.concatenate([-target, target])
-            out = solve(LinearProgram(obj, a_eq=a_eq, b_eq=np.ones(1), a_ge=a_ge, b_ge=b_ge))
-            dev = float(out.value) if out.status == "optimal" else np.inf
-            pairs.append((int(i), int(j), dev))
-            if dev <= tol:
-                inside += 1
-    return CompletenessReport(
-        level=n,
-        fraction_inside=inside / len(pairs),
-        pairs=tuple(pairs),
-        vacuous=False,
-    )

@@ -129,7 +129,7 @@ def parse_scenario(doc: dict) -> Scenario:
             raise SchemaError(
                 f"claim {name!r}: expected {space.n_cells(time)} values at time {time}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise SchemaError(f"claim {name!r}: non-finite values")
         claims[name] = ClaimSpec(time=time, values=values)
 

@@ -315,7 +315,7 @@ class Measure:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1:
             raise ValueError("probs must be one-dimensional")
-        if not np.all(np.isfinite(probs)):
+        if not np.isfinite(probs).all():
             raise ValueError("probs must be finite")
         if probs.min(initial=np.inf) <= MIN_PROB:
             raise ValueError(f"measure must be strictly positive (min entry > {MIN_PROB})")
@@ -406,7 +406,7 @@ class AdaptedProcess:
                     f"time {m}: got {arr.shape[0] if arr.ndim == 1 else arr.shape} values, "
                     f"partition has {self.space.n_cells(m)} cells"
                 )
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"time {m}: non-finite process values")
             arr.setflags(write=False)
             vals.append(arr)
@@ -457,7 +457,7 @@ def _as_rv(space: FilteredSpace, xi: np.ndarray) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (space.n_atoms,):
         raise ShapeMismatch(f"random variable has shape {xi.shape}, space has {space.n_atoms} atoms")
-    if not np.all(np.isfinite(xi)):
+    if not np.isfinite(xi).all():
         raise ValueError("random variable must be finite")
     return xi
 

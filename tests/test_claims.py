@@ -234,7 +234,7 @@ class TestOneAtomPass:
     def test_cond_exp_cells_only_at_the_horizon(self, fixture_paths, monkeypatch):
         import json
 
-        from doobkit import pricing, regularity, space
+        from doobkit import pricing, space
 
         seen = []
         original = space.cond_exp_cells
@@ -244,15 +244,12 @@ class TestOneAtomPass:
             return original(sp, xi, p, m)
 
         # every module that binds the name, and space's own callers
-        for module in (claims, pricing, regularity, space):
+        for module in (claims, pricing, space):
             monkeypatch.setattr(module, "cond_exp_cells", spy)
         instance = claims.instance_from_dict(json.loads(fixture_paths["b"].read_text()))
         for claim in CLAIM_IDS:
             audit(claim, instance)
             search_counterexample(claim, budget=30, seed=0)
-        el = regularity.find_a0_element(instance.family, objective=np.arange(4.0))
-        for n in range(1, instance.space.horizon + 1):
-            regularity.martingale_increments(el, instance.family, base_index=1, n=n)
         assert seen and all(m == horizon for m, horizon in seen)
 
     def test_one_cell_mass_table(self):

@@ -253,20 +253,28 @@ def _spoilt_kernel(spoil):
 class TestResidualGate:
     """``solve`` refuses an answer whose residual exceeds 1e-9 of the data's
     scale, naming the check.  On ``min x1 + 2 x2`` with ``x1 + x2 >= 1`` the
-    kernel answers ``x = (1, 0)``, ``y = 1``."""
+    kernel answers ``x = (1, 0)``, ``y = 1``; on ``min x1 + x2`` with
+    ``x1 >= 1`` and ``x2 >= 0`` it answers ``x = (1, 0)``, ``y = (1, 0)``."""
 
     LP = LinearProgram(np.array([1.0, 2.0]), a_ge=np.array([[1.0, 1.0]]), b_ge=np.array([1.0]))
+    TWO_ROWS = LinearProgram(np.ones(2), a_ge=np.eye(2), b_ge=np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("check, spoil", [
         ("primal residual", lambda x, y: (x / 2, y)),
         ("gap", lambda x, y: (x, y / 2)),
         # both doubled: feasible, no gap, but x1 * (1 - 2) and y * 1 are off zero
         ("complementary slackness", lambda x, y: (2 * x, 2 * y)),
+        # y = (1, 2): feasible x, no gap, slackness holds, but y2 exceeds x2's cost 1
+        ("dual feasibility", lambda x, y: (x, y + [0.0, 2.0])),
     ])
     def test_spoilt_answer_is_refused_by_name(self, monkeypatch, check, spoil):
-        out = solve(self.LP)
+        if check == "dual feasibility":
+            lp, y = self.TWO_ROWS, [1.0, 0.0]
+        else:
+            lp, y = self.LP, [1.0]
+        out = solve(lp)
         np.testing.assert_array_equal(out.x, [1.0, 0.0])
-        np.testing.assert_array_equal(out.y_ge, [1.0])
+        np.testing.assert_array_equal(out.y_ge, y)
         monkeypatch.setattr(lp_module, "solve_batch", _spoilt_kernel(spoil))
         with pytest.raises(NumericalBreakdown, match=f"LP failed its {check} check"):
-            solve(self.LP)
+            solve(lp)

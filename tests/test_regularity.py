@@ -18,10 +18,8 @@ from doobkit import (
     a0_membership,
     build_space,
     classify,
-    completeness_check,
     cond_exp_cells,
     find_a0_element,
-    martingale_increments,
     optional_decompose,
     verify_decomposition,
     xi0_step_alpha,
@@ -33,7 +31,6 @@ from doobkit.lp import LinearProgram, solve_batch
 from doobkit.claims import envelope_process
 from doobkit.regularity import (
     CheckResult,
-    MartingaleDelta,
     _check_unit_conditional,
     make_a0_element,
     one_step_ratio_cells,
@@ -232,38 +229,6 @@ class TestFindA0Element:
         fam = MeasureFamily(space=space, extremes=(Measure(np.array([0.5, 0.5])),))
         el = find_a0_element(fam, objective=np.array([1.0, 0.0]))
         np.testing.assert_allclose(el.xi, [2.0, 0.0], atol=1e-12)
-
-
-class TestMartingaleIncrements:
-    def test_constant_density_has_zero_increments(self, family_b):
-        el = make_a0_element(family_b, np.ones(4))
-        delta = martingale_increments(el, family_b, base_index=0, n=1)
-        np.testing.assert_allclose(delta.increments, 0.0, atol=0)
-        assert delta.pos_cells == ()
-        assert set(delta.neg_cells) == {0, 1}
-
-    def test_fixture_b_base_dependence(self, family_b, xi_b):
-        el = make_a0_element(family_b, xi_b)
-        under_p2 = martingale_increments(el, family_b, base_index=1, n=1)
-        np.testing.assert_allclose(under_p2.increments, [0.12, -0.12], atol=1e-14)
-        assert under_p2.pos_cells == (0,) and under_p2.neg_cells == (1,)
-        under_p1 = martingale_increments(el, family_b, base_index=0, n=1)
-        np.testing.assert_allclose(under_p1.increments, 0.0, atol=1e-14)
-
-    def test_zero_conditional_mean_under_base(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            space = random_space(rng)
-            family = random_family(rng, space)
-            el = find_a0_element(family, objective=rng.normal(size=space.n_atoms))
-            base = int(rng.integers(0, len(family)))
-            n = int(rng.integers(1, space.horizon + 1))
-            delta = martingale_increments(el, family, base_index=base, n=n)
-            e = cond_exp_cells(
-                space, space.expand(n, delta.increments), family.extremes[base], n - 1
-            )
-            assert np.abs(e).max() <= 1e-12
-            assert set(delta.neg_cells) | set(delta.pos_cells) == set(range(space.n_cells(n)))
 
 
 class TestXi0StepAlpha:
@@ -672,60 +637,3 @@ class TestVerifyDecomposition:
         centered = [c for c in report.checks if c.name == "centered-compensator-residuals"]
         assert centered and centered[0].max_violation <= 1e-12
 
-
-class TestCompletenessCheck:
-    def test_vacuous_when_no_up_moves(self, family_b):
-        el = make_a0_element(family_b, np.ones(4))
-        delta = martingale_increments(el, family_b, base_index=0, n=1)
-        report = completeness_check(family_b, delta, 1)
-        assert report.vacuous and report.fraction_inside == 1.0
-
-    @pytest.mark.parametrize("base", [0, 1])
-    def test_pair_inside_the_hull(self, base):
-        # both extremes put mass .5 on each time-1 cell, so the two-point
-        # measure of the increments (-1, 1) is the contraction itself
-        space = build_space(3, [[[0, 1, 2]], [[0, 1], [2]]])
-        fam = MeasureFamily(
-            space=space,
-            extremes=(Measure(np.array([0.2, 0.3, 0.5])), Measure(np.array([0.3, 0.2, 0.5]))),
-        )
-        el = make_a0_element(fam, np.array([0.0, 0.0, 2.0]))
-        delta = martingale_increments(el, fam, base_index=base, n=1)
-        np.testing.assert_array_equal(delta.increments, [-1.0, 1.0])
-        report = completeness_check(fam, delta, 1)
-        assert not report.vacuous
-        assert report.fraction_inside == 1.0
-        assert report.pairs == ((0, 1, 0.0),)
-
-    def test_two_point_with_zero_mass_sits_at_hull_floor(self):
-        from doobkit import Measure, build_space
-
-        space = build_space(2, [[[0, 1]], [[0], [1]]])
-        fam = MeasureFamily(
-            space=space,
-            extremes=(Measure(np.array([0.2, 0.8])), Measure(np.array([0.8, 0.2]))),
-        )
-        # increments with a flat down cell force the (1, 0) two-point target
-        delta = MartingaleDelta(
-            m=1, increments=np.array([0.0, 0.3]), neg_cells=(0,), pos_cells=(1,), base_index=0
-        )
-        report = completeness_check(fam, delta, 1)
-        assert report.fraction_inside == 0.0
-        assert report.pairs[0][2] == pytest.approx(0.2, abs=1e-9)
-
-    def test_near_degenerate_extreme_tightens_the_hull(self):
-        from doobkit import Measure, build_space
-
-        space = build_space(2, [[[0, 1]], [[0], [1]]])
-        base = (Measure(np.array([0.2, 0.8])), Measure(np.array([0.8, 0.2])))
-        fam = MeasureFamily(space=space, extremes=base)
-        wide = MeasureFamily(
-            space=space, extremes=base + (Measure(np.array([0.999, 0.001])),)
-        )
-        delta = MartingaleDelta(
-            m=1, increments=np.array([0.0, 0.3]), neg_cells=(0,), pos_cells=(1,), base_index=0
-        )
-        before = completeness_check(fam, delta, 1).pairs[0][2]
-        after = completeness_check(wide, delta, 1).pairs[0][2]
-        assert after < before
-        assert after == pytest.approx(0.001, abs=1e-9)
