@@ -16,10 +16,10 @@ certificate seeded with the constant density, ``xi0 = 1``, at each step
 and falls back to the LP certificate; ``lp`` uses the LP throughout.
 
 Exit codes: 0 success / expectation met, 1 domain failure (not a
-supermartingale, no certificate, hedge not extractable, audit expectation
-missed), 2 infeasible or no martingale measure, 3 I/O, schema or usage
-error, or a numerical breakdown (an LP answer that the one simplex
-kernel's residual gate, or a price's own certificate, refused).  Reports
+supermartingale, no certificate, audit expectation missed), 2 infeasible
+or no martingale measure, 3 I/O, schema or usage error, or a numerical
+breakdown (an LP answer that the one simplex kernel's residual gate, or
+a price's own certificate, refused).  Reports
 are JSON on stdout (or ``--out``); byte-for-byte deterministic for a fixed
 input and seed unless ``--stamp`` is given.
 """
@@ -45,7 +45,6 @@ from .pricing import (
     EMM_MIN_SLACK,
     FamilyNotEmm,
     MarketModel,
-    NotRepresentable,
     PricingInfeasible,
     fair_price_a0,
     fair_price_generators,
@@ -95,8 +94,6 @@ def _build_parser() -> _Parser:
                             "(default 1e-9, env DOOBKIT_TOL)")
         p.add_argument("--out", type=Path, default=None, help="write the report here")
         p.add_argument("--stamp", action="store_true", help="include a timestamp")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers across multiple input files")
 
     p = sub.add_parser("validate", help="check a scenario file against the schema")
     common(p)
@@ -306,8 +303,6 @@ def _run_hedge(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
         strategy = superhedge_strategy(payoff, market, family, tol=args.tol)
     except (FamilyNotEmm, PricingInfeasible) as exc:
         return {"status": "infeasible", "reason": str(exc)}, EXIT_INFEASIBLE, None
-    except NotRepresentable as exc:
-        return {"status": "fail", "reason": str(exc)}, EXIT_DOMAIN, None
     report = strategy.pricing.as_dict()
     report["strategy"] = _strategy_dict(strategy)
     report["self_financing_residual"] = strategy.self_financing_residual(market)
@@ -394,11 +389,6 @@ def _run_one(path: str, args: argparse.Namespace) -> tuple[dict, int, Optional[s
     return report, code, csv_text
 
 
-def _worker(payload):  # used by --jobs; must be picklable at module level
-    path, args = payload
-    return _run_one(path, args)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -416,15 +406,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("doobkit: --out needs a single input file", file=sys.stderr)
         return EXIT_IO
 
-    results: list[tuple[dict, int, Optional[str]]] = []
     try:
-        if args.jobs > 1 and len(args.inputs) > 1:
-            # imported here: it adds a visible share of every call's start-up
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_worker, [(p, args) for p in args.inputs]))
-        else:
-            results = [_run_one(p, args) for p in args.inputs]
+        results = [_run_one(p, args) for p in args.inputs]
     # SchemaError, SpaceError and ShapeMismatch are ValueErrors; anything the
     # verb handlers did not translate themselves is bad input or a numerical
     # breakdown, both reported on stderr as an I/O-class failure

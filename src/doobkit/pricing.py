@@ -14,8 +14,9 @@ generator mode over the simplex spanned by finitely many given densities,
 its price certified by its own primal-dual pair.  When the family's
 extremes are martingale measures for a price process and the generators
 are the normalized price slices, the optimal dominator is itself a
-tradable martingale, and a self-financed strategy superhedging the claim
-falls out of one closed-form solve per level.
+tradable martingale, a buy-and-hold portfolio of the slices, and the
+self-financed strategy superhedging the claim holds one position per level
+read off the generator weights, with no solve.
 
 Each program is posed in its small form, rows x columns, for n atoms, k
 extremes, M terminal cells (M' of them holding more than one atom) and G
@@ -566,11 +567,16 @@ def superhedge_strategy(
     """Self-financed strategy superhedging the claim from its fair price.
 
     Requires every extreme to be a martingale measure for the asset.  The
-    claim is priced over the normalized price slices; the optimal
-    dominator's conditional-expectation process is then a stopped-slice
-    combination, the same under every martingale measure, and its
-    representation in asset increments gives the risky position.  Capital
-    starts at the fair price and ends at or above the claim.
+    claim is priced over the normalized price slices, generator i being the
+    slice of time i, so the optimal dominator is ``price * sum_i gamma_i *
+    S_{min(i, m)} / S_0``: a buy-and-hold portfolio of the slices, the same
+    under every martingale measure.  Its position over step m is ``price /
+    S_0 * sum_{i >= m} gamma_i`` units of the asset, zero when ``gamma`` is
+    None, held at every node whose children move the price (a node whose
+    children all sit at its price holds nothing).  Capital starts at the
+    fair price and follows the self-financing recursion ``X_m =
+    X_{m-1} + h * (S_m - S_{m-1})``, ending at or above the claim; cash is
+    ``X_{m-1} - h * S_{m-1}``.
     """
     space = market.space
     drift = _drift_residuals(family, market)
@@ -579,32 +585,24 @@ def superhedge_strategy(
         raise FamilyNotEmm(f"extreme {bad[0]} has price drift {drift[bad[0]]:.3e}")
     pricing = fair_price_generators(claim, _slice_rows(market), family, tol=tol)
     price = pricing.fair_price
-    # generator i is the slice of time i
-    slice_weight = np.zeros(space.horizon + 1) if pricing.gamma is None else pricing.gamma
-
-    # dominator martingale: price * sum_i gamma_i * S_{min(i, m)} / S_0;
-    # level 0 is the price itself so the initial capital is exact
-    slices = [market.S.at_atoms(j) for j in range(space.horizon + 1)]
-    levels = [np.array([price])]
+    held = np.zeros(space.horizon + 1)
+    if pricing.gamma is not None:  # held[m] is the weight of the slices of time m and later
+        held = price / market.s0 * np.cumsum(pricing.gamma[::-1])[::-1]
+    capital = [np.array([price])]
+    cash = [np.array([price])]
+    risky = [np.array([0.0])]
     for m in range(1, space.horizon + 1):
-        acc = np.zeros(space.n_atoms)
-        for i in range(space.horizon + 1):
-            acc += slice_weight[i] * slices[min(i, m)]
-        levels.append(price * space.restrict(m, acc) / market.s0)
-    mart = AdaptedProcess(space=space, per_time=tuple(levels))
-
-    if price <= tol:
-        positions = [np.zeros(space.n_cells(m - 1)) for m in range(1, space.horizon + 1)]
-    else:
-        positions = martingale_representation(mart, market, tol=tol)
-
-    cash: list[np.ndarray] = [np.array([price])]
-    risky: list[np.ndarray] = [np.array([0.0])]
-    for m in range(1, space.horizon + 1):
-        h = positions[m - 1]
-        c = mart.at_cells(m - 1) - h * market.S.at_cells(m - 1)
+        parent = space.parent_cell(m)
+        s_prev = market.S.at_cells(m - 1)
+        ds = market.S.at_cells(m) - s_prev[parent]
+        moves = np.bincount(parent, weights=ds * ds, minlength=space.n_cells(m - 1)) > 0.0
+        h = np.where(moves, held[m], 0.0)
         risky.append(h)
-        cash.append(c)
+        cash.append(capital[-1] - h * s_prev)
+        capital.append(capital[-1][parent] + h[parent] * ds)
     return TradingStrategy(
-        cash=tuple(cash), risky=tuple(risky), capital=mart, pricing=pricing
+        cash=tuple(cash),
+        risky=tuple(risky),
+        capital=AdaptedProcess(space=space, per_time=tuple(capital)),
+        pricing=pricing,
     )

@@ -229,12 +229,19 @@ def _unit_density_vertex(masses: np.ndarray, objective: np.ndarray) -> Optional[
     ``objective / masses[0]`` and at least 0.  On the set, where
     ``masses[0] . x = 1``, that cost is ``lam - objective . x``, so the
     optimal vertices are the same.  The cost is clipped at 0 against
-    round-off.
+    round-off, and so is the vertex.  Its entries at or below ``STRICT_TOL``
+    times the largest are the kernel's zeros (4.8e-14 next to 2.14) and
+    are set to 0, so no cell's conditional expectation is dust, whose
+    ratios are noise.
     """
     lam = max(0.0, float((objective / masses[0]).max()))
     cost = np.maximum(lam * masses[0] - objective, 0.0)
     out = solve(LinearProgram(cost, a_eq=masses, b_eq=np.ones(masses.shape[0])))
-    return np.maximum(out.x, 0.0) if out.status == "optimal" else None
+    if out.status != "optimal":
+        return None
+    x = np.maximum(out.x, 0.0)
+    x[x <= STRICT_TOL * x.max()] = 0.0
+    return x
 
 
 def find_a0_element(

@@ -15,9 +15,13 @@ one kind of cell mass the library has, chained up from the atoms, from one
 ``np.bincount`` per extreme per level (:func:`chained_masses`;
 :func:`brute_cell_masses`, one ``.sum()`` per cell, matches them to
 round-off).  Node laws, nullspace draws and pricing rows divide those
-chained masses entry by entry, with one SVD per node.  Hedge positions
-come from one least-squares solve per node, and the hedge's capital from one
-``restrict`` per time and price slice.  Pasting-stable families come from
+chained masses entry by entry, with one SVD per node.  The hedge's
+capital is checked against the stopped-slice dominator, one ``restrict``
+per time and price slice, and its positions against one least-squares
+representation solve per node of that capital; the library reads the
+positions off the generator weights and carries capital by the
+self-financing recursion, so they agree to round-off (capital within
+1e-13 relative), not bit for bit.  Pasting-stable families come from
 one dict of cell probabilities per combination of node laws.  The
 decomposition report comes from one :func:`mixture` per Dirichlet draw and
 one atom-level conditional-expectation pass over the extremes and another

@@ -103,6 +103,24 @@ class TestPastingStableFamiliesPass:
                 result = audit(claim, inst)
                 assert result.verdict == "pass", (seed, claim, result.violation)
 
+    @pytest.mark.parametrize("claim", CLAIM_IDS)
+    def test_search_draws_pass_on_product_families(self, claim, monkeypatch):
+        # the search's own draws with pasting-stable families in place of its
+        # random ones; a density vertex that kept its round-off dust would
+        # fake thm-mars12 counterexamples here
+        from doobkit.generators import product_family
+
+        monkeypatch.setattr(claims, "random_family", product_family)
+        evaluated = 0
+        for seed in range(60):
+            inst = claims._sample_instance(claim, np.random.default_rng(seed), 8, 3, 8)
+            if inst is None or len(inst.family) == 1:  # one measure: a theorem
+                continue
+            result = audit(claim, inst)
+            assert result.verdict == "pass", (seed, result.violation, result.detail)
+            evaluated += 1
+        assert evaluated >= 50
+
 
 class TestSingletonFamiliesPass:
     def test_q5_reduces_to_tower(self, space_b, family_b):

@@ -418,11 +418,20 @@ class TestReportSchemas:
 
 
 class TestMultipleInputs:
-    def test_sequential_and_parallel_agree(self, capsys, fixture_paths):
+    def test_two_inputs_give_two_reports_in_order(self, capsys, fixture_paths):
         paths = [str(fixture_paths["a"]), str(fixture_paths["b"])]
-        code1, out1, _ = run(capsys, "validate", *paths)
-        code2, out2, _ = run(capsys, "validate", *paths, "--jobs", "2")
-        assert (code1, out1) == (code2, out2)
+        code, out, _ = run(capsys, "validate", *paths)
+        assert code == 0
+        decoder = json.JSONDecoder()
+        reports, at = [], 0
+        while at < len(out):
+            report, at = decoder.raw_decode(out, at)
+            reports.append(report)
+            at += 1  # the newline after each report
+        assert [r["input"] for r in reports] == paths
+        for report, path in zip(reports, paths):
+            assert report == jrun(capsys, "validate", path)[1]
+        assert run(capsys, "validate", *paths, "--jobs", "2")[0] == 3  # no such option
 
     def test_out_requires_single_input(self, capsys, fixture_paths, tmp_path):
         code, _, err = run(

@@ -575,9 +575,10 @@ def _unrepresentable(rng, mproc):
 
 
 class TestKernelAgainstPerNodeOracles:
-    """Generator pricing and hedging read the conditional-expectation kernel
-    and settle a whole level at once; the dense rows, the per-node least
-    squares and the per-slice restricts are the oracles."""
+    """Generator pricing reads the conditional-expectation kernel and
+    settles a whole level at once, and hedging reads its positions off the
+    price's weights; the dense rows, the per-node least squares and the
+    per-slice restricts are the oracles."""
 
     def test_generator_price_matches_dense_rows(self):
         for where, family, market, claim in _oracle_markets():
@@ -608,10 +609,19 @@ class TestKernelAgainstPerNodeOracles:
                 weights = np.zeros(horizon + 1) if pricing.gamma is None else pricing.gamma
                 want = stopped_levels(market, pricing.fair_price, weights)
                 for got, level in zip(strat.capital.per_time, want):
-                    assert np.array_equal(got, level), where
+                    np.testing.assert_allclose(got, level, rtol=1e-13, atol=0, err_msg=where)
                 oracle = per_node_representation(strat.capital, market)
                 for got, h in zip(strat.risky[1:], oracle):
                     np.testing.assert_allclose(got, h, rtol=0, atol=1e-10, err_msg=where)
+                # a node that moves holds the weight of the slices of time m and later
+                space = market.space
+                for m in range(1, horizon + 1):
+                    parent = space.parent_cell(m)
+                    ds = market.S.at_cells(m) - market.S.at_cells(m - 1)[parent]
+                    moves = np.bincount(parent, weights=ds * ds) > 0.0
+                    held = pricing.fair_price / market.s0 * weights[m:].sum()
+                    np.testing.assert_allclose(strat.risky[m][moves], held, rtol=1e-13, atol=0,
+                                               err_msg=where)
 
             moved, first = _unrepresentable(rng, strat.capital)
             with pytest.raises(NotRepresentable) as want_info:
