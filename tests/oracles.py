@@ -23,14 +23,15 @@ positions off the generator weights and carries capital by the
 self-financing recursion, so they agree to round-off (capital within
 1e-13 relative), not bit for bit.  Pasting-stable families come from
 one dict of cell probabilities per combination of node laws.  The
-decomposition report comes from one :func:`mixture` per Dirichlet draw and
-one atom-level conditional-expectation pass over the extremes and another
-over the mixtures; the library conditions on cell masses instead, so the
-two agree to round-off (the same check names and verdicts, violations
-within 1e-12, relative above 1), not bit for bit.  Mixtures and
-expectations are this module's own (:func:`mixture`, :func:`expect`): the
-library conditions each level one step back from the level above, with
-one atom pass at the horizon, and checks mixtures on cell masses.  Both
+decomposition report comes from one atom-level conditional-expectation
+pass over the extremes; the library conditions on cell masses instead, so
+the two agree to round-off (the same check names and verdicts, violations
+within 1e-12, relative above 1), not bit for bit.  The same atom pass
+gives the martingale gap under :func:`mixture` draws and the drift gap,
+which the library no longer checks because its four checks bound them.
+Mixtures and expectations are this module's own (:func:`mixture`,
+:func:`expect`): the library conditions each level one step back from the
+level above, with one atom pass at the horizon.  Both
 the one step and the chain from the horizon are checked against
 :func:`brute_cond_exp` of the values laid out on atoms, at every level.
 The counterexample search re-audits every shrink candidate.
@@ -410,17 +411,16 @@ def least_sum_bases(law, rhs):
     return out, found
 
 
-def per_mixture_verify(f, decomposition, family, tol=1e-9, n_mixtures=20, seed=0):
-    """``(name, max_violation, passed)`` of each check of
-    ``verify_decomposition``, with one ``mixture()`` per Dirichlet draw and
-    the martingale property checked over the extremes and the mixtures in
-    two separate passes."""
+def per_atom_verify(f, decomposition, family, tol=1e-9):
+    """``(name, max_violation, passed)`` of each of ``verify_decomposition``'s
+    four checks, with every conditional expectation taken by one atom-level
+    pass (:func:`martingale_gap`)."""
     space = family.space
     mart, comp = decomposition.martingale, decomposition.compensator
     checks = []
 
-    def add(name, violation, bound=tol):
-        checks.append((name, float(violation), violation <= bound))
+    def add(name, violation):
+        checks.append((name, float(violation), violation <= tol))
 
     try:
         recon = max(
@@ -435,34 +435,35 @@ def per_mixture_verify(f, decomposition, family, tol=1e-9, n_mixtures=20, seed=0
     for m in range(1, space.horizon + 1):
         delta = comp.at_atoms(m) - comp.at_atoms(m - 1)
         growth = max(growth, float((-delta).max()))
-    add("compensator-monotone", max(growth, 0.0))
+    add("compensator-monotone", growth)
+    add("martingale-extremes", martingale_gap(mart, family.probs))
+    return checks
 
-    def mart_defect(probs):
-        worst = 0.0
-        for m in range(1, space.horizon + 1):
-            e = cond_exp_cells(space, mart.at_atoms(m), probs, m - 1)
-            worst = max(worst, float(np.abs(e - mart.at_cells(m - 1)).max(initial=0.0)))
-        return worst
 
-    probs = family.probs
-    add("martingale-extremes", mart_defect(probs))
-    rng = np.random.default_rng(seed)
-    mixes = [mixture(family, rng.dirichlet(np.ones(len(family)))).probs for _ in range(n_mixtures)]
-    add("martingale-mixtures", mart_defect(np.reshape(mixes, (n_mixtures, space.n_atoms))))
+def martingale_gap(mart, probs):
+    """The largest ``|E_q[M_m | F_{m-1}] - M_{m-1}|`` over steps, cells and
+    the rows ``q`` of ``probs``, conditioned atom by atom."""
+    space = mart.space
+    worst = 0.0
+    for m in range(1, space.horizon + 1):
+        e = cond_exp_cells(space, mart.at_atoms(m), probs, m - 1)
+        worst = max(worst, float(np.abs(e - mart.at_cells(m - 1)).max(initial=0.0)))
+    return worst
 
-    drift = 0.0
-    centered = 0.0
+
+def drift_gap(f, decomposition, family):
+    """The largest ``|E_i[f_{m-1} - f_m | F_{m-1}] - E_i[g_m - g_{m-1} | F_{m-1}]|``
+    over steps, cells and extremes, conditioned atom by atom."""
+    space = family.space
+    comp = decomposition.compensator
+    worst = 0.0
     for m in range(1, space.horizon + 1):
         df = f.at_atoms(m - 1) - f.at_atoms(m)
         dg = comp.at_atoms(m) - comp.at_atoms(m - 1)
-        lhs = cond_exp_cells(space, df, probs, m - 1)
-        rhs = cond_exp_cells(space, dg, probs, m - 1)
-        drift = max(drift, float(np.abs(lhs - rhs).max()))
-        psi = dg - rhs[:, space.atom_to_cell(m - 1)]
-        centered = max(centered, float(np.abs(cond_exp_cells(space, psi, probs, m - 1)).max()))
-    add("drift-matches-compensator-growth", drift)
-    add("centered-compensator-residuals", centered, bound=STRICT_TOL)
-    return checks
+        lhs = cond_exp_cells(space, df, family.probs, m - 1)
+        rhs = cond_exp_cells(space, dg, family.probs, m - 1)
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
 
 
 def audit_based_search(claim, budget, seed, max_atoms=8, max_periods=3, max_extremes=3, tol=1e-9):

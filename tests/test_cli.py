@@ -59,7 +59,17 @@ DECOMPOSITION_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["name", "max_violation"],
-                "properties": {"name": {"type": "string"}, "max_violation": NUMBER},
+                "properties": {
+                    "name": {
+                        "enum": [
+                            "reconstruction",
+                            "compensator-starts-at-zero",
+                            "compensator-monotone",
+                            "martingale-extremes",
+                        ]
+                    },
+                    "max_violation": NUMBER,
+                },
             },
         },
     },

@@ -45,11 +45,13 @@ from doobkit.generators import (
 from .oracles import (
     brute_cell_masses,
     dense_solve,
+    drift_gap,
     expect,
     least_sum_bases,
+    martingale_gap,
     mixture,
+    per_atom_verify,
     per_cell_alpha,
-    per_mixture_verify,
     per_node_xi0_lp,
 )
 from .trees import tree_draw
@@ -514,12 +516,12 @@ class TestOptionalDecompose:
             assert verify_decomposition(f, dec, family).ok
 
 
-def _same_as_per_mixture_verify(f, dec, family, n_mixtures, seed=0):
+def _same_as_per_atom_verify(f, dec, family):
     """The same check names and verdicts as the oracle, and each violation
     within 1e-12 of the oracle's, relative above 1: the library conditions
     on cell masses, the oracle sums atoms, so they part by round-off."""
-    report = verify_decomposition(f, dec, family, n_mixtures=n_mixtures, seed=seed)
-    want = per_mixture_verify(f, dec, family, n_mixtures=n_mixtures, seed=seed)
+    report = verify_decomposition(f, dec, family)
+    want = per_atom_verify(f, dec, family)
     assert [(c.name, c.passed) for c in report.checks] == [(w[0], w[2]) for w in want]
     for c, (_, violation, _) in zip(report.checks, want):
         assert abs(c.max_violation - violation) <= 1e-12 * max(1.0, abs(violation)), c.name
@@ -540,32 +542,77 @@ def _jittered(dec, rng):
     )
 
 
+def _every_shape_draws():
+    """``(f, decomposition, jittered decomposition, family)`` per draw, until
+    every (atoms, periods, extremes) shape of at most 8 atoms, 3 periods and
+    3 extremes has come up."""
+    rng = np.random.default_rng(0)
+    shapes = set()
+    i = 0
+    while len(shapes) < 7 * 3 * 3:
+        i += 1
+        assert i < 1000, sorted(shapes)
+        space = random_space(rng, max_atoms=8, max_periods=3)
+        family = random_family(rng, space, max_extremes=3)
+        shapes.add((space.n_atoms, space.horizon, len(family)))
+        f, _, _ = random_supermartingale(rng, space, family)
+        dec = optional_decompose(f, family)
+        yield f, dec, _jittered(dec, rng), family
+
+
+def _tree_draws(b, depth, k):
+    family, f, _, _ = tree_draw(b, depth, k, 0)
+    dec = optional_decompose(f, family)
+    return f, dec, _jittered(dec, np.random.default_rng(b)), family
+
+
+#: per check of ``verify_decomposition``, the levels ``(f, M, g)`` on
+#: ``space_a`` of the decomposition ``M = 2``, ``g = (0; 1, 1, 1)`` of
+#: ``f = (2; 1, 1, 1)``, spoilt for that check alone
+_DECOMPOSITION_SPOILS = {
+    "reconstruction": (
+        [[2.0], [1.5, 1.0, 1.0]], [[2.0], [2.0, 2.0, 2.0]], [[0.0], [1.0, 1.0, 1.0]]
+    ),
+    "compensator-starts-at-zero": (
+        [[2.0], [1.0, 1.0, 1.0]], [[2.5], [2.5, 2.5, 2.5]], [[0.5], [1.5, 1.5, 1.5]]
+    ),
+    # (2, 0, -3) has zero mean under both extremes of family_a: added to M
+    # and g it keeps M a martingale and M - g = f, and g drops at child 3
+    "compensator-monotone": (
+        [[2.0], [1.0, 1.0, 1.0]], [[2.0], [4.0, 2.0, -1.0]], [[0.0], [3.0, 1.0, -2.0]]
+    ),
+    "martingale-extremes": (
+        [[2.0], [1.0, 1.0, 1.0]], [[2.0], [2.5, 2.0, 2.0]], [[0.0], [1.5, 1.0, 1.0]]
+    ),
+}
+
+
 class TestVerifyDecomposition:
-    def test_matches_per_mixture_oracle_on_every_shape(self):
-        # draw until every (atoms, periods, extremes) shape of at most 8
-        # atoms, 3 periods and 3 extremes has come up
-        rng = np.random.default_rng(0)
-        shapes = set()
-        i = 0
-        while len(shapes) < 7 * 3 * 3:
-            i += 1
-            assert i < 1000, sorted(shapes)
-            space = random_space(rng, max_atoms=8, max_periods=3)
-            family = random_family(rng, space, max_extremes=3)
-            shapes.add((space.n_atoms, space.horizon, len(family)))
-            f, _, _ = random_supermartingale(rng, space, family)
-            dec = optional_decompose(f, family)
-            n_mixtures = (0, 1, 20)[i % 3]
-            _same_as_per_mixture_verify(f, dec, family, n_mixtures, seed=i)
-            _same_as_per_mixture_verify(f, _jittered(dec, rng), family, n_mixtures, seed=i)
+    def test_matches_per_atom_oracle_on_every_shape(self):
+        for f, dec, jittered, family in _every_shape_draws():
+            _same_as_per_atom_verify(f, dec, family)
+            _same_as_per_atom_verify(f, jittered, family)
 
     @pytest.mark.parametrize("b, depth, k", [(3, 6, 2), (5, 3, 3)])
-    @pytest.mark.parametrize("n_mixtures", [0, 1, 20])
-    def test_matches_per_mixture_oracle_on_trees(self, b, depth, k, n_mixtures):
-        family, f, _, _ = tree_draw(b, depth, k, 0)
-        dec = optional_decompose(f, family)
-        _same_as_per_mixture_verify(f, dec, family, n_mixtures)
-        _same_as_per_mixture_verify(f, _jittered(dec, np.random.default_rng(b)), family, n_mixtures)
+    def test_matches_per_atom_oracle_on_trees(self, b, depth, k):
+        f, dec, jittered, family = _tree_draws(b, depth, k)
+        _same_as_per_atom_verify(f, dec, family)
+        _same_as_per_atom_verify(f, jittered, family)
+
+    def test_four_checks_bound_the_checks_they_imply(self):
+        # under a Dirichlet mixture a cell's conditional expectation averages
+        # the extremes', and the drift gap is -E_i[M_m - M_{m-1} | F_{m-1}]
+        # up to the reconstruction error at both ends of the step
+        rng = np.random.default_rng(1)
+        draws = [*_every_shape_draws(), _tree_draws(3, 6, 2), _tree_draws(5, 3, 3)]
+        for f, _, dec, family in draws:
+            got = {c.name: c.max_violation for c in verify_decomposition(f, dec, family).checks}
+            weights = rng.dirichlet(np.ones(len(family)), size=20)
+            mixes = np.array([mixture(family, w).probs for w in weights])
+            bound = got["martingale-extremes"]
+            assert martingale_gap(dec.martingale, mixes) <= bound * (1 + 1e-12) + 1e-15
+            bound += 2.0 * got["reconstruction"]
+            assert drift_gap(f, dec, family) <= bound * (1 + 1e-12) + 1e-15
 
     def test_passes_on_constructed(self, space_b, family_b):
         f = _proc(space_b, [2.0], [1.5, 1.2], [1.5, 1.5, 0.9, 0.9])
@@ -592,12 +639,17 @@ class TestVerifyDecomposition:
         failing = {c.name for c in report.checks if not c.passed}
         assert "compensator-monotone" in failing
 
-    def test_no_mixtures_still_reported(self, space_b, family_b):
-        f = _proc(space_b, [2.0], [1.5, 1.2], [1.5, 1.5, 0.9, 0.9])
-        dec = optional_decompose(f, family_b)
-        report = verify_decomposition(f, dec, family_b, n_mixtures=0)
-        mixed = [c for c in report.checks if c.name == "martingale-mixtures"]
-        assert report.ok and len(mixed) == 1 and mixed[0].max_violation == 0.0
+    @pytest.mark.parametrize("check", list(_DECOMPOSITION_SPOILS))
+    def test_each_spoil_fails_exactly_its_check(self, space_a, family_a, check):
+        f = _proc(space_a, [2.0], [1.0, 1.0, 1.0])
+        dec = optional_decompose(f, family_a)
+        assert [level.tolist() for level in dec.martingale.per_time] == [[2.0], [2.0, 2.0, 2.0]]
+        report = verify_decomposition(f, dec, family_a)
+        assert report.ok and [c.name for c in report.checks] == list(_DECOMPOSITION_SPOILS)
+        spoilt_f, mart, comp = (_proc(space_a, *levels) for levels in _DECOMPOSITION_SPOILS[check])
+        spoilt = OptionalDecomposition(martingale=mart, compensator=comp, steps=dec.steps)
+        report = verify_decomposition(spoilt_f, spoilt, family_a)
+        assert {c.name for c in report.checks if not c.passed} == {check}
 
     def test_processes_off_the_family_space_fail_shapes(self):
         fam9, f9, _, _ = tree_draw(3, 2, 2, 0)
@@ -616,24 +668,3 @@ class TestVerifyDecomposition:
                     passed=False,
                 ),
             )
-
-    def test_mixture_weights_memoized_read_only(self):
-        for k, n_mixtures, seed in ((1, 0, 0), (2, 20, 0), (3, 5, 7)):
-            weights = regularity._mixture_weights(k, n_mixtures, seed)
-            fresh = np.random.default_rng(seed).dirichlet(np.ones(k), size=n_mixtures)
-            assert weights.tobytes() == fresh.tobytes() and weights.shape == fresh.shape
-            assert regularity._mixture_weights(k, n_mixtures, seed) is weights
-            assert not weights.flags.writeable
-            with pytest.raises(ValueError):
-                weights[...] = 0.5
-
-    def test_centered_residuals_tight(self):
-        rng = np.random.default_rng(41)
-        space = random_space(rng)
-        family = random_family(rng, space)
-        f, _, _ = random_supermartingale(rng, space, family)
-        dec = optional_decompose(f, family)
-        report = verify_decomposition(f, dec, family)
-        centered = [c for c in report.checks if c.name == "centered-compensator-residuals"]
-        assert centered and centered[0].max_violation <= 1e-12
-
