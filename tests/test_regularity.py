@@ -566,6 +566,22 @@ def _tree_draws(b, depth, k):
     return f, dec, _jittered(dec, np.random.default_rng(b)), family
 
 
+def _four_checks_bound_implied(f, dec, family, weights):
+    """The martingale gap under each mixture of the extremes (one row of
+    ``weights`` each) and the drift gap stay within what the four checks of
+    ``verify_decomposition`` report: under a mixture a cell's conditional
+    expectation averages the extremes', and the drift gap is
+    -E_i[M_m - M_{m-1} | F_{m-1}] up to the reconstruction error at both ends
+    of the step."""
+    got = {c.name: c.max_violation for c in verify_decomposition(f, dec, family).checks}
+    bound = got["martingale-extremes"]
+    if len(weights):
+        mixes = np.array([mixture(family, w).probs for w in weights])
+        assert martingale_gap(dec.martingale, mixes) <= bound * (1 + 1e-12) + 1e-15
+    bound += 2.0 * got["reconstruction"]
+    assert drift_gap(f, dec, family) <= bound * (1 + 1e-12) + 1e-15
+
+
 #: per check of ``verify_decomposition``, the levels ``(f, M, g)`` on
 #: ``space_a`` of the decomposition ``M = 2``, ``g = (0; 1, 1, 1)`` of
 #: ``f = (2; 1, 1, 1)``, spoilt for that check alone
@@ -594,25 +610,21 @@ class TestVerifyDecomposition:
             _same_as_per_atom_verify(f, jittered, family)
 
     @pytest.mark.parametrize("b, depth, k", [(3, 6, 2), (5, 3, 3)])
-    def test_matches_per_atom_oracle_on_trees(self, b, depth, k):
+    @pytest.mark.parametrize("n_mixtures", [0, 1, 20])
+    def test_matches_per_mixture_oracle_on_trees(self, b, depth, k, n_mixtures):
+        # the oracle's verdicts, and on n_mixtures Dirichlet mixtures of the
+        # extremes the mixture and drift checks the four bound
         f, dec, jittered, family = _tree_draws(b, depth, k)
         _same_as_per_atom_verify(f, dec, family)
         _same_as_per_atom_verify(f, jittered, family)
+        weights = np.random.default_rng(n_mixtures).dirichlet(np.ones(k), size=n_mixtures)
+        _four_checks_bound_implied(f, jittered, family, weights)
 
     def test_four_checks_bound_the_checks_they_imply(self):
-        # under a Dirichlet mixture a cell's conditional expectation averages
-        # the extremes', and the drift gap is -E_i[M_m - M_{m-1} | F_{m-1}]
-        # up to the reconstruction error at both ends of the step
         rng = np.random.default_rng(1)
-        draws = [*_every_shape_draws(), _tree_draws(3, 6, 2), _tree_draws(5, 3, 3)]
-        for f, _, dec, family in draws:
-            got = {c.name: c.max_violation for c in verify_decomposition(f, dec, family).checks}
+        for f, _, dec, family in _every_shape_draws():
             weights = rng.dirichlet(np.ones(len(family)), size=20)
-            mixes = np.array([mixture(family, w).probs for w in weights])
-            bound = got["martingale-extremes"]
-            assert martingale_gap(dec.martingale, mixes) <= bound * (1 + 1e-12) + 1e-15
-            bound += 2.0 * got["reconstruction"]
-            assert drift_gap(f, dec, family) <= bound * (1 + 1e-12) + 1e-15
+            _four_checks_bound_implied(f, dec, family, weights)
 
     def test_passes_on_constructed(self, space_b, family_b):
         f = _proc(space_b, [2.0], [1.5, 1.2], [1.5, 1.5, 0.9, 0.9])
