@@ -14,14 +14,11 @@ from .space import (
     TrivialRootMissing,
     build_space,
     cond_exp_cells,
-    ess_sup_cond_exp_cells,
 )
 from .lp import NumericalBreakdown
 from .regularity import (
-    A0Element,
     Classification,
     DecompositionReport,
-    NotInA0,
     NotLocallyRegular,
     NotSupermartingale,
     OptionalDecomposition,
@@ -52,7 +49,6 @@ from .pricing import (
     GeneratorNotInA0,
     MarketModel,
     NotMeasurable,
-    NotRepresentable,
     PricingInfeasible,
     PricingResult,
     TradingStrategy,
@@ -61,7 +57,6 @@ from .pricing import (
     fair_price_a0,
     fair_price_generators,
     find_emm,
-    martingale_representation,
     price_slice_generators,
     superhedge_strategy,
     verify_emm,

@@ -40,7 +40,6 @@ import numpy as np
 from .generators import random_family, random_space
 from .lp import NumericalBreakdown
 from .regularity import (
-    NotInA0,
     StepFailure,
     _least_dominators,
     _unit_density_vertex,
@@ -455,8 +454,8 @@ def _sample_instance(
     n = space.n_atoms
     if claim in _NEEDS_A0 or claim == "lemma-1q5":
         try:
-            xi = find_a0_element(family, objective=rng.normal(size=n)).xi
-        except (NumericalBreakdown, NotInA0):
+            xi = find_a0_element(family, objective=rng.normal(size=n))
+        except NumericalBreakdown:
             return None
         if claim == "lemma-1q5":
             xi = xi * float(rng.uniform(0.5, 2.0))

@@ -241,12 +241,11 @@ def _run_decompose(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
     return out, EXIT_OK if report.ok else EXIT_DOMAIN, None
 
 
-def _generator_elements(scenario: Scenario, names: str):
-    elements = []
-    for name in names.split(","):
-        market = MarketModel(S=_process(scenario, name.strip()))
-        elements.extend(price_slice_generators(market))
-    return elements
+def _generator_rows(scenario: Scenario, names: str) -> np.ndarray:
+    return np.vstack([
+        price_slice_generators(MarketModel(S=_process(scenario, name.strip())))
+        for name in names.split(",")
+    ])
 
 
 def _run_price(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
@@ -256,7 +255,7 @@ def _run_price(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
         if args.mode == "generators":
             if not args.generators:
                 raise SchemaError("--mode generators needs --generators")
-            gens = _generator_elements(scenario, args.generators)
+            gens = _generator_rows(scenario, args.generators)
             result = fair_price_generators(payoff, gens, family, tol=args.tol)
         else:
             result = fair_price_a0(payoff, family, tol=args.tol)
@@ -332,11 +331,11 @@ def _run_emm(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
 def _run_a0(scenario: Scenario, args) -> tuple[dict, int, Optional[str]]:
     family = scenario.family()
     objective = _claim_atoms(scenario, args.claim) if args.claim else None
-    element = find_a0_element(family, objective=objective)
+    xi = find_a0_element(family, objective=objective)
     report = {
         "verb": "a0",
-        "xi": [float(v) for v in element.xi],
-        "expectations": dict(zip(scenario.measures, map(float, family.probs @ element.xi))),
+        "xi": [float(v) for v in xi],
+        "expectations": dict(zip(scenario.measures, map(float, family.probs @ xi))),
     }
     return report, EXIT_OK, None
 

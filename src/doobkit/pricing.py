@@ -11,12 +11,14 @@ partition separates atoms the readings coincide.
 
 Two modes: the free mode optimizes over the whole density set, the
 generator mode over the simplex spanned by finitely many given densities,
-its price certified by its own primal-dual pair.  When the family's
-extremes are martingale measures for a price process and the generators
-are the normalized price slices, the optimal dominator is itself a
-tradable martingale, a buy-and-hold portfolio of the slices, and the
-self-financed strategy superhedging the claim holds one position per level
-read off the generator weights, with no solve.
+its price certified by its own primal-dual pair.  A density is a plain
+float array, one entry per atom; the generators are such rows, checked
+once as a stack by :func:`~doobkit.regularity.a0_membership`.  When the
+family's extremes are martingale measures for a price process and the
+generators are the normalized price slices, the optimal dominator is
+itself a tradable martingale, a buy-and-hold portfolio of the slices, and
+the self-financed strategy superhedging the claim holds one position per
+level read off the generator weights, with no solve.
 
 Each program is posed in its small form, rows x columns, for n atoms, k
 extremes, M terminal cells (M' of them holding more than one atom) and G
@@ -32,12 +34,12 @@ generators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .lp import LinearProgram, NumericalBreakdown, solve
-from .regularity import A0Element, a0_membership
+from .regularity import a0_membership
 from .space import (
     DEFAULT_TOL,
     MIN_PROB,
@@ -204,29 +206,26 @@ class TradingStrategy:
         return float(self.capital.at_cells(0)[0])
 
     def self_financing_residual(self, market: MarketModel) -> float:
-        """Max |change of cash + change of risky * previous price| at a node."""
+        """Max |change of cash + change of risky * previous price| over the
+        nodes, one value per cell."""
         space = self.capital.space
         worst = 0.0
         for m in range(1, space.horizon + 1):
-            prev_cells = space.atom_to_cell(m - 1)
-            h_now = self.risky[m][prev_cells]
-            c_now = self.cash[m][prev_cells]
-            pp = space.atom_to_cell(max(m - 2, 0))
-            h_prev = self.risky[m - 1][pp]
-            c_prev = self.cash[m - 1][pp]
-            s_prev = market.S.at_atoms(m - 1)
-            resid = (c_now - c_prev) + (h_now - h_prev) * s_prev
+            # the positions held into time m - 1 sit on its parent cells, the initial ones at 0
+            pp = space.parent_cell(m - 1) if m > 1 else 0
+            cash_change = self.cash[m] - self.cash[m - 1][pp]
+            resid = cash_change + (self.risky[m] - self.risky[m - 1][pp]) * market.S.at_cells(m - 1)
             worst = max(worst, float(np.abs(resid).max()))
         return worst
 
     def capital_residual(self, market: MarketModel) -> float:
-        """Max |capital - (cash + risky * price)|."""
+        """Max |capital - (cash + risky * price)|, one value per cell."""
         space = self.capital.space
         worst = 0.0
         for m in range(space.horizon + 1):
-            prev_cells = space.atom_to_cell(max(m - 1, 0))
-            held = self.cash[m][prev_cells] + self.risky[m][prev_cells] * market.S.at_atoms(m)
-            worst = max(worst, float(np.abs(self.capital.at_atoms(m) - held).max()))
+            prev = space.parent_cell(m) if m else 0
+            held = self.cash[m][prev] + self.risky[m][prev] * market.S.at_cells(m)
+            worst = max(worst, float(np.abs(self.capital.at_cells(m) - held).max()))
         return worst
 
 
@@ -261,11 +260,11 @@ def _domination_rows(space: FilteredSpace, family: MeasureFamily, keep: np.ndarr
     return rows.reshape(-1, space.n_atoms)
 
 
-def _generator_stack(generators: Sequence, family: MeasureFamily) -> np.ndarray:
+def _generator_stack(generators: Sequence[np.ndarray], family: MeasureFamily) -> np.ndarray:
     """The generators as ``(G, n)`` rows, checked in one
     :func:`~doobkit.regularity.a0_membership` pass."""
     n = family.space.n_atoms
-    xis = [g.xi if isinstance(g, A0Element) else np.asarray(g, dtype=float) for g in generators]
+    xis = [np.asarray(g, dtype=float) for g in generators]
     if not xis:
         raise ValueError("need at least one generator")
     # a row of the wrong length is NaN and fails
@@ -346,7 +345,7 @@ def _largest(values: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
 
 def fair_price_generators(
     claim: np.ndarray,
-    generators: Sequence[Union[A0Element, np.ndarray]],
+    generators: Sequence[np.ndarray],
     family: MeasureFamily,
     tol: float = DEFAULT_TOL,
 ) -> PricingResult:
@@ -546,16 +545,12 @@ def martingale_representation(
     return positions
 
 
-def _slice_rows(market: MarketModel) -> np.ndarray:
-    """The normalized price slices S_m / S_0 for m = 0..N as ``(N + 1, n)`` rows."""
+def price_slice_generators(market: MarketModel) -> np.ndarray:
+    """The normalized price slices S_m / S_0 for m = 0..N as ``(N + 1, n)``
+    rows (so row 0 is the constant 1); each is a unit-expectation density
+    when every extreme is a martingale measure, which
+    :func:`fair_price_generators` checks."""
     return np.vstack([market.S.at_atoms(m) / market.s0 for m in range(market.space.horizon + 1)])
-
-
-def price_slice_generators(market: MarketModel) -> list[A0Element]:
-    """The normalized price slices S_m / S_0 for m = 0..N (so slice 0 is the
-    constant 1); each is a unit-expectation density when every extreme is a
-    martingale measure."""
-    return [A0Element(xi=row) for row in _slice_rows(market)]
 
 
 def superhedge_strategy(
@@ -583,7 +578,7 @@ def superhedge_strategy(
     bad = np.flatnonzero(~(drift <= tol))  # a NaN drift fails too
     if bad.size:
         raise FamilyNotEmm(f"extreme {bad[0]} has price drift {drift[bad[0]]:.3e}")
-    pricing = fair_price_generators(claim, _slice_rows(market), family, tol=tol)
+    pricing = fair_price_generators(claim, price_slice_generators(market), family, tol=tol)
     price = pricing.fair_price
     held = np.zeros(space.horizon + 1)
     if pricing.gamma is not None:  # held[m] is the weight of the slices of time m and later

@@ -25,8 +25,10 @@ martingale need not be driftless under every extreme (see
 ratio-at-most-one shortcut misses; so the library certifies by LP and
 keeps the constant seed as a cheap first try.
 
-Membership of the density set A0 is decided only by :func:`a0_membership`,
-for one density or a stack of them, from one product with the extremes.
+A density is a plain float array, one entry per atom.  Its membership of
+the density set A0 depends on the family, so only :func:`a0_membership`
+decides it, for one density or a stack of them, from one product with the
+extremes.
 """
 
 from __future__ import annotations
@@ -49,19 +51,16 @@ from .space import (
 )
 
 __all__ = [
-    "A0Element",
     "Classification",
     "Xi0Step",
     "StepFailure",
     "OptionalDecomposition",
     "CheckResult",
     "DecompositionReport",
-    "NotInA0",
     "NotSupermartingale",
     "NotLocallyRegular",
     "classify",
     "a0_membership",
-    "make_a0_element",
     "find_a0_element",
     "xi0_step_alpha",
     "xi0_step_lp",
@@ -69,10 +68,6 @@ __all__ = [
     "optional_decompose",
     "verify_decomposition",
 ]
-
-
-class NotInA0(ValueError):
-    """The random variable is not a unit-expectation density for the family."""
 
 
 class NotSupermartingale(ValueError):
@@ -86,20 +81,6 @@ class NotLocallyRegular(ValueError):
     def __init__(self, failure: "StepFailure") -> None:
         super().__init__(f"step {failure.m}: {failure.reason}")
         self.failure = failure
-
-
-@dataclass(frozen=True, eq=False)
-class A0Element:
-    """Nonnegative random variable with expectation one under every extreme."""
-
-    xi: np.ndarray
-
-    def __post_init__(self) -> None:
-        xi = np.array(self.xi, dtype=float)  # copy before freezing
-        xi.setflags(write=False)
-        object.__setattr__(self, "xi", xi)
-        if not _finite_and_above(xi, STRICT_TOL):
-            raise NotInA0("element must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -195,11 +176,6 @@ def classify(f: AdaptedProcess, family: MeasureFamily, tol: float = DEFAULT_TOL)
     return Classification(kind=kind, worst_violation=violation)
 
 
-def _finite_and_above(rows: np.ndarray, tol: float) -> bool:
-    """The sign half of the density rule: every entry finite and at least ``-tol``."""
-    return bool(np.isfinite(rows).all() and (rows >= -tol).all())
-
-
 def a0_membership(family: MeasureFamily, xi: np.ndarray, tol: float = STRICT_TOL) -> bool:
     """True iff ``xi``, one row or a ``(G, n)`` stack of rows, is finite, at
     least ``-tol``, and of expectation within ``tol`` of one under every
@@ -208,14 +184,8 @@ def a0_membership(family: MeasureFamily, xi: np.ndarray, tol: float = STRICT_TOL
     rows = np.asarray(xi, dtype=float)
     if rows.ndim not in (1, 2) or rows.shape[-1] != family.space.n_atoms:
         return False
-    return _finite_and_above(rows, tol) and bool((np.abs(family.probs @ rows.T - 1.0) <= tol).all())
-
-
-def make_a0_element(family: MeasureFamily, xi: np.ndarray) -> A0Element:
-    """Validated construction; raises :class:`NotInA0` on failure."""
-    if np.ndim(xi) != 1 or not a0_membership(family, xi):
-        raise NotInA0("expectation is not one under every extreme")
-    return A0Element(xi=np.asarray(xi, dtype=float))
+    finite_and_above = np.isfinite(rows).all() and (rows >= -tol).all()
+    return bool(finite_and_above and (np.abs(family.probs @ rows.T - 1.0) <= tol).all())
 
 
 def _unit_density_vertex(masses: np.ndarray, objective: np.ndarray) -> Optional[np.ndarray]:
@@ -244,18 +214,19 @@ def _unit_density_vertex(masses: np.ndarray, objective: np.ndarray) -> Optional[
 
 def find_a0_element(
     family: MeasureFamily, objective: Optional[np.ndarray] = None
-) -> A0Element:
-    """An element of the unit-expectation density set.
+) -> np.ndarray:
+    """An element of the unit-expectation density set, one entry per atom.
 
     With an objective, maximizes its inner product over the set by linear
     programming (a vertex).  Without one, returns the element with the
     largest smallest entry, which is exactly the constant 1: every element
     has ``min(xi) <= E_p[xi] = 1``, with equality only at ``xi == 1``
-    because ``p > 0``.
+    because ``p > 0``.  Raises :class:`~doobkit.lp.NumericalBreakdown` when
+    round-off leaves the vertex found outside the set.
     """
     n = family.space.n_atoms
     if objective is None:
-        return A0Element(xi=np.ones(n))
+        return np.ones(n)
     obj = np.asarray(objective, dtype=float)
     if obj.shape != (n,):
         raise ShapeMismatch("objective must have one entry per atom")
@@ -269,7 +240,9 @@ def find_a0_element(
         # one least-squares polish step keeps the unit-expectation identity tight
         xi = xi - np.linalg.lstsq(a_eq, resid, rcond=None)[0]
         xi = np.maximum(xi, 0.0)
-    return make_a0_element(family, xi)
+    if not a0_membership(family, xi):
+        raise NumericalBreakdown("density search left the unit-expectation set")
+    return xi
 
 
 # ---------------------------------------------------------------------------

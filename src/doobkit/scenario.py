@@ -98,8 +98,13 @@ def parse_scenario(doc: dict) -> Scenario:
     except SpaceError as exc:
         raise SchemaError(str(exc)) from exc
 
+    sections = {key: doc.get(key, {}) for key in ("measures", "processes", "claims")}
+    for key, section in sections.items():
+        if not isinstance(section, dict):
+            raise SchemaError(f"{key!r} must be a JSON object of named entries")
+
     measures: dict[str, Measure] = {}
-    for name, probs in dict(doc.get("measures", {})).items():
+    for name, probs in sections["measures"].items():
         try:
             measures[name] = Measure(np.asarray(probs, dtype=float))
         except (TypeError, ValueError) as exc:
@@ -108,7 +113,7 @@ def parse_scenario(doc: dict) -> Scenario:
             raise SchemaError(f"measure {name!r} has wrong length")
 
     processes: dict[str, AdaptedProcess] = {}
-    for name, levels in dict(doc.get("processes", {})).items():
+    for name, levels in sections["processes"].items():
         try:
             processes[name] = AdaptedProcess(
                 space=space, per_time=tuple(np.asarray(lvl, dtype=float) for lvl in levels)
@@ -117,7 +122,7 @@ def parse_scenario(doc: dict) -> Scenario:
             raise SchemaError(f"process {name!r}: {exc}") from exc
 
     claims: dict[str, ClaimSpec] = {}
-    for name, entry in dict(doc.get("claims", {})).items():
+    for name, entry in sections["claims"].items():
         try:
             time = int(entry["time"])
             values = np.asarray(entry["values"], dtype=float)

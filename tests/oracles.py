@@ -54,7 +54,6 @@ from doobkit.claims import AuditResult, ClaimPreconditionUnmet, _sample_instance
 from doobkit.lp import LinearProgram, NumericalBreakdown
 from doobkit.pricing import NotRepresentable
 from doobkit.regularity import (
-    A0Element,
     StepFailure,
     Xi0Step,
     _check_unit_conditional,
@@ -180,6 +179,30 @@ def per_node_representation(mproc, market, tol=1e-9):
             h[b] = float(sol[0])
         positions.append(h)
     return positions
+
+
+def per_atom_hedge_residuals(strategy, market):
+    """``(self_financing_residual, capital_residual)`` of a
+    ``TradingStrategy``, with every level's positions expanded to atoms
+    through ``atom_to_cell`` and one residual per atom."""
+    space = strategy.capital.space
+    self_financing = 0.0
+    for m in range(1, space.horizon + 1):
+        prev_cells = space.atom_to_cell(m - 1)
+        h_now = strategy.risky[m][prev_cells]
+        c_now = strategy.cash[m][prev_cells]
+        pp = space.atom_to_cell(max(m - 2, 0))
+        h_prev = strategy.risky[m - 1][pp]
+        c_prev = strategy.cash[m - 1][pp]
+        s_prev = market.S.at_atoms(m - 1)
+        resid = (c_now - c_prev) + (h_now - h_prev) * s_prev
+        self_financing = max(self_financing, float(np.abs(resid).max()))
+    capital = 0.0
+    for m in range(space.horizon + 1):
+        prev_cells = space.atom_to_cell(max(m - 1, 0))
+        held = strategy.cash[m][prev_cells] + strategy.risky[m][prev_cells] * market.S.at_atoms(m)
+        capital = max(capital, float(np.abs(strategy.capital.at_atoms(m) - held).max()))
+    return self_financing, capital
 
 
 def global_floor_emm(market):
@@ -519,7 +542,7 @@ def per_generator_check(family, generators):
     None when every generator is one."""
     n = family.space.n_atoms
     for g in generators:
-        xi = g.xi if isinstance(g, A0Element) else np.asarray(g, dtype=float)
+        xi = np.asarray(g, dtype=float)
         ok = xi.shape == (n,) and all(np.isfinite(v) and v >= -STRICT_TOL for v in xi)
         if not ok or any(
             abs(sum(q * v for q, v in zip(p.probs, xi)) - 1.0) > STRICT_TOL for p in family
@@ -535,7 +558,7 @@ def generator_rows(claim, generators, family):
     per generator and extreme."""
     space = family.space
     cell = space.atom_to_cell(space.horizon)
-    xis = [g.xi if isinstance(g, A0Element) else np.asarray(g, dtype=float) for g in generators]
+    xis = [np.asarray(g, dtype=float) for g in generators]
     cols = np.column_stack([
         np.concatenate([np.bincount(cell, weights=p * xi) / np.bincount(cell, weights=p)
                         for p in family.probs])

@@ -23,11 +23,9 @@ from doobkit import (
     closed_form_call,
     closed_form_put,
     cond_exp_cells,
-    ess_sup_cond_exp_cells,
     fair_price_a0,
     fair_price_generators,
     find_emm,
-    martingale_representation,
     optional_decompose,
     price_slice_generators,
     superhedge_strategy,
@@ -36,6 +34,8 @@ from doobkit import (
 )
 from doobkit.generators import random_family, random_space, random_supermartingale
 from doobkit.lp import LinearProgram, solve
+from doobkit.pricing import martingale_representation
+from doobkit.space import ess_sup_cond_exp_cells
 
 from .oracles import dual_mixture_price, enumerate_lp_value, expect, mixture
 from .test_lp import _random_lp

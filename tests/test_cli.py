@@ -129,6 +129,20 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(fixture_paths["b"]), "--frobnicate")
         assert code == 3
 
+    @pytest.mark.parametrize("section", ["measures", "processes", "claims"])
+    @pytest.mark.parametrize("shape", ["list", "null", "string"])
+    def test_section_that_is_no_object_exits_three(self, capsys, tmp_path, fixture_paths,
+                                                   section, shape):
+        doc = json.loads(fixture_paths["b"].read_text(encoding="utf-8"))
+        doc[section] = {"list": list(doc[section].values()), "null": None, "string": "xi"}[shape]
+        path = tmp_path / "bad-section.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for verb in (["validate"], ["a0"], ["classify", "--process", "f"]):
+            code, out, err = run(capsys, verb[0], str(path), *verb[1:])
+            assert code == 3 and out == ""
+            assert "Traceback" not in err
+            assert err == f"doobkit: '{section}' must be a JSON object of named entries\n"
+
 
 class TestPrice:
     def test_generator_mode_call(self, capsys, fixture_paths):

@@ -1,12 +1,12 @@
 """Fair pricing, martingale measures, representation, and hedging."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from doobkit import (
-    A0Element,
     AdaptedProcess,
     BadBounds,
     FamilyNotEmm,
@@ -15,7 +15,6 @@ from doobkit import (
     Measure,
     MeasureFamily,
     NotMeasurable,
-    NotRepresentable,
     NumericalBreakdown,
     build_space,
     closed_form_call,
@@ -25,7 +24,6 @@ from doobkit import (
     find_a0_element,
     find_emm,
     load_scenario,
-    martingale_representation,
     optional_decompose,
     price_slice_generators,
     pricing,
@@ -35,7 +33,7 @@ from doobkit import (
 )
 from doobkit.generators import random_family, random_space, random_supermartingale
 from doobkit.lp import LinearProgram, solve
-from doobkit.pricing import _domination_rows
+from doobkit.pricing import NotRepresentable, _domination_rows, martingale_representation
 
 from .oracles import (
     dense_generator_price,
@@ -44,6 +42,7 @@ from .oracles import (
     expect,
     generator_rows,
     global_floor_emm,
+    per_atom_hedge_residuals,
     per_generator_check,
     per_node_domination_rows,
     per_node_representation,
@@ -153,9 +152,8 @@ class TestGeneratorStack:
             n = space.n_atoms
             claim = _terminal_claim(rng, space)
             good = [np.ones(n)] + [
-                find_a0_element(family, objective=rng.normal(size=n)).xi for _ in range(2)
+                find_a0_element(family, objective=rng.normal(size=n)) for _ in range(2)
             ]
-            good[2] = A0Element(xi=good[2])
             odd = {
                 "nan": np.where(np.arange(n) == n // 2, np.nan, 1.0),
                 "inf": np.where(np.arange(n) == n - 1, np.inf, 1.0),
@@ -483,6 +481,23 @@ class TestSuperhedge:
             assert np.all(strat.capital.at_atoms(strat.capital.horizon) >= claim - 1e-9)
             done += 1
 
+    def test_residuals_match_per_atom_oracle_bit_for_bit(self):
+        # one residual per cell gives the per-atom maxima, since every atom
+        # repeats its cell's value; spoilt positions make them nonzero
+        rng = np.random.default_rng(5)
+        for where, family, market, claim in _oracle_markets():
+            strat = superhedge_strategy(claim, market, family)
+            spoilt = replace(
+                strat,
+                cash=tuple(c + rng.normal(size=c.shape) for c in strat.cash),
+                risky=tuple(h * rng.uniform(0.5, 1.5, size=h.shape) for h in strat.risky),
+            )
+            for s in (strat, spoilt):
+                want = per_atom_hedge_residuals(s, market)
+                got = (s.self_financing_residual(market), s.capital_residual(market))
+                assert [v.hex() for v in got] == [v.hex() for v in want], where
+            assert min(per_atom_hedge_residuals(spoilt, market)) > 0.0, where
+
 
 class TestNonFiniteClaims:
     """A NaN behind the first atom of a terminal cell is refused by every
@@ -586,14 +601,14 @@ class TestKernelAgainstPerNodeOracles:
             gens = price_slice_generators(market)
             dom = _full_form_rows(space, family)
             bound = np.tile(space.restrict(space.horizon, claim), len(family))
-            cols = np.column_stack([dom @ g.xi for g in gens])
+            cols = np.column_stack([dom @ g for g in gens])
             dual = dense_solve(LinearProgram(-bound, a_ge=-cols.T, b_ge=-np.ones(len(gens))))
             assert dual.status == "optimal", where
             result = fair_price_generators(claim, gens, family)
             assert result.fair_price == pytest.approx(-dual.value, rel=1e-12), where
             assert np.all(result.gamma >= 0.0), where
             assert result.gamma.sum() == pytest.approx(1.0, abs=1e-12), where
-            mix = result.fair_price * sum(w * g.xi for w, g in zip(result.gamma, gens))
+            mix = result.fair_price * sum(w * g for w, g in zip(result.gamma, gens))
             assert np.all(dom @ mix >= bound - 1e-9), where
             _assert_matches_dense_dual(result, claim, gens, family, where)
 
@@ -731,7 +746,7 @@ class TestRowGeneration:
                                                             market_a, call_a):
         # G = k * M: the one program posed is the whole primal, bit for bit,
         # and the kernel solves it through the dense dual
-        gens = price_slice_generators(market_a) * 3
+        gens = np.tile(price_slice_generators(market_a), (3, 1))
         lps = _posed(monkeypatch)
         fair_price_generators(call_a, gens, family_a)
         cols, bound = generator_rows(call_a, gens, family_a)
@@ -802,7 +817,7 @@ class TestSmallFormAgainstFullForm:
             assert free.fair_price == pytest.approx(full.value, abs=1e-9)
 
             gens = [np.ones(n)] + [
-                find_a0_element(family, objective=rng.normal(size=n)).xi for _ in range(2)
+                find_a0_element(family, objective=rng.normal(size=n)) for _ in range(2)
             ]
             cols = np.column_stack([dom @ g for g in gens])
             full = solve(LinearProgram(np.ones(len(gens)), a_ge=cols, b_ge=bound))
@@ -918,7 +933,7 @@ class TestTreeRegressions:
         assert highs.status == 0
         assert fair_price_a0(claim, family).fair_price == pytest.approx(highs.fun, rel=1e-7)
         gens = price_slice_generators(market)
-        cols = np.column_stack([dom @ g.xi for g in gens])
+        cols = np.column_stack([dom @ g for g in gens])
         highs = linprog(np.ones(len(gens)), A_ub=-cols, b_ub=-bound, method="highs")
         assert highs.status == 0
         got = fair_price_generators(claim, gens, family).fair_price

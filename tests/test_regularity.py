@@ -9,7 +9,6 @@ from doobkit import (
     AdaptedProcess,
     Measure,
     MeasureFamily,
-    NotInA0,
     NotLocallyRegular,
     NotSupermartingale,
     OptionalDecomposition,
@@ -27,12 +26,11 @@ from doobkit import (
 )
 from doobkit import lp as lp_module
 from doobkit import regularity
-from doobkit.lp import LinearProgram, solve_batch
+from doobkit.lp import LinearProgram, NumericalBreakdown, solve_batch
 from doobkit.claims import envelope_process
 from doobkit.regularity import (
     CheckResult,
     _check_unit_conditional,
-    make_a0_element,
     one_step_ratio_cells,
 )
 from doobkit.generators import (
@@ -191,21 +189,15 @@ class TestA0:
 
     def test_convex_combinations_stay_inside(self, family_b, xi_b):
         rng = np.random.default_rng(5)
-        a = make_a0_element(family_b, xi_b)
-        b = make_a0_element(family_b, np.ones(4))
         for _ in range(20):
             t = rng.uniform()
-            assert a0_membership(family_b, t * a.xi + (1 - t) * b.xi)
-
-    def test_make_raises(self, family_b):
-        with pytest.raises(NotInA0):
-            make_a0_element(family_b, np.array([2.0, 0.0, 0.0, 0.0]))
+            assert a0_membership(family_b, t * xi_b + (1 - t) * np.ones(4))
 
 
 class TestFindA0Element:
     def test_default_is_member(self, family_b):
-        el = find_a0_element(family_b)
-        assert a0_membership(family_b, el.xi)
+        xi = find_a0_element(family_b)
+        assert a0_membership(family_b, xi)
 
     def test_default_is_exactly_one(self, family_b):
         families = [family_b]
@@ -213,24 +205,33 @@ class TestFindA0Element:
             rng = np.random.default_rng(seed)
             families.append(random_family(rng, random_space(rng)))
         for family in families:
-            xi = find_a0_element(family).xi
+            xi = find_a0_element(family)
             assert xi.tobytes() == np.ones(family.space.n_atoms).tobytes()
             assert a0_membership(family, xi)
 
     def test_vertex_with_indicator_objective(self, family_b):
-        el = find_a0_element(family_b, objective=np.array([1.0, 0.0, 0.0, 0.0]))
-        assert a0_membership(family_b, el.xi)
+        xi = find_a0_element(family_b, objective=np.array([1.0, 0.0, 0.0, 0.0]))
+        assert a0_membership(family_b, xi)
         # both expectation constraints are active at an optimal vertex
         for p in family_b:
-            assert expect(p, el.xi) == pytest.approx(1.0, abs=1e-12)
+            assert expect(p, xi) == pytest.approx(1.0, abs=1e-12)
+
+    def test_vertex_off_the_set_is_a_breakdown(self, family_b, monkeypatch):
+        # a kernel vertex that the one membership rule refuses is not returned
+        def nan_vertex(masses, objective):
+            return np.full(masses.shape[1], np.nan)
+
+        monkeypatch.setattr(regularity, "_unit_density_vertex", nan_vertex)
+        with pytest.raises(NumericalBreakdown, match="left the unit-expectation set"):
+            find_a0_element(family_b, objective=np.array([1.0, 0.0, 0.0, 0.0]))
 
     def test_two_atom_singleton_vertex(self):
         from doobkit import Measure, build_space
 
         space = build_space(2, [[[0, 1]], [[0], [1]]])
         fam = MeasureFamily(space=space, extremes=(Measure(np.array([0.5, 0.5])),))
-        el = find_a0_element(fam, objective=np.array([1.0, 0.0]))
-        np.testing.assert_allclose(el.xi, [2.0, 0.0], atol=1e-12)
+        xi = find_a0_element(fam, objective=np.array([1.0, 0.0]))
+        np.testing.assert_allclose(xi, [2.0, 0.0], atol=1e-12)
 
 
 class TestXi0StepAlpha:

@@ -88,3 +88,16 @@ def test_invalid_json_file(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(SchemaError):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("section", ["measures", "processes", "claims"])
+@pytest.mark.parametrize("shape", ["list", "null", "string"])
+def test_section_that_is_no_object_is_a_schema_error(section, shape):
+    doc = _minimal()
+    doc[section] = {
+        "list": list(doc[section].values()),
+        "null": None,
+        "string": "xi",
+    }[shape]
+    with pytest.raises(SchemaError, match=f"'{section}' must be a JSON object"):
+        parse_scenario(doc)
